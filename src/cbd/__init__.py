@@ -49,6 +49,7 @@ from .errors import (
     DuplicateContext,
     EmptySystem,
     EmptyVariantSet,
+    InternalError,
     InvalidProbability,
     NotBinary,
     NotCyclicRank2,

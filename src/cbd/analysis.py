@@ -10,12 +10,11 @@ a rational computed without rounding.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .coupling import CouplingWitness, delta_pairs, system_delta
-from .errors import NotDeterministic
+from .errors import InternalError, NotDeterministic
 from .systems import System, is_consistently_connected
 
 __all__ = [
@@ -58,14 +57,6 @@ class AnalysisReport:
     witness: CouplingWitness
 
 
-def _counts(system: System) -> tuple[int, int, int]:
-    return (
-        len(system.content_ids),
-        len(system.blocks),
-        len(system.variables),
-    )
-
-
 def is_deterministic(system: System) -> bool:
     """True when every context distribution is a point mass."""
     return all(
@@ -77,50 +68,65 @@ def _fixed_values(system: System) -> dict[tuple[str, str], str]:
     """The fixed outcome of every variable of a deterministic system."""
     values: dict[tuple[str, str], str] = {}
     for blk in system.blocks:
-        cell = next(c for c, p in blk.table.items() if p == 1)
+        cell = next((c for c, p in blk.table.items() if p == 1), None)
+        if cell is None:
+            raise NotDeterministic(
+                f"context {blk.context!r} is not a point mass"
+            )
         for q, o in zip(blk.contents, cell):
             values[(blk.context, q)] = o
     return values
 
 
+def _report(
+    system: System,
+    delta: Fraction,
+    witness: CouplingWitness,
+    deterministic: bool,
+) -> AnalysisReport:
+    """Assemble the report around an in-system minimum and its coupling."""
+    pairs = tuple(PairDelta(*pair) for pair in delta_pairs(system))
+    delta0 = sum((p.delta for p in pairs), Fraction(0))
+    cnt = delta - delta0
+    if cnt < 0:
+        raise InternalError(
+            f"system coupling {delta} beat the isolated minimums {delta0}"
+        )
+    consistency = is_consistently_connected(system)
+    return AnalysisReport(
+        n_contents=len(system.content_ids),
+        n_contexts=len(system.blocks),
+        n_variables=len(system.variables),
+        pair_deltas=pairs,
+        delta_sum=delta0,
+        system_delta=delta,
+        cnt=cnt,
+        contextual=cnt > 0,
+        connection_consistent=consistency.per_connection,
+        consistent=consistency.overall,
+        deterministic=deterministic,
+        witness=witness,
+    )
+
+
 def analyze_deterministic(system: System) -> AnalysisReport:
     """Fast path for deterministic systems, exact at any size.
 
-    Each pair's delta is 1 if the two fixed values differ and 0 otherwise,
-    and the unique coupling of the system (the fixed values, jointly) attains
-    exactly that total, so system_delta == delta_sum and cnt == 0: a
-    deterministic system is never contextual.
+    The fixed values, jointly, are the system's unique coupling, so
+    system_delta is the number of pairs whose two fixed values differ.  Each
+    pair's isolated delta (of two point masses) is 1 exactly then and 0
+    otherwise, so system_delta == delta_sum and cnt == 0: a deterministic
+    system is never contextual.
     """
-    if not is_deterministic(system):
-        raise NotDeterministic("some context distribution is not a point mass")
     values = _fixed_values(system)
-    pairs = []
-    total = Fraction(0)
-    for q in system.content_ids:
-        for ca, cb in itertools.combinations(system.contexts_of(q), 2):
-            d = Fraction(0) if values[(ca, q)] == values[(cb, q)] else Fraction(1)
-            pairs.append(PairDelta(q, ca, cb, d))
-            total += d
-    consistency = is_consistently_connected(system)
+    mismatches = sum(
+        values[(ca, q)] != values[(cb, q)] for q, ca, cb in system.pairs()
+    )
     atom = tuple(values[v] for v in system.variables)
     witness = CouplingWitness(
         variables=system.variables, weights=((atom, Fraction(1)),)
     )
-    n_q, n_c, n_v = _counts(system)
-    return AnalysisReport(
-        n_contents=n_q,
-        n_contexts=n_c,
-        n_variables=n_v,
-        pair_deltas=tuple(pairs),
-        delta_sum=total,
-        system_delta=total,
-        cnt=Fraction(0),
-        contextual=False,
-        connection_consistent=consistency.per_connection,
-        consistent=consistency.overall,
-        deterministic=True,
-        witness=witness,
-    )
+    return _report(system, Fraction(mismatches), witness, deterministic=True)
 
 
 def analyze(
@@ -135,28 +141,8 @@ def analyze(
     deterministic_fast_path is False (useful to cross-check the LP against
     it).  Everything else builds and solves the coupling LP exactly.
     """
-    if deterministic_fast_path and is_deterministic(system):
+    deterministic = is_deterministic(system)
+    if deterministic_fast_path and deterministic:
         return analyze_deterministic(system)
-
-    raw_pairs = delta_pairs(system)
-    pairs = tuple(PairDelta(q, ca, cb, d) for q, ca, cb, d in raw_pairs)
-    delta0 = sum((p.delta for p in pairs), Fraction(0))
     delta, witness = system_delta(system, atom_cap=atom_cap)
-    cnt = delta - delta0
-    assert cnt >= 0, "system coupling beat the isolated minimums"
-    consistency = is_consistently_connected(system)
-    n_q, n_c, n_v = _counts(system)
-    return AnalysisReport(
-        n_contents=n_q,
-        n_contexts=n_c,
-        n_variables=n_v,
-        pair_deltas=pairs,
-        delta_sum=delta0,
-        system_delta=delta,
-        cnt=cnt,
-        contextual=cnt > 0,
-        connection_consistent=consistency.per_connection,
-        consistent=consistency.overall,
-        deterministic=is_deterministic(system),
-        witness=witness,
-    )
+    return _report(system, delta, witness, deterministic)

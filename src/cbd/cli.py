@@ -8,15 +8,16 @@ files and standard output for `liar -o`.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
 from .analysis import analyze
-from .coupling import build_coupling_lp, configured_atom_cap, isolated_delta
+from .coupling import build_coupling_lp, configured_atom_cap, delta_pairs
 from .cyclic import c2_criterion, detect_cyclic
 from .epistemic import enumerate_variants, liar_system, uniform_mixture
 from .errors import CbdError, NotCyclicRank2, NotPlusMinusOne
-from .oracle import TooManyBases, enumerate_min
+from .oracle import DEFAULT_BASIS_LIMIT, TooManyBases, enumerate_min
 from .serialization import (
     format_report_text,
     format_value,
@@ -24,15 +25,11 @@ from .serialization import (
     report_to_dict,
     write_system,
 )
-from .systems import marginal
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_CONTEXTUAL = 3
-
-# `oracle` enumerates every candidate basis; refuse beyond this many
-ORACLE_BASIS_LIMIT = 2_000_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,15 +95,10 @@ def cmd_delta(args) -> int:
     q = args.content
     if q not in system.content_ids:
         raise CbdError(f"content {q!r} does not appear in any context")
-    ctxs = system.contexts_of(q)
-    margs = {c: marginal(system, q, c) for c in ctxs}
-    if len(ctxs) < 2:
+    deltas = [(ca, cb, d) for p, ca, cb, d in delta_pairs(system) if p == q]
+    if not deltas:
         print(f"content {q}: single context, no pairs")
-        return EXIT_OK
-    import itertools
-
-    for ca, cb in itertools.combinations(ctxs, 2):
-        d = isolated_delta(margs[ca], margs[cb])
+    for ca, cb, d in deltas:
         print(f"delta({ca}, {cb}) = {format_value(d)}")
     return EXIT_OK
 
@@ -152,19 +144,24 @@ def cmd_liar(args) -> int:
 def cmd_oracle(args) -> int:
     system = parse_system(args.file)
     lp = build_coupling_lp(system)
-    costs = [x for x in lp.objective]
-    rows = []
-    rhs = []
     n = lp.n_atoms
-    for row in lp.rows:
-        vec = [0] * n
-        for c in row.cols:
-            vec[c] = 1
-        rows.append(vec)
-        rhs.append(row.rhs)
     try:
+        # Every context has >= 2 cells, whose rows are disjoint and nonempty,
+        # so 2 <= rank <= len(rows).  With len(rows) <= n - 2 that gives
+        # comb(n, rank) >= comb(n, 2) bases, so refuse before densifying.
+        if len(lp.rows) <= n - 2 and math.comb(n, 2) > DEFAULT_BASIS_LIMIT:
+            raise TooManyBases(
+                f"at least {math.comb(n, 2)} candidate bases exceed the "
+                f"limit of {DEFAULT_BASIS_LIMIT}"
+            )
+        rows = []
+        for row in lp.rows:
+            vec = [0] * n
+            for c in row.cols:
+                vec[c] = 1
+            rows.append(vec)
         best, _, n_bases = enumerate_min(
-            costs, rows, rhs, basis_limit=ORACLE_BASIS_LIMIT
+            lp.objective, rows, [row.rhs for row in lp.rows]
         )
     except TooManyBases as exc:
         raise CbdError(f"system too large for the brute-force oracle: {exc}")

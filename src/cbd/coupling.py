@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import simplex
-from .errors import AtomCapExceeded, DomainMismatch, NotBinary
-from .systems import MINUS, PLUS, Marginal, System
+from .errors import CapExceeded, DomainMismatch, InternalError, NotBinary
+from .systems import MINUS, PLUS, Marginal, System, marginal
 
 DEFAULT_ATOM_CAP = 2**20
 ATOM_CAP_ENV = "CBD_ATOM_CAP"
@@ -156,7 +156,7 @@ def build_coupling_lp(system: System, atom_cap: int | None = None) -> LPInstance
 
     One nonnegative unknown per atom (an outcome assignment to every variable
     of the system), one equality per (context, outcome tuple) cell including
-    zero-probability cells, plus total mass 1.  Raises AtomCapExceeded before
+    zero-probability cells, plus total mass 1.  Raises CapExceeded before
     materializing anything larger than the cap.
     """
     if atom_cap is None:
@@ -167,7 +167,7 @@ def build_coupling_lp(system: System, atom_cap: int | None = None) -> LPInstance
     for dom in domains:
         required *= len(dom)
     if required > atom_cap:
-        raise AtomCapExceeded(required, atom_cap)
+        raise CapExceeded(required, atom_cap)
 
     var_index = {v: i for i, v in enumerate(variables)}
     atoms = tuple(itertools.product(*domains))
@@ -187,11 +187,7 @@ def build_coupling_lp(system: System, atom_cap: int | None = None) -> LPInstance
         LPRow(label="mass", cols=tuple(range(len(atoms))), rhs=Fraction(1))
     )
 
-    pairs: list[tuple[int, int]] = []
-    for q in system.content_ids:
-        ctxs = system.contexts_of(q)
-        for ca, cb in itertools.combinations(ctxs, 2):
-            pairs.append((var_index[(ca, q)], var_index[(cb, q)]))
+    pairs = [(var_index[(ca, q)], var_index[(cb, q)]) for q, ca, cb in system.pairs()]
     objective = tuple(
         sum(1 for i, j in pairs if atom[i] != atom[j]) for atom in atoms
     )
@@ -279,7 +275,8 @@ def system_delta(
     """
     lp = build_coupling_lp(system, atom_cap=atom_cap)
     sol = solve_lp(lp)
-    assert sol.status == "optimal", "coupling LP infeasible on a valid system"
+    if sol.status != "optimal":
+        raise InternalError("coupling LP infeasible on a valid system")
     witness = CouplingWitness(
         variables=lp.variables,
         weights=tuple(
@@ -292,16 +289,12 @@ def system_delta(
 def delta_pairs(system: System) -> list[tuple[str, str, str, Fraction]]:
     """Isolated delta for every content-sharing pair.
 
-    Returns (content, context_a, context_b, delta) tuples, contents sorted,
-    contexts in sorted pair order; the same pair enumeration the LP objective
-    uses, so summing gives the in-isolation baseline.
+    Returns (content, context_a, context_b, delta) tuples in System.pairs()
+    order, the pair enumeration the LP objective uses, so summing gives the
+    in-isolation baseline.
     """
-    from .systems import marginal
-
-    out = []
-    for q in system.content_ids:
-        ctxs = system.contexts_of(q)
-        margs = {c: marginal(system, q, c) for c in ctxs}
-        for ca, cb in itertools.combinations(ctxs, 2):
-            out.append((q, ca, cb, isolated_delta(margs[ca], margs[cb])))
-    return out
+    margs = {(c, q): marginal(system, q, c) for c, q in system.variables}
+    return [
+        (q, ca, cb, isolated_delta(margs[(ca, q)], margs[(cb, q)]))
+        for q, ca, cb in system.pairs()
+    ]

@@ -47,11 +47,7 @@ def detect_cyclic(system: System) -> CyclicStructure | None:
     for blk in system.blocks:
         if len(blk.contents) != 2:
             return None
-    by_content: dict[str, list[str]] = {q: [] for q in contents}
-    for blk in system.blocks:
-        for q in blk.contents:
-            by_content[q].append(blk.context)
-    if any(len(ctxs) != 2 for ctxs in by_content.values()):
+    if any(len(system.contexts_of(q)) != 2 for q in contents):
         return None
 
     # walk the ring; a disjoint union of smaller rings will close early
@@ -61,7 +57,7 @@ def detect_cyclic(system: System) -> CyclicStructure | None:
     cycle = []
     for _ in range(n):
         cycle.append((ctx, q_in, q_out))
-        nxt = next(c for c in by_content[q_out] if c != ctx)
+        nxt = next(c for c in system.contexts_of(q_out) if c != ctx)
         pair = system.block(nxt).contents
         q_next = pair[0] if pair[1] == q_out else pair[1]
         ctx, q_in, q_out = nxt, q_out, q_next

@@ -63,18 +63,6 @@ class NotBinary(CbdError):
     """Operation requires binary outcome sets."""
 
 
-class AtomCapExceeded(CbdError):
-    """The coupling LP would need more atoms than the configured cap."""
-
-    def __init__(self, required: int, cap: int):
-        self.required = required
-        self.cap = cap
-        super().__init__(
-            f"coupling LP needs {required} atoms, above the cap of {cap}; "
-            f"raise it with --atom-cap or CBD_ATOM_CAP"
-        )
-
-
 class NotDeterministic(CbdError):
     """The system has at least one non-point-mass context distribution."""
 
@@ -84,14 +72,26 @@ class NotCyclicRank2(CbdError):
 
 
 class CapExceeded(CbdError):
-    """The deterministic-variant assignment space exceeds the configured cap."""
+    """Work would need more atoms than the configured cap.
+
+    Raised for the coupling LP's atoms and for the epistemic assignment
+    space; both are the product of every variable's outcome-set size.
+    """
 
     def __init__(self, required: int, cap: int):
         self.required = required
         self.cap = cap
         super().__init__(
-            f"assignment space has {required} points, above the cap of {cap}"
+            f"{required} atoms needed, above the cap of {cap}; raise it with "
+            f"the CBD_ATOM_CAP environment variable (or analyze --atom-cap)"
         )
+
+
+AtomCapExceeded = CapExceeded  # earlier name of the same error
+
+
+class InternalError(CbdError):
+    """An internal consistency check failed: a bug, not bad input."""
 
 
 class EmptyVariantSet(CbdError):

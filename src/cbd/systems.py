@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -93,32 +94,53 @@ class System:
     outcomes: dict[str, tuple[str, ...]]
     blocks: tuple[ContextBlock, ...]
 
-    def block(self, context: str) -> ContextBlock:
+    # The index below is built on first use and cached in the instance
+    # dict; cached properties are not dataclass fields, so equality, repr
+    # and serialization see only outcomes and blocks.
+
+    @cached_property
+    def _by_context(self) -> dict[str, ContextBlock]:
+        return {blk.context: blk for blk in self.blocks}
+
+    @cached_property
+    def _by_content(self) -> dict[str, tuple[str, ...]]:
+        by_content: dict[str, list[str]] = {}
         for blk in self.blocks:
-            if blk.context == context:
-                return blk
-        raise KeyError(context)
+            for q in blk.contents:
+                by_content.setdefault(q, []).append(blk.context)
+        return {q: tuple(ctxs) for q, ctxs in by_content.items()}
+
+    def block(self, context: str) -> ContextBlock:
+        return self._by_context[context]
 
     @property
     def context_ids(self) -> tuple[str, ...]:
         return tuple(blk.context for blk in self.blocks)
 
-    @property
+    @cached_property
     def content_ids(self) -> tuple[str, ...]:
         """Contents that appear in at least one context, sorted."""
-        seen = {q for blk in self.blocks for q in blk.contents}
-        return tuple(sorted(seen))
+        return tuple(sorted(self._by_content))
 
-    @property
+    @cached_property
     def variables(self) -> tuple[tuple[str, str], ...]:
         """All (context, content) variables, sorted lexicographically."""
         pairs = [(blk.context, q) for blk in self.blocks for q in blk.contents]
         return tuple(sorted(pairs))
 
     def contexts_of(self, content: str) -> tuple[str, ...]:
-        return tuple(
-            blk.context for blk in self.blocks if content in blk.contents
-        )
+        return self._by_content.get(content, ())
+
+    def pairs(self) -> list[tuple[str, str, str]]:
+        """Every content-sharing pair of variables, as (content, context_a,
+        context_b): contents sorted, then each content's contexts paired in
+        sorted order.  The isolated deltas and the coupling objective both
+        range over exactly these pairs."""
+        return [
+            (q, ca, cb)
+            for q in self.content_ids
+            for ca, cb in itertools.combinations(self._by_content[q], 2)
+        ]
 
     def cells(self, context: str):
         """All outcome tuples of a context, in canonical product order."""

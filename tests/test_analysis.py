@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import cbd.analysis
 from cbd import (
+    InternalError,
     NotDeterministic,
     analyze,
     analyze_deterministic,
@@ -164,3 +166,13 @@ def test_relabeling_preserves_cnt():
     fixed = analyze(order_effect_system())
     moved = analyze(relabel(order_effect_system()))
     assert fixed.cnt == moved.cnt
+
+
+def test_negative_cnt_is_an_internal_error(monkeypatch):
+    sys_ = order_effect_system()
+    _, witness = cbd.analysis.system_delta(sys_)
+    monkeypatch.setattr(
+        cbd.analysis, "system_delta", lambda system, atom_cap=None: (F(-1), witness)
+    )
+    with pytest.raises(InternalError):
+        analyze(sys_)

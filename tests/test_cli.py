@@ -225,6 +225,45 @@ def test_oracle_refuses_large_systems(tmp_path, capsys):
     assert "too large" in err
 
 
+def test_oracle_refuses_before_densifying(tmp_path, capsys, monkeypatch):
+    # 12 binary variables: 4,096 atoms and 25 rows, so at least
+    # comb(4096, 2) > 2,000,000 candidate bases whatever the rank
+    spec = liar_system(6)
+    path = write_file(tmp_path, uniform_mixture(spec, enumerate_variants(spec)))
+
+    def no_rref(matrix):
+        raise AssertionError("rref ran before the size check")
+
+    monkeypatch.setattr("cbd.oracle.rref", no_rref)
+    code, _, err = run_cli(capsys, "oracle", path)
+    assert code == 1
+    assert "too large" in err
+
+
+def test_liar_over_the_cap_names_the_override(capsys, monkeypatch):
+    monkeypatch.delenv("CBD_ATOM_CAP", raising=False)
+    # 11 contexts x 2 binary variables = 4^11 = 2^22 points, above 2^20
+    code, out, err = run_cli(capsys, "liar", "11")
+    assert code == 1
+    assert out == ""
+    assert "CBD_ATOM_CAP" in err
+
+
+def test_internal_error_exits_1(tmp_path, capsys, monkeypatch):
+    import cbd.coupling
+    from cbd.coupling import LPSolution
+
+    path = write_file(tmp_path, order_effect_system())
+    monkeypatch.setattr(
+        cbd.coupling,
+        "solve_lp",
+        lambda lp: LPSolution(status="infeasible", optimum=None, weights={}),
+    )
+    code, _, err = run_cli(capsys, "analyze", path)
+    assert code == 1
+    assert "infeasible" in err
+
+
 def test_usage_errors(capsys):
     assert run_cli(capsys, )[0] == 2
     assert run_cli(capsys, "analyze")[0] == 2

@@ -1,0 +1,20 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+import cbd
+
+
+def test_no_assert_statements_in_package():
+    # `python -O` strips assert statements, so a check written as one
+    # silently disappears; the package raises InternalError instead.
+    found = []
+    for path in sorted(Path(cbd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert found == []

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from helpers import (
     four_cycle_name_system,
     order_effect_system,
     pm_registry,
+    rand_deterministic,
     rand_system,
 )
 
@@ -256,3 +258,54 @@ def test_expectation_bounds_random():
         for blk in sys_.blocks:
             val = expectation(sys_, blk.context, blk.contents)
             assert -1 <= val <= 1
+
+
+def nested_pairs(system):
+    """The pair enumeration without the index: scan the blocks per content."""
+    contents = sorted({q for blk in system.blocks for q in blk.contents})
+    return [
+        (q, ca, cb)
+        for q in contents
+        for ca, cb in itertools.combinations(
+            [blk.context for blk in system.blocks if q in blk.contents], 2
+        )
+    ]
+
+
+def test_pairs_match_nested_enumeration():
+    rng = random.Random(61)
+    for _ in range(100):
+        sys_ = rand_system(rng, max_contents=5, max_contexts=6, max_block=3)
+        assert sys_.pairs() == nested_pairs(sys_)
+    for _ in range(100):
+        sys_ = rand_deterministic(rng, max_contents=6, max_contexts=8)
+        assert sys_.pairs() == nested_pairs(sys_)
+
+
+def test_pairs_skip_single_context_contents():
+    sys_ = validate_system(
+        pm_registry("q1", "q2", "q3"),
+        [
+            ("c1", ("q1", "q2"), {(P, P): F(1)}),
+            ("c2", ("q3",), {(M,): F(1)}),
+        ],
+    )
+    assert sys_.pairs() == []
+    assert order_effect_system().pairs() == [("q1", "c1", "c2"), ("q2", "c1", "c2")]
+
+
+def test_index_lookups_of_unknown_names():
+    sys_ = order_effect_system()
+    with pytest.raises(KeyError):
+        sys_.block("nope")
+    assert sys_.contexts_of("nope") == ()
+
+
+def test_index_is_not_part_of_equality_or_repr():
+    indexed = order_effect_system()
+    fresh = order_effect_system()
+    indexed.pairs()
+    indexed.block("c1")
+    assert indexed.content_ids == ("q1", "q2")
+    assert indexed == fresh
+    assert repr(indexed) == repr(fresh)
