@@ -222,17 +222,17 @@ def solve_lp(lp: LPInstance) -> LPSolution:
     for row in lp.rows:
         if row.rhs == 0:
             continue  # satisfied identically once its columns are fixed at 0
-        vec = [Fraction(0)] * len(alive)
+        vec = [0] * len(alive)
         live = 0
         for c in row.cols:
             if not forced[c]:
-                vec[pos[c]] = Fraction(1)
+                vec[pos[c]] = 1
                 live += 1
         if live == 0:
             return LPSolution(status="infeasible", optimum=None, weights={})
         dense_rows.append(vec)
         rhs.append(row.rhs)
-    costs = [Fraction(lp.objective[c]) for c in alive]
+    costs = [lp.objective[c] for c in alive]
 
     status, optimum, x = simplex.solve_min(costs, dense_rows, rhs)
     if status != "optimal":
@@ -293,8 +293,7 @@ def delta_pairs(system: System) -> list[tuple[str, str, str, Fraction]]:
     order, the pair enumeration the LP objective uses, so summing gives the
     in-isolation baseline.
     """
-    margs = {(c, q): marginal(system, q, c) for c, q in system.variables}
     return [
-        (q, ca, cb, isolated_delta(margs[(ca, q)], margs[(cb, q)]))
+        (q, ca, cb, isolated_delta(marginal(system, q, ca), marginal(system, q, cb)))
         for q, ca, cb in system.pairs()
     ]

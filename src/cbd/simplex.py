@@ -1,22 +1,35 @@
-"""Exact two-phase simplex over the rationals.
+"""Exact two-phase simplex over the rationals, on an integer tableau.
 
 Minimizes a linear objective subject to equality constraints and
-nonnegativity.  Every number is a Fraction and every comparison exact, so the
-optimum is the true rational optimum, not an approximation.  Pivots follow
-Bland's rule (smallest eligible index enters; among tied minimum ratios the
-row whose basic variable has the smallest index leaves), which rules out
-cycling on degenerate instances.
+nonnegativity.  The optimum is the true rational optimum, not an
+approximation, yet no pivot touches a Fraction: the constraint rows, their
+right-hand sides and the costs are scaled to integers on entry, and the
+tableau is kept integral with one common positive denominator d (the
+integer-preserving pivots of Edmonds and Bareiss, Math. Comp. 22, 1968).
+A tableau entry T[i][j] stands for the rational T[i][j] / d.  Pivoting on
+(r, s) with p = T[r][s] leaves row r as it is and turns every other row into
+(p*a - f*b) // d, an exact division, after which d = p.
+
+Entering takes the most negative reduced cost (Dantzig's rule).  After
+DEGENERATE_RUN consecutive degenerate pivots it switches to Bland's rule
+(smallest eligible index enters) until the next nondegenerate pivot, so
+cycling is ruled out.  Among tied minimum ratios, the row whose basic
+variable has the smallest index leaves.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
-# Hard safety stop; Bland's rule terminates long before this on any instance
-# this package builds.
+# Consecutive degenerate pivots after which entering falls back to Bland's
+# rule until the next nondegenerate pivot.
+DEGENERATE_RUN = 8
+
+# Hard safety stop; the Bland fallback guarantees termination long before
+# this on any instance.
 MAX_PIVOTS = 1_000_000
 
 
@@ -24,135 +37,163 @@ class SimplexError(RuntimeError):
     """Internal failure: unbounded problem or pivot-limit overrun."""
 
 
-def _pivot(tab, basis, row, col):
-    """Pivot the full tableau (constraint rows + z-row) on (row, col)."""
-    piv = tab[row][col]
-    inv = ONE / piv
-    tab[row] = [a * inv for a in tab[row]]
-    prow = tab[row]
-    for i in range(len(tab)):
-        if i == row:
-            continue
-        factor = tab[i][col]
-        if factor == 0:
-            continue
-        tab[i] = [a - factor * b for a, b in zip(tab[i], prow)]
-    basis[row] = col
+def _to_ints(values):
+    """Scale exact rationals (ints or Fractions) by their least common
+    denominator; returns the integer list and the scale."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def _iterate(tab, basis, n_enter):
-    """Run Bland pivots until the z-row has no negative reduced cost among
-    columns 0..n_enter-1.  The z-row is tab[-1]; constraint rows precede it."""
-    m = len(tab) - 1
-    zrow = tab[-1]
-    pivots = 0
-    while True:
-        enter = -1
-        for j in range(n_enter):
-            if zrow[j] < 0:
-                enter = j
-                break
-        if enter < 0:
-            return
-        # ratio test over rows with a positive pivot column entry
-        best_ratio = None
-        leave = -1
-        for i in range(m):
-            coeff = tab[i][enter]
-            if coeff > 0:
-                ratio = tab[i][-1] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
-        if leave < 0:
-            raise SimplexError("unbounded objective")
-        _pivot(tab, basis, leave, enter)
-        zrow = tab[-1]
-        pivots += 1
-        if pivots > MAX_PIVOTS:
+class _Tableau:
+    """Integer tableau: constraint rows, an optional z-row (kept last in
+    rows while present), the basis and the common denominator d."""
+
+    def __init__(self, rows, basis):
+        self.rows = rows
+        self.basis = basis
+        self.d = 1
+        self.pivots = 0
+
+    def pivot(self, r, s):
+        """Make column s basic in row r, keeping every entry an integer."""
+        rows = self.rows
+        prow = rows[r]
+        p = prow[s]
+        if p < 0:
+            # only when driving out a leftover artificial, whose rhs is 0
+            prow = rows[r] = [-a for a in prow]
+            p = -p
+        d = self.d
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[s]
+            if f == 0:
+                if p != d:
+                    rows[i] = [p * a // d for a in row]
+            else:
+                rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+        self.d = p
+        self.basis[r] = s
+        self.pivots += 1
+        if self.pivots > MAX_PIVOTS:
             raise SimplexError("pivot limit exceeded")
+
+    def iterate(self, n_enter):
+        """Pivot until the z-row (rows[-1]) has no negative reduced cost
+        among columns 0..n_enter-1."""
+        rows = self.rows
+        basis = self.basis
+        m = len(rows) - 1
+        degenerate = 0
+        while True:
+            zrow = rows[-1]
+            if degenerate < DEGENERATE_RUN:
+                least = min(zrow[:n_enter], default=0)
+                enter = zrow.index(least) if least < 0 else -1
+            else:
+                enter = next((j for j in range(n_enter) if zrow[j] < 0), -1)
+            if enter < 0:
+                return
+            # ratio test: T[i][-1] / T[i][enter] over rows with a positive
+            # entry, compared by cross-multiplication
+            leave = -1
+            for i in range(m):
+                coeff = rows[i][enter]
+                if coeff > 0:
+                    if leave < 0:
+                        leave, num, den = i, rows[i][-1], coeff
+                        continue
+                    lhs = rows[i][-1] * den
+                    rhs = num * coeff
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave, num, den = i, rows[i][-1], coeff
+            if leave < 0:
+                raise SimplexError("unbounded objective")
+            degenerate = degenerate + 1 if num == 0 else 0
+            self.pivot(leave, enter)
 
 
 def solve_min(costs, rows, rhs):
     """Minimize costs . x subject to rows . x == rhs, x >= 0.
 
-    costs: sequence of n Fractions (ints accepted).
-    rows:  m sequences of n Fractions.
-    rhs:   m Fractions.
+    costs: sequence of n exact numbers (ints or Fractions).
+    rows:  m sequences of n exact numbers.
+    rhs:   m exact numbers.
 
-    Returns (status, optimum, x): status "optimal" with the exact optimum and
-    one optimal basic feasible solution, or ("infeasible", None, None).
-    Raises SimplexError on an unbounded objective (impossible when the
-    feasible set is bounded, as for every instance built by this package).
+    Returns (status, optimum, x): status "optimal" with the exact optimum as
+    a Fraction and one optimal basic feasible solution as a list of
+    Fractions, or ("infeasible", None, None).  Raises SimplexError on an
+    unbounded objective (impossible when the feasible set is bounded, as for
+    every instance built by this package).
     """
     m = len(rows)
     n = len(costs)
-    costs = [Fraction(c) for c in costs]
     if m == 0:
         # only nonnegativity: x = 0 is optimal whenever no cost is negative
         if any(c < 0 for c in costs):
             raise SimplexError("unbounded objective")
         return "optimal", ZERO, [ZERO] * n
 
-    # Phase 1: minimize the sum of one artificial variable per row.
-    tab = []
+    # Each row (with its rhs) is scaled by the least common denominator of
+    # its coefficients, and the rhs column then by the least common
+    # denominator of the rhs values: solving for x * rhs_scale instead of x
+    # keeps the coefficient block, and so every minor the pivots produce,
+    # as small as the coefficients themselves.
+    table = []
+    scaled_rhs = []
     for row, b in zip(rows, rhs):
-        row = [Fraction(a) for a in row]
-        b = Fraction(b)
+        scaled, row_scale = _to_ints(list(row))
+        b *= row_scale
         if b < 0:
-            row = [-a for a in row]
+            scaled = [-a for a in scaled]
             b = -b
-        tab.append(row + [ZERO] * m + [b])
-    for i in range(m):
-        tab[i][n + i] = ONE
-    basis = list(range(n, n + m))
-    # reduced costs for the artificial basis: z_j = 0 - sum_i tab[i][j]
-    zrow = [ZERO] * (n + m + 1)
-    for j in range(n):
-        zrow[j] = -sum(tab[i][j] for i in range(m))
-    zrow[-1] = -sum(tab[i][-1] for i in range(m))
-    tab.append(zrow)
+        table.append(scaled)
+        scaled_rhs.append(b)
+    int_rhs, rhs_scale = _to_ints(scaled_rhs)
+    for row, b in zip(table, int_rhs):
+        row.append(b)
 
-    # Artificial columns never re-enter: forcing them to stay at zero once
-    # nonbasic cannot hide feasibility (any all-original feasible point has
-    # every artificial at zero already), so entering scans originals only.
-    _iterate(tab, basis, n)
-    phase1_value = -tab[-1][-1]
-    if phase1_value > 0:
+    # Phase 1: minimize the sum of one artificial variable per row.  The
+    # artificial columns are not stored: they never re-enter (forcing them
+    # to stay at zero once nonbasic cannot hide feasibility, since any
+    # all-original feasible point has every artificial at zero already), and
+    # no other column's update reads them.  Basis index n + i stands for
+    # row i's artificial.
+    zrow = [-sum(col) for col in zip(*table)]
+    tab = _Tableau(table + [zrow], list(range(n, n + m)))
+    tab.iterate(n)
+    if tab.rows[-1][-1] != 0:
         return "infeasible", None, None
+    tab.rows.pop()
 
     # Drive leftover artificials out of the basis; rows that cannot pivot on
     # any original column are redundant and get dropped.
     drop = []
     for i in range(m):
-        if basis[i] >= n:
-            col = next((j for j in range(n) if tab[i][j] != 0), -1)
+        if tab.basis[i] >= n:
+            col = next((j for j in range(n) if tab.rows[i][j] != 0), -1)
             if col < 0:
                 drop.append(i)
             else:
-                _pivot(tab, basis, i, col)
-    keep = [i for i in range(m) if i not in drop]
-    tab = [[tab[i][j] for j in range(n)] + [tab[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
-    m = len(basis)
+                tab.pivot(i, col)
+    for i in reversed(drop):
+        del tab.rows[i]
+        del tab.basis[i]
 
-    # Phase 2: the real objective over the feasible basis found above.
-    zrow = list(costs) + [ZERO]
-    for i in range(m):
-        cb = costs[basis[i]]
-        if cb == 0:
-            continue
-        for j in range(n + 1):
-            zrow[j] -= cb * tab[i][j]
-    tab.append(zrow)
-    _iterate(tab, basis, n)
+    # Phase 2: the real objective, scaled to integers, over the feasible
+    # basis found above.  Its z-row carries the same denominator d.
+    icosts, cost_scale = _to_ints(list(costs))
+    zrow = [tab.d * c for c in icosts] + [0]
+    for i, j in enumerate(tab.basis):
+        cb = icosts[j]
+        if cb:
+            zrow = [z - cb * a for z, a in zip(zrow, tab.rows[i])]
+    tab.rows.append(zrow)
+    tab.iterate(n)
 
     x = [ZERO] * n
-    for i in range(m):
-        x[basis[i]] = tab[i][-1]
-    optimum = sum(c * v for c, v in zip(costs, x))
+    for i, j in enumerate(tab.basis):
+        x[j] = Fraction(tab.rows[i][-1], tab.d * rhs_scale)
+    optimum = Fraction(-tab.rows[-1][-1], tab.d * cost_scale * rhs_scale)
     return "optimal", optimum, x

@@ -110,6 +110,23 @@ class System:
                 by_content.setdefault(q, []).append(blk.context)
         return {q: tuple(ctxs) for q, ctxs in by_content.items()}
 
+    @cached_property
+    def _marginals(self) -> dict[tuple[str, str], Marginal]:
+        """(context, content) -> Marginal, one pass over each context table."""
+        out = {}
+        for blk in self.blocks:
+            dists = [
+                {o: Fraction(0) for o in self.outcomes[q]} for q in blk.contents
+            ]
+            for cell, p in blk.table.items():
+                for dist, o in zip(dists, cell):
+                    dist[o] += p
+            for q, dist in zip(blk.contents, dists):
+                out[(blk.context, q)] = Marginal(
+                    content=q, context=blk.context, probs=dist
+                )
+        return out
+
     def block(self, context: str) -> ContextBlock:
         return self._by_context[context]
 
@@ -249,18 +266,15 @@ class Consistency(NamedTuple):
 def marginal(system: System, content: str, context: str) -> Marginal:
     """Marginal distribution of `content` inside `context`.
 
-    Sums the context's table over all other contents' outcomes.
+    Read from the system's marginal index, which sums each context's table
+    over all other contents' outcomes once; treat the result as immutable.
     """
-    blk = system.block(context)
-    if content not in blk.contents:
+    try:
+        return system._marginals[(context, content)]
+    except KeyError:
         raise VariableNotInContext(
             f"content {content!r} not in context {context!r}"
-        )
-    pos = blk.contents.index(content)
-    probs = {o: Fraction(0) for o in system.outcomes[content]}
-    for cell, p in blk.table.items():
-        probs[cell[pos]] += p
-    return Marginal(content=content, context=context, probs=probs)
+        ) from None
 
 
 def connections(system: System) -> list[Connection]:

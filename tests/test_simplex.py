@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cbd import simplex
 from cbd.oracle import enumerate_min
 from cbd.simplex import SimplexError, solve_min
 from helpers import rand_weights
@@ -116,3 +117,76 @@ def test_random_lps_match_enumeration():
         assert opt == best
         for row, bi in zip(A, b):
             assert sum(a * v for a, v in zip(row, x)) == bi
+
+
+def test_beale_cycling_lp():
+    # Beale's example, on which Dantzig's rule with a naive tie-break cycles
+    # from the slack basis; the optimum is x4 = x6 = 1, x1 = 3/4.
+    costs = [F(0), F(0), F(0), F(-3, 4), F(20), F(-1, 2), F(6)]
+    rows = [
+        [F(1), F(0), F(0), F(1, 4), F(-8), F(-1), F(9)],
+        [F(0), F(1), F(0), F(1, 2), F(-12), F(-1, 2), F(3)],
+        [F(0), F(0), F(1), F(0), F(0), F(1), F(0)],
+    ]
+    rhs = [F(0), F(0), F(1)]
+    status, opt, x = solve_min(costs, rows, rhs)
+    assert status == "optimal"
+    assert opt == F(-5, 4)
+    assert opt == enumerate_min(costs, rows, rhs)[0]
+    assert sum(c * v for c, v in zip(costs, x)) == opt
+
+
+def zero_rhs_row(rng, x0):
+    """A row of mixed-sign Fractions orthogonal to x0 (so its rhs is 0)."""
+    row = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in x0]
+    j = next(k for k, v in enumerate(x0) if v > 0)
+    row[j] -= sum(a * v for a, v in zip(row, x0)) / x0[j]
+    return row
+
+
+def test_random_mixed_sign_degenerate_lps_match_enumeration():
+    rng = random.Random(29)
+    for trial in range(60):
+        n = rng.randint(3, 7)
+        x0 = [F(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(n)]
+        x0[rng.randrange(n)] += 1  # at least one positive coordinate
+        A = [
+            [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(rng.randint(1, 2))
+        ]
+        A += [zero_rhs_row(rng, x0) for _ in range(rng.randint(1, 2))]
+        if trial % 2:
+            # a total-mass row bounds the polytope, so costs may be negative
+            A.append([F(1)] * n)
+            costs = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+        else:
+            costs = [F(rng.randint(0, 5), rng.randint(1, 4)) for _ in range(n)]
+        b = [sum(a * v for a, v in zip(row, x0)) for row in A]
+        status, opt, x = solve_min(costs, A, b)
+        assert status == "optimal"
+        assert opt == enumerate_min(costs, A, b)[0]
+        assert all(isinstance(v, Fraction) and v >= 0 for v in x)
+        for row, bi in zip(A, b):
+            assert sum(a * v for a, v in zip(row, x)) == bi
+        assert sum(c * v for c, v in zip(costs, x)) == opt
+
+
+def test_leftover_artificial_driven_out_on_negative_entry(monkeypatch):
+    # Phase 1 ends with row 1's artificial basic at zero on the row -x3 = 0,
+    # so it leaves on a negative pivot; row 2 (twice row 0) is dropped.
+    negative = []
+    pivot = simplex._Tableau.pivot
+
+    def recording(tab, r, s):
+        negative.append(tab.rows[r][s] < 0)
+        pivot(tab, r, s)
+
+    monkeypatch.setattr(simplex._Tableau, "pivot", recording)
+    costs = [F(1), F(2), F(3)]
+    rows = [[F(1), F(1), F(0)], [F(1), F(1), F(-1)], [F(2), F(2), F(0)]]
+    rhs = [F(1), F(1), F(2)]
+    status, opt, x = solve_min(costs, rows, rhs)
+    assert any(negative)
+    assert status == "optimal"
+    assert opt == 1 == enumerate_min(costs, rows, rhs)[0]
+    assert x == [F(1), F(0), F(0)]

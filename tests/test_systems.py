@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cbd import systems
 from cbd import (
     DomainMismatch,
     DuplicateContentInContext,
@@ -14,6 +15,7 @@ from cbd import (
     ProbabilitySumMismatch,
     UnknownContent,
     VariableNotInContext,
+    analyze,
     connections,
     expectation,
     is_consistently_connected,
@@ -309,3 +311,28 @@ def test_index_is_not_part_of_equality_or_repr():
     assert indexed.content_ids == ("q1", "q2")
     assert indexed == fresh
     assert repr(indexed) == repr(fresh)
+
+
+def test_analyze_computes_each_marginal_once(monkeypatch):
+    built = []
+
+    class CountedMarginal(systems.Marginal):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append((self.context, self.content))
+
+    monkeypatch.setattr(systems, "Marginal", CountedMarginal)
+    for sys_ in (order_effect_system(), four_cycle_name_system()):
+        built.clear()
+        analyze(sys_)
+        assert sorted(built) == list(sys_.variables)
+
+
+def test_marginal_index_is_not_part_of_equality_or_repr():
+    indexed = order_effect_system()
+    fresh = order_effect_system()
+    assert marginal(indexed, "q1", "c1") is marginal(indexed, "q1", "c1")
+    assert indexed == fresh
+    assert repr(indexed) == repr(fresh)
+    with pytest.raises(VariableNotInContext):
+        marginal(indexed, "q1", "nope")
