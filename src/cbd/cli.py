@@ -13,7 +13,7 @@ import sys
 
 from . import __version__
 from .analysis import analyze
-from .coupling import build_coupling_lp, configured_atom_cap, delta_pairs
+from .coupling import build_coupling_lp, delta_pairs, dense_rows, resolve_atom_cap
 from .cyclic import c2_criterion, detect_cyclic
 from .epistemic import enumerate_variants, liar_system, uniform_mixture
 from .errors import CbdError, NotCyclicRank2, NotPlusMinusOne
@@ -79,8 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_analyze(args) -> int:
     system = parse_system(args.file)
-    cap = args.atom_cap if args.atom_cap is not None else configured_atom_cap()
-    report = analyze(system, atom_cap=cap)
+    report = analyze(system, atom_cap=resolve_atom_cap(args.atom_cap))
     if args.json:
         import json
 
@@ -154,14 +153,10 @@ def cmd_oracle(args) -> int:
                 f"at least {math.comb(n, 2)} candidate bases exceed the "
                 f"limit of {DEFAULT_BASIS_LIMIT}"
             )
-        rows = []
-        for row in lp.rows:
-            vec = [0] * n
-            for c in row.cols:
-                vec[c] = 1
-            rows.append(vec)
         best, _, n_bases = enumerate_min(
-            lp.objective, rows, [row.rhs for row in lp.rows]
+            lp.objective,
+            dense_rows(lp, lp.rows, range(n)),
+            [row.rhs for row in lp.rows],
         )
     except TooManyBases as exc:
         raise CbdError(f"system too large for the brute-force oracle: {exc}")
@@ -188,13 +183,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except CbdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (CbdError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -19,10 +19,11 @@ degree of contextuality.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import simplex
 from .errors import CapExceeded, DomainMismatch, InternalError, NotBinary
@@ -32,33 +33,50 @@ DEFAULT_ATOM_CAP = 2**20
 ATOM_CAP_ENV = "CBD_ATOM_CAP"
 
 
-def configured_atom_cap() -> int:
-    """Default atom cap, honoring the CBD_ATOM_CAP environment override."""
-    raw = os.environ.get(ATOM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ATOM_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{ATOM_CAP_ENV} must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ValueError(f"{ATOM_CAP_ENV} must be positive, got {cap}")
+def resolve_atom_cap(cap: int | None) -> int:
+    """The atom cap in force: cap when given, else CBD_ATOM_CAP when set,
+    else DEFAULT_ATOM_CAP.  Either source must be a positive integer."""
+    if cap is None:
+        raw = os.environ.get(ATOM_CAP_ENV)
+        if raw is None:
+            return DEFAULT_ATOM_CAP
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise ValueError(f"{ATOM_CAP_ENV} must be an integer, got {raw!r}")
+        if cap < 1:
+            raise ValueError(f"{ATOM_CAP_ENV} must be positive, got {cap}")
+    elif not isinstance(cap, int) or cap < 1:
+        raise ValueError(f"the atom cap must be a positive integer, got {cap!r}")
     return cap
+
+
+def check_atom_cap(sizes: Iterable[int], cap: int | None) -> None:
+    """Refuse work over prod(sizes) atoms above the cap, before allocating."""
+    cap = resolve_atom_cap(cap)
+    required = math.prod(sizes)
+    if required > cap:
+        raise CapExceeded(required, cap)
+
+
+def _check_coupleable(m1: Marginal, m2: Marginal) -> None:
+    if m1.content != m2.content or m1.probs.keys() != m2.probs.keys():
+        raise DomainMismatch(
+            f"cannot couple {m1.content!r}@{m1.context!r} with "
+            f"{m2.content!r}@{m2.context!r}: different contents or outcome sets"
+        )
 
 
 def isolated_delta(m1: Marginal, m2: Marginal) -> Fraction:
     """Smallest Pr[X' != Y'] over all couplings of the two marginals.
 
     Equals the total variation distance (1/2) * sum_o |m1(o) - m2(o)|; for
-    binary marginals that is |u - v| with u, v the '+1' probabilities.
+    binary marginals that is |u - v| with u, v the '+1' probabilities.  As
+    both marginals sum to 1, that is the mass m1 puts above m2.
     """
-    if m1.content != m2.content or set(m1.probs) != set(m2.probs):
-        raise DomainMismatch(
-            f"cannot couple {m1.content!r}@{m1.context!r} with "
-            f"{m2.content!r}@{m2.context!r}: different contents or outcome sets"
-        )
-    diff = sum(abs(m1.probs[o] - m2.probs[o]) for o in m1.probs)
-    return diff / 2
+    _check_coupleable(m1, m2)
+    q = m2.probs
+    return sum((p - q[o] for o, p in m1.probs.items() if p > q[o]), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -89,10 +107,7 @@ class JointTable:
 def min_coupling_pair(m1: Marginal, m2: Marginal) -> JointTable:
     """The minimal coupling of a binary pair: diagonal cells as large as the
     margins allow, so the off-diagonal mass is exactly |u - v|."""
-    if m1.content != m2.content or set(m1.probs) != set(m2.probs):
-        raise DomainMismatch(
-            f"cannot couple marginals of {m1.content!r} and {m2.content!r}"
-        )
+    _check_coupleable(m1, m2)
     if set(m1.probs) != {PLUS, MINUS}:
         raise NotBinary(
             f"minimal-coupling table requires the binary '+1'/'-1' outcomes, "
@@ -159,15 +174,9 @@ def build_coupling_lp(system: System, atom_cap: int | None = None) -> LPInstance
     zero-probability cells, plus total mass 1.  Raises CapExceeded before
     materializing anything larger than the cap.
     """
-    if atom_cap is None:
-        atom_cap = configured_atom_cap()
     variables = system.variables
     domains = [system.outcomes[q] for (_, q) in variables]
-    required = 1
-    for dom in domains:
-        required *= len(dom)
-    if required > atom_cap:
-        raise CapExceeded(required, atom_cap)
+    check_atom_cap([len(dom) for dom in domains], atom_cap)
 
     var_index = {v: i for i, v in enumerate(variables)}
     atoms = tuple(itertools.product(*domains))
@@ -200,6 +209,25 @@ def build_coupling_lp(system: System, atom_cap: int | None = None) -> LPInstance
     )
 
 
+def dense_rows(
+    lp: LPInstance, rows: Sequence[LPRow], columns: Sequence[int]
+) -> list[list[int]]:
+    """The 0/1 coefficients of rows over the given atom columns, in that
+    order; atoms not listed are left out."""
+    # atoms not listed write to a spare last slot, cut off below
+    m = len(columns)
+    pos = [m] * lp.n_atoms
+    for k, c in enumerate(columns):
+        pos[c] = k
+    out = []
+    for row in rows:
+        vec = [0] * (m + 1)
+        for c in row.cols:
+            vec[pos[c]] = 1
+        out.append(vec[:m])
+    return out
+
+
 def solve_lp(lp: LPInstance) -> LPSolution:
     """Solve the coupling LP exactly.
 
@@ -208,33 +236,20 @@ def solve_lp(lp: LPInstance) -> LPSolution:
     two-phase simplex then runs on the reduced instance.  The returned
     weights are a basic feasible solution of the full program.
     """
-    n = len(lp.atoms)
+    n = lp.n_atoms
     forced = [False] * n
     for row in lp.rows:
         if row.rhs == 0:
             for c in row.cols:
                 forced[c] = True
     alive = [i for i in range(n) if not forced[i]]
-    pos = {c: k for k, c in enumerate(alive)}
-
-    dense_rows = []
-    rhs = []
-    for row in lp.rows:
-        if row.rhs == 0:
-            continue  # satisfied identically once its columns are fixed at 0
-        vec = [0] * len(alive)
-        live = 0
-        for c in row.cols:
-            if not forced[c]:
-                vec[pos[c]] = 1
-                live += 1
-        if live == 0:
-            return LPSolution(status="infeasible", optimum=None, weights={})
-        dense_rows.append(vec)
-        rhs.append(row.rhs)
-    costs = [lp.objective[c] for c in alive]
-
-    status, optimum, x = simplex.solve_min(costs, dense_rows, rhs)
+    # a zero-rhs row is met identically once its columns are fixed at 0
+    live_rows = [row for row in lp.rows if row.rhs != 0]
+    status, optimum, x = simplex.solve_min(
+        [lp.objective[c] for c in alive],
+        dense_rows(lp, live_rows, alive),
+        [row.rhs for row in live_rows],
+    )
     if status != "optimal":
         return LPSolution(status=status, optimum=None, weights={})
     weights = {alive[k]: v for k, v in enumerate(x) if v != 0}
@@ -246,7 +261,7 @@ def verify_solution(lp: LPInstance, sol: LPSolution) -> bool:
     weights, every equality met, and the objective equal to the optimum."""
     if sol.status != "optimal":
         return False
-    if any(v < 0 for v in sol.weights.values()):
+    if any(not 0 <= c < lp.n_atoms or v < 0 for c, v in sol.weights.items()):
         return False
     for row in lp.rows:
         total = sum(sol.weights.get(c, Fraction(0)) for c in row.cols)

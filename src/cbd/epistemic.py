@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .coupling import configured_atom_cap
-from .errors import CapExceeded, DomainMismatch, EmptyVariantSet, NotBinary
+from .coupling import check_atom_cap
+from .errors import DomainMismatch, EmptyVariantSet, NotBinary
 from .systems import MINUS, PLUS, System, validate_system
 
 EQUAL = "equal"
@@ -127,14 +127,8 @@ def enumerate_variants(
     (variables are per-context), so the variants are exactly the product of
     the per-context admissible tuples, enumerated in canonical order.
     """
-    if cap is None:
-        cap = configured_atom_cap()
-    space = 1
-    for ctx in spec.contexts:
-        for q in ctx.contents:
-            space *= len(spec.outcomes[q])
-    if space > cap:
-        raise CapExceeded(space, cap)
+    sizes = [len(spec.outcomes[q]) for ctx in spec.contexts for q in ctx.contents]
+    check_atom_cap(sizes, cap)
 
     ordered = sorted(spec.contexts, key=lambda ctx: ctx.context)
     per_context = []

@@ -77,13 +77,13 @@ def _solve_square(mat, rhs):
     return x
 
 
-def enumerate_min(costs, rows, rhs, basis_limit: int = DEFAULT_BASIS_LIMIT):
+def enumerate_min(costs, rows, rhs):
     """Minimum of costs . x over all basic feasible solutions of rows.x == rhs.
 
     Returns (optimum, x, n_bases) with one minimizing basic solution and the
     number of column subsets examined.  Returns (None, None, n) when no basis
     is feasible (the system is infeasible).  Raises TooManyBases when
-    comb(n_cols, rank) exceeds basis_limit.
+    comb(n_cols, rank) exceeds DEFAULT_BASIS_LIMIT.
     """
     n = len(costs)
     costs = [Fraction(c) for c in costs]
@@ -93,9 +93,9 @@ def enumerate_min(costs, rows, rhs, basis_limit: int = DEFAULT_BASIS_LIMIT):
         return None, None, 0  # a row reduced to 0 = 1: infeasible outright
     rank = len(pivots)
     n_bases = math.comb(n, rank)
-    if n_bases > basis_limit:
+    if n_bases > DEFAULT_BASIS_LIMIT:
         raise TooManyBases(
-            f"{n_bases} candidate bases exceed the limit of {basis_limit}"
+            f"{n_bases} candidate bases exceed the limit of {DEFAULT_BASIS_LIMIT}"
         )
     red_rhs = [row[-1] for row in reduced]
     best = None

@@ -14,6 +14,7 @@ downstream is a matter of exact arithmetic rather than tolerance.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -36,6 +37,12 @@ from .errors import (
 PLUS = "+1"
 MINUS = "-1"
 
+# A decimal exponent beyond this is refused before Fraction builds its power
+# of ten.  It is Python's default int-to-str digit limit, so a value past it
+# could not be printed in a report anyway.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)$")
+
 
 def to_fraction(value) -> Fraction:
     """Convert an exact probability representation to a Fraction in [0, 1].
@@ -50,11 +57,15 @@ def to_fraction(value) -> Fraction:
         )
     if isinstance(value, Fraction):
         frac = value
-    elif isinstance(value, int):
+    elif isinstance(value, int) and not isinstance(value, bool):
         frac = Fraction(value)
     elif isinstance(value, str):
+        text = value.strip()
         try:
-            frac = Fraction(value.strip())
+            exponent = _EXPONENT.search(text)
+            if exponent and int(exponent.group(1)) > MAX_EXPONENT:
+                raise InvalidProbability(f"exponent of {value!r} beyond {MAX_EXPONENT}")
+            frac = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidProbability(f"cannot parse probability {value!r}: {exc}")
     else:

@@ -104,6 +104,22 @@ def test_analyze_atom_cap_env(tmp_path, capsys, monkeypatch):
     assert err.startswith("error:")
 
 
+def test_analyze_atom_cap_must_be_positive(tmp_path, capsys, monkeypatch):
+    # the deterministic fast path builds no LP, yet the cap is still checked
+    monkeypatch.delenv("CBD_ATOM_CAP", raising=False)
+    for system in (four_cycle_name_system(), order_effect_system()):
+        path = write_file(tmp_path, system)
+        for cap in ("-5", "0"):
+            code, out, err = run_cli(capsys, "analyze", path, "--atom-cap", cap)
+            assert (code, out) == (1, "")
+            assert "positive" in err
+        monkeypatch.setenv("CBD_ATOM_CAP", "0")
+        code, out, err = run_cli(capsys, "analyze", path)
+        assert (code, out) == (1, "")
+        assert "CBD_ATOM_CAP must be positive" in err
+        monkeypatch.delenv("CBD_ATOM_CAP")
+
+
 def test_delta_output(tmp_path, capsys):
     path = write_file(tmp_path, order_effect_system())
     code, out, _ = run_cli(capsys, "delta", path, "--content", "q1")

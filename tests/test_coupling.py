@@ -17,6 +17,7 @@ from cbd import (
     validate_system,
     verify_solution,
 )
+from cbd.coupling import LPInstance, LPRow, LPSolution, dense_rows
 from cbd.oracle import enumerate_min, exact_rank
 from helpers import (
     M,
@@ -197,6 +198,17 @@ def test_atom_cap_env_override(monkeypatch):
     assert build_coupling_lp(order_effect_system()).n_atoms == 16
 
 
+def test_atom_cap_must_be_positive(monkeypatch):
+    monkeypatch.delenv("CBD_ATOM_CAP", raising=False)
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="positive"):
+            build_coupling_lp(order_effect_system(), atom_cap=cap)
+    for raw in ("0", "-5", "x"):
+        monkeypatch.setenv("CBD_ATOM_CAP", raw)
+        with pytest.raises(ValueError, match="CBD_ATOM_CAP"):
+            build_coupling_lp(order_effect_system())
+
+
 def test_solve_lp_matches_enumeration_on_pair_system():
     lp = build_coupling_lp(order_effect_system())
     sol = solve_lp(lp)
@@ -205,6 +217,39 @@ def test_solve_lp_matches_enumeration_on_pair_system():
     best, _, _ = enumerate_min(list(lp.objective), rows, rhs)
     assert sol.optimum == best == F(1, 2)
     assert verify_solution(lp, sol)
+
+
+def test_verify_solution_rejects_weights_off_the_atoms():
+    lp = build_coupling_lp(order_effect_system())
+    sol = solve_lp(lp)
+    assert verify_solution(lp, sol)
+    for atom in (-1, 99):
+        weights = {**sol.weights, atom: F(1, 2)}
+        extra = LPSolution(status=sol.status, optimum=sol.optimum, weights=weights)
+        assert not verify_solution(lp, extra)
+
+
+def test_solve_lp_infeasible_when_a_positive_row_is_forced_to_zero():
+    def lp(rows):
+        return LPInstance(
+            variables=(), atoms=(("a",), ("b",)), rows=rows, objective=(0, 0), pairs=()
+        )
+
+    mass = LPRow("mass", (0, 1), F(1))
+    # a positive row left with no live atom, and no live atom at all
+    some_live = lp((LPRow("zero", (0,), F(0)), LPRow("half", (0,), F(1, 2)), mass))
+    none_live = lp((LPRow("zero", (0, 1), F(0)), mass))
+    for instance in (some_live, none_live):
+        assert solve_lp(instance).status == "infeasible"
+
+
+def test_dense_rows_follow_the_given_columns():
+    lp = build_coupling_lp(order_effect_system())
+    rows, _ = lp_dense(lp)
+    assert dense_rows(lp, lp.rows, range(lp.n_atoms)) == rows
+    columns = [5, 0, 12]
+    want = [[row[c] for c in columns] for row in rows]
+    assert dense_rows(lp, lp.rows, columns) == want
 
 
 def test_system_delta_product_coupling_zero():

@@ -166,6 +166,23 @@ def test_float_rejected_in_data_api():
         parse_system_data(data)
 
 
+def test_json_boolean_and_huge_exponent_rejected():
+    text = """
+    {
+      "contents": [{"id": "q", "values": ["x", "y"]}],
+      "contexts": [{
+        "id": "c",
+        "contents": ["q"],
+        "distribution": [{"outcomes": ["x"], "p": true}]
+      }]
+    }
+    """
+    with pytest.raises(InvalidProbability):
+        parse_system_text(text)
+    with pytest.raises(InvalidProbability, match="exponent"):
+        parse_system_text(text.replace("true", "1e-3000000"))
+
+
 def test_bad_json_reports_location():
     with pytest.raises(SystemFileError) as exc:
         parse_system_text('{\n  "contents": [}', source="broken.json")

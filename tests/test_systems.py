@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,21 @@ def test_to_fraction_forms():
         to_fraction("5/4")
     with pytest.raises(InvalidProbability):
         to_fraction("x")
+
+
+def test_to_fraction_rejects_booleans():
+    for value in (True, False):
+        with pytest.raises(InvalidProbability):
+            to_fraction(value)
+
+
+def test_to_fraction_refuses_huge_exponents_quickly():
+    assert to_fraction("5e-4300") == F(5, 10**4300)
+    start = time.perf_counter()
+    for text in ("1e-3000000", "1e-10000000", "1E+4301", "0.5e-4_301"):
+        with pytest.raises(InvalidProbability, match="exponent"):
+            to_fraction(text)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_marginal_order_effect():
