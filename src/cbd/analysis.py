@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coupling import CouplingWitness, delta_pairs, system_delta
+from .coupling import CouplingWitness, delta_pairs, resolve_atom_cap, system_delta
 from .errors import InternalError, NotDeterministic
 from .systems import System, is_consistently_connected
 
@@ -139,8 +139,10 @@ def analyze(
 
     Deterministic systems take the closed-form path unless
     deterministic_fast_path is False (useful to cross-check the LP against
-    it).  Everything else builds and solves the coupling LP exactly.
+    it).  Everything else builds and solves the coupling LP exactly.  The
+    atom cap is resolved and validated on every path, as `cbd analyze` does.
     """
+    atom_cap = resolve_atom_cap(atom_cap)
     deterministic = is_deterministic(system)
     if deterministic_fast_path and deterministic:
         return analyze_deterministic(system)

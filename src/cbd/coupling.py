@@ -166,36 +166,72 @@ class LPSolution:
     weights: dict[int, Fraction]
 
 
-def build_coupling_lp(system: System, atom_cap: int | None = None) -> LPInstance:
+def build_coupling_lp(
+    system: System, atom_cap: int | None = None, *, support: bool = False
+) -> LPInstance:
     """Construct the coupling LP for a validated system.
 
     One nonnegative unknown per atom (an outcome assignment to every variable
     of the system), one equality per (context, outcome tuple) cell including
     zero-probability cells, plus total mass 1.  Raises CapExceeded before
-    materializing anything larger than the cap.
+    materializing anything larger than the cap; the cap is checked against
+    the full atom count in either mode.
+
+    support=True builds the support LP instead: only the atoms whose cell in
+    every context has positive probability, and only the positive cells' rows
+    plus mass.  A zero cell forces every atom it covers to weight zero, so
+    this is the program solve_lp reduces the full one to, with the same atoms
+    and rows in the same order, and the same optimum and witness.
     """
     variables = system.variables
-    domains = [system.outcomes[q] for (_, q) in variables]
-    check_atom_cap([len(dom) for dom in domains], atom_cap)
+    check_atom_cap([len(system.outcomes[q]) for (_, q) in variables], atom_cap)
 
-    var_index = {v: i for i, v in enumerate(variables)}
-    atoms = tuple(itertools.product(*domains))
-
-    rows: list[LPRow] = []
+    # Contexts share no variable, so an atom is one cell per context and the
+    # atoms are the product of the contexts' cell lists.  variables sorts the
+    # contents within each context, so each list is in sorted-content product
+    # order; digits maps a cell in blk.contents order to its list position.
+    lists: list[list[tuple[str, ...]]] = []
+    digits: list[dict[tuple[str, ...], int]] = []
     for blk in system.blocks:
-        positions = [var_index[(blk.context, q)] for q in blk.contents]
-        groups: dict[tuple[str, ...], list[int]] = {
-            cell: [] for cell in system.cells(blk.context)
-        }
-        for i, atom in enumerate(atoms):
-            groups[tuple(atom[p] for p in positions)].append(i)
-        for cell, cols in groups.items():
+        contents = sorted(blk.contents)
+        where = [contents.index(q) for q in blk.contents]
+        digit: dict[tuple[str, ...], int] = {}
+        cells = []
+        for cell in itertools.product(*(system.outcomes[q] for q in contents)):
+            as_block = tuple(cell[k] for k in where)
+            if not support or as_block in blk.table:
+                digit[as_block] = len(cells)
+                cells.append(cell)
+        lists.append(cells)
+        digits.append(digit)
+    # tuples are built from lists, not iterators: a tuple grown from an
+    # iterator is resized as it fills, which raised peak RSS by about 0.5 MB
+    # over a thousand small verdicts
+    atoms = tuple([
+        tuple([o for cell in combo for o in cell])
+        for combo in itertools.product(*lists)
+    ])
+
+    # the atoms whose cell in a context sits at list position d: runs of
+    # `stride` consecutive indices, one run every `period`
+    n = len(atoms)
+    rows: list[LPRow] = []
+    stride = n
+    for blk, cells, digit in zip(system.blocks, lists, digits):
+        period = stride
+        stride //= len(cells)
+        for cell in system.cells(blk.context):
+            d = digit.get(cell)
+            if d is None:
+                continue
+            cols = [
+                c for s in range(d * stride, n, period) for c in range(s, s + stride)
+            ]
             label = f"{blk.context}[{','.join(cell)}]"
             rows.append(LPRow(label=label, cols=tuple(cols), rhs=blk.prob(cell)))
-    rows.append(
-        LPRow(label="mass", cols=tuple(range(len(atoms))), rhs=Fraction(1))
-    )
+    rows.append(LPRow(label="mass", cols=tuple(range(n)), rhs=Fraction(1)))
 
+    var_index = {v: i for i, v in enumerate(variables)}
     pairs = [(var_index[(ca, q)], var_index[(cb, q)]) for q, ca, cb in system.pairs()]
     objective = tuple(
         sum(1 for i, j in pairs if atom[i] != atom[j]) for atom in atoms
@@ -288,7 +324,7 @@ def system_delta(
 
     Returns the exact minimum and one witness coupling attaining it.
     """
-    lp = build_coupling_lp(system, atom_cap=atom_cap)
+    lp = build_coupling_lp(system, atom_cap=atom_cap, support=True)
     sol = solve_lp(lp)
     if sol.status != "optimal":
         raise InternalError("coupling LP infeasible on a valid system")

@@ -17,6 +17,7 @@ every single context is satisfiable.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -165,16 +166,18 @@ def uniform_mixture(
     if not variants:
         raise EmptyVariantSet("cannot mix an empty variant list")
     if weights is None:
-        w = Fraction(1, len(variants))
-        weights = [w] * len(variants)
+        weights = [Fraction(1, len(variants))] * len(variants)
     else:
         weights = [Fraction(x) for x in weights]
         if len(weights) != len(variants):
             raise DomainMismatch("one weight per variant required")
         if any(x < 0 for x in weights):
             raise DomainMismatch("weights must be nonnegative")
-        if sum(weights) != 1:
-            raise DomainMismatch(f"weights sum to {sum(weights)}, expected 1")
+    # over one common denominator, the tables are sums of int numerators
+    den = math.lcm(*(x.denominator for x in weights))
+    nums = [x.numerator * (den // x.denominator) for x in weights]
+    if sum(nums) != den:
+        raise DomainMismatch(f"weights sum to {Fraction(sum(nums), den)}, expected 1")
 
     needed = {
         (q, ctx.context) for ctx in spec.contexts for q in ctx.contents
@@ -185,10 +188,11 @@ def uniform_mixture(
 
     blocks = []
     for ctx in spec.contexts:
-        table: dict[tuple[str, ...], Fraction] = {}
-        for variant, w in zip(variants, weights):
+        sums: dict[tuple[str, ...], int] = {}
+        for variant, w in zip(variants, nums):
             cell = tuple(variant.assignment[(q, ctx.context)] for q in ctx.contents)
-            table[cell] = table.get(cell, Fraction(0)) + w
+            sums[cell] = sums.get(cell, 0) + w
+        table = {cell: Fraction(w, den) for cell, w in sums.items()}
         blocks.append((ctx.context, ctx.contents, table))
     return validate_system(spec.outcomes, blocks)
 

@@ -37,10 +37,12 @@ from .errors import (
 PLUS = "+1"
 MINUS = "-1"
 
-# A decimal exponent beyond this is refused before Fraction builds its power
-# of ten.  It is Python's default int-to-str digit limit, so a value past it
-# could not be printed in a report anyway.
-MAX_EXPONENT = 4300
+# Python's default int-to-str digit limit: a probability whose numerator or
+# denominator has more digits could not be printed in a report, so it is
+# refused.  A decimal exponent beyond it is refused before Fraction builds
+# its power of ten.
+MAX_DIGITS = 4300
+_DIGIT_BOUND = 10**MAX_DIGITS
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)$")
 
 
@@ -63,13 +65,18 @@ def to_fraction(value) -> Fraction:
         text = value.strip()
         try:
             exponent = _EXPONENT.search(text)
-            if exponent and int(exponent.group(1)) > MAX_EXPONENT:
-                raise InvalidProbability(f"exponent of {value!r} beyond {MAX_EXPONENT}")
+            if exponent and int(exponent.group(1)) > MAX_DIGITS:
+                raise InvalidProbability(f"exponent of {value!r} beyond {MAX_DIGITS}")
             frac = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidProbability(f"cannot parse probability {value!r}: {exc}")
     else:
         raise InvalidProbability(f"unsupported probability type {type(value).__name__}")
+    if abs(frac.numerator) >= _DIGIT_BOUND or frac.denominator >= _DIGIT_BOUND:
+        raise InvalidProbability(
+            f"probability with more than {MAX_DIGITS} digits in its numerator "
+            f"or denominator"
+        )
     if frac < 0 or frac > 1:
         raise InvalidProbability(f"probability {frac} outside [0, 1]")
     return frac

@@ -1,19 +1,25 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import cbd.coupling
 from cbd import (
     AtomCapExceeded,
     DomainMismatch,
     Marginal,
     NotBinary,
+    analyze,
     build_coupling_lp,
     delta_pairs,
+    enumerate_variants,
     isolated_delta,
+    liar_system,
     min_coupling_pair,
     solve_lp,
     system_delta,
+    uniform_mixture,
     validate_system,
     verify_solution,
 )
@@ -313,3 +319,101 @@ def test_lp_lower_bound_and_witness_random():
         assert verify_solution(lp, sol)
         baseline = sum((d for _, _, _, d in delta_pairs(sys_)), F(0))
         assert sol.optimum >= baseline
+
+
+# ---------------------------------------------------------------------------
+# the support LP
+
+
+def alive_atoms(lp):
+    """Atoms left after zero-cell fixing, in index order, as solve_lp finds them."""
+    forced = {c for row in lp.rows if row.rhs == 0 for c in row.cols}
+    return [i for i in range(lp.n_atoms) if i not in forced]
+
+
+def liar7():
+    spec = liar_system(7)
+    return uniform_mixture(spec, enumerate_variants(spec))
+
+
+def check_full_lp(sys_, lp):
+    """The full LP against its definition, atom by atom."""
+    domains = [sys_.outcomes[q] for _, q in lp.variables]
+    assert lp.atoms == tuple(itertools.product(*domains))
+    want = []
+    for blk in sys_.blocks:
+        spots = [lp.variables.index((blk.context, q)) for q in blk.contents]
+        for cell in sys_.cells(blk.context):
+            cols = tuple(
+                i for i, atom in enumerate(lp.atoms)
+                if tuple(atom[k] for k in spots) == cell
+            )
+            want.append((cols, blk.prob(cell)))
+    want.append((tuple(range(lp.n_atoms)), F(1)))
+    assert [(row.cols, row.rhs) for row in lp.rows] == want
+
+
+def check_support_lp(sys_):
+    full = build_coupling_lp(sys_)
+    sup = build_coupling_lp(sys_, support=True)
+    check_full_lp(sys_, full)
+    alive = alive_atoms(full)
+    live_rows = [row for row in full.rows if row.rhs != 0]
+    # the atoms, rows and costs the simplex sees, in the same order
+    assert sup.variables == full.variables
+    assert sup.pairs == full.pairs
+    assert sup.atoms == tuple(full.atoms[i] for i in alive)
+    assert sup.objective == tuple(full.objective[i] for i in alive)
+    assert [(r.label, r.rhs) for r in sup.rows] == [(r.label, r.rhs) for r in live_rows]
+    assert dense_rows(sup, sup.rows, range(sup.n_atoms)) == dense_rows(
+        full, live_rows, alive
+    )
+    full_sol, sup_sol = solve_lp(full), solve_lp(sup)
+    assert sup_sol.optimum == full_sol.optimum
+    assert [(sup.atoms[i], w) for i, w in sorted(sup_sol.weights.items())] == [
+        (full.atoms[i], w) for i, w in sorted(full_sol.weights.items())
+    ]
+    assert verify_solution(full, full_sol)
+    assert verify_solution(sup, sup_sol)
+    index = {atom: i for i, atom in enumerate(full.atoms)}
+    mapped = {index[sup.atoms[i]]: w for i, w in sup_sol.weights.items()}
+    back = LPSolution(status=sup_sol.status, optimum=sup_sol.optimum, weights=mapped)
+    assert verify_solution(full, back)
+    return full, sup
+
+
+def test_support_lp_is_the_alive_part_of_the_full_lp():
+    rng = random.Random(41)
+    zero_cells = 0
+    for _ in range(60):
+        sys_ = rand_system(rng, ternary_share=0.4, max_block=3, max_atoms=256)
+        full, sup = check_support_lp(sys_)
+        zero_cells += len(full.rows) - len(sup.rows)
+    assert zero_cells > 0
+
+
+def test_support_lp_of_liar_7():
+    full, sup = check_support_lp(liar7())
+    assert full.n_atoms == 2**14
+    assert sup.n_atoms == 128
+    assert len(sup.rows) == 15
+
+
+def test_support_lp_checks_the_cap_on_every_atom():
+    with pytest.raises(AtomCapExceeded) as info:
+        build_coupling_lp(liar7(), atom_cap=128, support=True)
+    assert info.value.required == 2**14
+
+
+def test_analyze_builds_only_the_support_lp(monkeypatch):
+    calls = []
+    build = cbd.coupling.build_coupling_lp
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("support"))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cbd.coupling, "build_coupling_lp", spy)
+    report = analyze(liar7())
+    assert report.cnt == 1
+    assert calls == [True]

@@ -189,6 +189,23 @@ def test_explicit_weights():
     assert report.cnt >= 0
 
 
+def test_mixture_tables_equal_fraction_sums():
+    spec = liar_system(4)
+    variants = enumerate_variants(spec)
+    rng = random.Random(5)
+    raw = [rng.randint(0, 9) for _ in variants]
+    for weights in (None, [F(w, sum(raw)) for w in raw]):
+        mixture = uniform_mixture(spec, variants, weights=weights)
+        ws = weights or [F(1, len(variants))] * len(variants)
+        for ctx in spec.contexts:
+            want = {}
+            for variant, w in zip(variants, ws):
+                cell = tuple(variant.assignment[(q, ctx.context)] for q in ctx.contents)
+                want[cell] = want.get(cell, F(0)) + w
+            want = {cell: p for cell, p in want.items() if p != 0}
+            assert mixture.block(ctx.context).table == want
+
+
 def test_explicit_weight_validation():
     spec = liar_system(2)
     variants = enumerate_variants(spec)

@@ -142,6 +142,15 @@ def test_to_fraction_refuses_huge_exponents_quickly():
     assert time.perf_counter() - start < 0.5
 
 
+def test_to_fraction_refuses_values_too_long_to_print():
+    for text in ("1e-4300", "0.5e-4300", "1e4300"):
+        with pytest.raises(InvalidProbability, match="digits"):
+            to_fraction(text)
+    inside = to_fraction("1e-4299")
+    assert inside == F(1, 10**4299)
+    assert len(str(inside)) == 2 + 4300
+
+
 def test_marginal_order_effect():
     sys_ = order_effect_system()
     m = marginal(sys_, "q1", "c1")
