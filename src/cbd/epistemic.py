@@ -8,6 +8,12 @@ the same content may legitimately take different values in different
 contexts.  Mixing the variants' point masses yields an ordinary system whose
 contextuality can then be analyzed.
 
+Contexts share no variable, so the variants are the product of each context's
+admissible tuples.  enumerate_variants returns that product as a read-only
+sequence that decodes a variant only when asked for one, and the uniform
+mixture of all of them gives each context the uniform table over its own
+admissible tuples, which uniform_mixture builds directly, per context.
+
 liar_system(n) is the ring of Liar sentences: content q_i asserts q_{i+1} in
 contexts 1..n-1 and the last context denies the loop closure (q_n and q_1
 must differ), so no globally consistent truth assignment exists even though
@@ -18,12 +24,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .coupling import check_atom_cap
-from .errors import DomainMismatch, EmptyVariantSet, NotBinary
+from .errors import DomainMismatch, EmptyVariantSet, InvalidProbability, NotBinary
 from .systems import MINUS, PLUS, System, validate_system
 
 EQUAL = "equal"
@@ -114,41 +121,89 @@ def _admissible(spec: EpistemicSpec, ctx: EpistemicContext):
         keep = lambda t: t in allowed_set
     else:
         raise DomainMismatch(f"unknown constraint kind {kind!r}")
-    return [t for t in itertools.product(*domains) if keep(t)]
+    return tuple(t for t in itertools.product(*domains) if keep(t))
+
+
+class VariantProduct(Sequence):
+    """The deterministic variants of a spec, decoded on demand.
+
+    `tuples[i]` lists the admissible tuples of `spec.contexts[i]`, and
+    `order` lists the context positions sorted by context id.  Variant k is
+    read off the mixed-radix digits of k over the contexts in that order,
+    the last context varying fastest: the order of itertools.product.
+    """
+
+    def __init__(self, spec: EpistemicSpec, tuples: tuple[tuple, ...], order):
+        self.spec = spec
+        self.tuples = tuples
+        self._ordered = tuple((spec.contexts[i], tuples[i]) for i in order)
+        self._len = math.prod(len(t) for t in tuples)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(self._len))]
+        k = operator.index(index)
+        if k < 0:
+            k += self._len
+        if not 0 <= k < self._len:
+            raise IndexError("variant index out of range")
+        cells = []
+        for _, tuples in reversed(self._ordered):
+            k, digit = divmod(k, len(tuples))
+            cells.append(tuples[digit])
+        return self._variant(reversed(cells))
+
+    def __iter__(self):
+        for combo in itertools.product(*(t for _, t in self._ordered)):
+            yield self._variant(combo)
+
+    def _variant(self, cells) -> DeterministicVariant:
+        assignment: dict[tuple[str, str], str] = {}
+        for (ctx, _), cell in zip(self._ordered, cells):
+            for q, o in zip(ctx.contents, cell):
+                assignment[(q, ctx.context)] = o
+        return DeterministicVariant(assignment=assignment)
 
 
 def enumerate_variants(
     spec: EpistemicSpec, cap: int | None = None
-) -> list[DeterministicVariant]:
+) -> Sequence[DeterministicVariant]:
     """All deterministic variants satisfying every context's constraint.
 
     The assignment space (product of all variables' outcome set sizes) must
     stay within the cap; raises CapExceeded otherwise and EmptyVariantSet
     when some context admits no tuple at all.  Contexts are independent
     (variables are per-context), so the variants are exactly the product of
-    the per-context admissible tuples, enumerated in canonical order.
+    the per-context admissible tuples.  The result is a read-only sequence
+    over that product (a VariantProduct): its length is the product of the
+    per-context tuple counts, and indexing or iterating builds each variant
+    on demand, in canonical order (itertools.product over the contexts
+    sorted by id).
     """
     sizes = [len(spec.outcomes[q]) for ctx in spec.contexts for q in ctx.contents]
     check_atom_cap(sizes, cap)
 
-    ordered = sorted(spec.contexts, key=lambda ctx: ctx.context)
-    per_context = []
-    for ctx in ordered:
-        tuples = _admissible(spec, ctx)
-        if not tuples:
+    order = sorted(range(len(spec.contexts)), key=lambda i: spec.contexts[i].context)
+    tuples = [()] * len(order)
+    for i in order:
+        ctx = spec.contexts[i]
+        tuples[i] = _admissible(spec, ctx)
+        if not tuples[i]:
             raise EmptyVariantSet(
                 f"context {ctx.context!r} admits no outcome tuple"
             )
-        per_context.append(tuples)
+    return VariantProduct(spec, tuple(tuples), order)
 
-    variants = []
-    for combo in itertools.product(*per_context):
-        assignment: dict[tuple[str, str], str] = {}
-        for ctx, cell in zip(ordered, combo):
-            for q, o in zip(ctx.contents, cell):
-                assignment[(q, ctx.context)] = o
-        variants.append(DeterministicVariant(assignment=assignment))
-    return variants
+
+def _exact_weight(x) -> Fraction:
+    if isinstance(x, (float, bool)):
+        raise InvalidProbability(
+            f"weight {x!r} is not exact; pass an int, string or Fraction"
+        )
+    return Fraction(x)
 
 
 def uniform_mixture(
@@ -159,16 +214,34 @@ def uniform_mixture(
     """Mix variant point masses into an ordinary system.
 
     Every context's table is the weighted average of the variants' fixed
-    outcome tuples; weights default to uniform and must sum to exactly 1.
-    The spec supplies structure (outcome sets, context content order) that
-    the variants alone cannot.
+    outcome tuples; weights default to uniform and must be exact (floats
+    and booleans raise InvalidProbability) and sum to exactly 1.  The spec
+    supplies structure (outcome sets, context content order) that the
+    variants alone cannot.
+
+    All of a spec's variants (enumerate_variants of an equal spec) mixed
+    uniformly give each context the uniform table over its own k admissible
+    tuples, 1/k each; that table is built directly, without visiting a
+    variant.
     """
     if not variants:
         raise EmptyVariantSet("cannot mix an empty variant list")
+    if (
+        weights is None
+        and isinstance(variants, VariantProduct)
+        and variants.spec == spec
+    ):
+        blocks = [
+            (ctx.context, ctx.contents, dict.fromkeys(cells, Fraction(1, len(cells))))
+            for ctx, cells in zip(spec.contexts, variants.tuples)
+        ]
+        return validate_system(spec.outcomes, blocks)
+    # a view decodes its variants on every walk; walk them once
+    variants = list(variants)
     if weights is None:
         weights = [Fraction(1, len(variants))] * len(variants)
     else:
-        weights = [Fraction(x) for x in weights]
+        weights = [_exact_weight(x) for x in weights]
         if len(weights) != len(variants):
             raise DomainMismatch("one weight per variant required")
         if any(x < 0 for x in weights):

@@ -1,4 +1,7 @@
+import io
+import itertools
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -12,6 +15,7 @@ from cbd import (
     EmptyVariantSet,
     EpistemicContext,
     EpistemicSpec,
+    InvalidProbability,
     analyze,
     build_coupling_lp,
     enumerate_variants,
@@ -19,6 +23,7 @@ from cbd import (
     is_deterministic,
     liar_system,
     uniform_mixture,
+    write_system,
 )
 from cbd.oracle import enumerate_min
 from helpers import lp_dense
@@ -248,3 +253,146 @@ def test_random_sub_mixtures_stay_valid():
             assert sum(mixture.block(ctx.context).table.values()) == 1
         report = analyze(mixture)
         assert report.cnt >= 0
+
+
+def test_inexact_weights_are_refused():
+    spec = liar_system(2)
+    variants = enumerate_variants(spec)
+    for weights in (
+        [0.25] * 4,
+        [0.1, 0.2, 0.3, 0.4],
+        [True, False, False, False],
+        [F(1, 2), F(1, 2), 0.0, F(0)],
+    ):
+        with pytest.raises(InvalidProbability):
+            uniform_mixture(spec, variants, weights=weights)
+    # exact forms keep working, strings and ints included
+    mixture = uniform_mixture(spec, variants, weights=["1/2", "0.5", 0, F(0)])
+    assert not is_deterministic(mixture)
+
+
+def enumerate_by_assignment(spec):
+    """The variants as a list, the product of admissible tuples in id order."""
+    ordered = sorted(spec.contexts, key=lambda ctx: ctx.context)
+    per_context = []
+    for ctx in ordered:
+        kind = ctx.constraint.kind
+        allowed = set(ctx.constraint.allowed or ())
+        tuples = []
+        for t in itertools.product(*(spec.outcomes[q] for q in ctx.contents)):
+            if kind == "equal":
+                ok = t[0] == t[1]
+            elif kind == "unequal":
+                ok = t[0] != t[1]
+            else:
+                ok = t in allowed
+            if ok:
+                tuples.append(t)
+        per_context.append(tuples)
+    variants = []
+    for combo in itertools.product(*per_context):
+        assignment = {}
+        for ctx, cell in zip(ordered, combo):
+            for q, o in zip(ctx.contents, cell):
+                assignment[(q, ctx.context)] = o
+        variants.append(assignment)
+    return variants
+
+
+def random_spec(rng):
+    contents = [f"q{i}" for i in range(rng.randint(1, 4))]
+    outcomes = {
+        q: (PLUS, MINUS) if rng.random() < 0.6 else ("a", "b", "c") for q in contents
+    }
+    # labels drawn out of order, so spec order and id order differ
+    labels = rng.sample([f"c{i}" for i in range(9)], rng.randint(1, 4))
+    contexts = []
+    for label in labels:
+        qs = tuple(rng.sample(contents, rng.randint(1, min(3, len(contents)))))
+        binary = all(outcomes[q] == (PLUS, MINUS) for q in qs)
+        if len(qs) == 2 and binary and rng.random() < 0.4:
+            constraint = rng.choice(
+                (ContextConstraint.equal(), ContextConstraint.unequal())
+            )
+        else:
+            cells = list(itertools.product(*(outcomes[q] for q in qs)))
+            constraint = ContextConstraint.explicit(
+                rng.sample(cells, rng.randint(1, len(cells)))
+            )
+        contexts.append(EpistemicContext(label, qs, constraint))
+    return EpistemicSpec(outcomes=outcomes, contexts=tuple(contexts))
+
+
+def written(system):
+    buf = io.StringIO()
+    write_system(system, buf)
+    return buf.getvalue()
+
+
+def test_view_matches_enumeration_and_list_mixture():
+    rng = random.Random(41)
+    seen = {"arity": set(), "ternary": 0, "allowed": 0, "unsorted": 0}
+    for _ in range(120):
+        spec = random_spec(rng)
+        view = enumerate_variants(spec)
+        variants = list(view)
+        assert [v.assignment for v in variants] == enumerate_by_assignment(spec)
+        assert len(view) == len(variants)
+        fast = uniform_mixture(spec, view)
+        slow = uniform_mixture(spec, variants)
+        assert fast == slow  # outcome sets and every context's table
+        assert written(fast) == written(slow)
+        labels = [ctx.context for ctx in spec.contexts]
+        seen["arity"] |= {len(ctx.contents) for ctx in spec.contexts}
+        seen["ternary"] += any(len(v) == 3 for v in spec.outcomes.values())
+        seen["allowed"] += any(c.constraint.kind == "allowed" for c in spec.contexts)
+        seen["unsorted"] += labels != sorted(labels)
+    assert seen["arity"] == {1, 2, 3}
+    assert min(seen["ternary"], seen["allowed"], seen["unsorted"]) > 10
+
+
+def test_view_is_a_sequence():
+    view = enumerate_variants(liar_system(4))
+    items = list(view)
+    assert isinstance(view, Sequence)
+    assert len(view) == len(items) == 16
+    for i in range(len(items)):
+        assert view[i] == items[i]
+        assert view[i - len(items)] == items[i]
+    assert view[3:11:2] == items[3:11:2]
+    assert view[::-1] == items[::-1]
+    assert view[100:] == []
+    for bad in (16, 17, -17):
+        with pytest.raises(IndexError):
+            view[bad]
+    assert items.index(view[9]) == 9
+
+
+def test_view_mixed_under_another_spec():
+    view = enumerate_variants(liar_system(3))
+    for variants in (list(view), view):
+        with pytest.raises(DomainMismatch):
+            uniform_mixture(liar_system(4), variants)
+
+
+def test_uniform_mixture_of_a_view_visits_no_variant(monkeypatch):
+    spec = liar_system(16)
+    view = enumerate_variants(spec, cap=2**32)
+    assert len(view) == 2**16
+
+    def refuse(*args):
+        pytest.fail("a variant was decoded")
+
+    monkeypatch.setattr(type(view), "__iter__", refuse)
+    monkeypatch.setattr(type(view), "__getitem__", refuse)
+    mixture = uniform_mixture(spec, view)
+    half = F(1, 2)
+    for ctx in spec.contexts[:-1]:
+        assert mixture.block(ctx.context).table == {
+            (PLUS, PLUS): half,
+            (MINUS, MINUS): half,
+        }
+    assert mixture.block(spec.contexts[-1].context).table == {
+        (PLUS, MINUS): half,
+        (MINUS, PLUS): half,
+    }
