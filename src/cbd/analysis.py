@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .coupling import CouplingWitness, delta_pairs, resolve_atom_cap, system_delta
 from .errors import InternalError, NotDeterministic
-from .systems import System, is_consistently_connected
+from .systems import System, is_consistently_connected, to_form
 
 __all__ = [
     "PairDelta",
@@ -86,7 +86,8 @@ def _report(
 ) -> AnalysisReport:
     """Assemble the report around an in-system minimum and its coupling."""
     pairs = tuple(PairDelta(*pair) for pair in delta_pairs(system))
-    delta0 = sum((p.delta for p in pairs), Fraction(0))
+    den, nums = to_form(p.delta for p in pairs)
+    delta0 = Fraction(sum(nums), den)
     cnt = delta - delta0
     if cnt < 0:
         raise InternalError(

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from . import simplex
 from .errors import CapExceeded, DomainMismatch, InternalError, NotBinary
-from .systems import MINUS, PLUS, Marginal, System, marginal
+from .systems import MINUS, PLUS, Form, Marginal, System, marginal_forms, to_form
 
 DEFAULT_ATOM_CAP = 2**20
 ATOM_CAP_ENV = "CBD_ATOM_CAP"
@@ -67,16 +67,31 @@ def _check_coupleable(m1: Marginal, m2: Marginal) -> None:
         )
 
 
+_ZERO = Fraction(0)
+
+
+def _total_variation(f1: Form, f2: Form) -> Fraction:
+    """The mass f1 puts above f2, for two forms over the same outcome order:
+    sum_o max(0, a_o*d2 - b_o*d1) / (d1*d2)."""
+    if f1 == f2:
+        return _ZERO
+    (d1, a), (d2, b) = f1, f2
+    excess = sum(max(0, x * d2 - y * d1) for x, y in zip(a, b))
+    return Fraction(excess, d1 * d2)
+
+
 def isolated_delta(m1: Marginal, m2: Marginal) -> Fraction:
     """Smallest Pr[X' != Y'] over all couplings of the two marginals.
 
     Equals the total variation distance (1/2) * sum_o |m1(o) - m2(o)|; for
     binary marginals that is |u - v| with u, v the '+1' probabilities.  As
-    both marginals sum to 1, that is the mass m1 puts above m2.
+    both marginals sum to 1, that is the mass m1 puts above m2.  Outcomes
+    are matched by key, in m1's key order.
     """
     _check_coupleable(m1, m2)
-    q = m2.probs
-    return sum((p - q[o] for o, p in m1.probs.items() if p > q[o]), Fraction(0))
+    return _total_variation(
+        to_form(m1.probs.values()), to_form(m2.probs[o] for o in m1.probs)
+    )
 
 
 @dataclass(frozen=True)
@@ -342,9 +357,11 @@ def delta_pairs(system: System) -> list[tuple[str, str, str, Fraction]]:
 
     Returns (content, context_a, context_b, delta) tuples in System.pairs()
     order, the pair enumeration the LP objective uses, so summing gives the
-    in-isolation baseline.
+    in-isolation baseline.  Each delta is isolated_delta of the two
+    marginals, computed from their integer forms in the system's index.
     """
+    forms = marginal_forms(system)
     return [
-        (q, ca, cb, isolated_delta(marginal(system, q, ca), marginal(system, q, cb)))
+        (q, ca, cb, _total_variation(forms[(ca, q)], forms[(cb, q)]))
         for q, ca, cb in system.pairs()
     ]

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .coupling import check_atom_cap
 from .errors import DomainMismatch, EmptyVariantSet, InvalidProbability, NotBinary
-from .systems import MINUS, PLUS, System, validate_system
+from .systems import MINUS, PLUS, System, check_context, validate_system
 
 EQUAL = "equal"
 UNEQUAL = "unequal"
@@ -173,16 +173,21 @@ def enumerate_variants(
 ) -> Sequence[DeterministicVariant]:
     """All deterministic variants satisfying every context's constraint.
 
-    The assignment space (product of all variables' outcome set sizes) must
-    stay within the cap; raises CapExceeded otherwise and EmptyVariantSet
-    when some context admits no tuple at all.  Contexts are independent
-    (variables are per-context), so the variants are exactly the product of
-    the per-context admissible tuples.  The result is a read-only sequence
-    over that product (a VariantProduct): its length is the product of the
-    per-context tuple counts, and indexing or iterating builds each variant
-    on demand, in canonical order (itertools.product over the contexts
-    sorted by id).
+    A context id defined twice, a content listed twice in one context and
+    a content missing from spec.outcomes are refused first, with the errors
+    validate_system raises for them.  The assignment space (product of all
+    variables' outcome set sizes) must stay within the cap; raises
+    CapExceeded otherwise and EmptyVariantSet when some context admits no
+    tuple at all.  Contexts are independent (variables are per-context), so
+    the variants are exactly the product of the per-context admissible
+    tuples.  The result is a read-only sequence over that product (a
+    VariantProduct): its length is the product of the per-context tuple
+    counts, and indexing or iterating builds each variant on demand, in
+    canonical order (itertools.product over the contexts sorted by id).
     """
+    seen: set[str] = set()
+    for ctx in spec.contexts:
+        check_context(ctx.context, ctx.contents, spec.outcomes, seen)
     sizes = [len(spec.outcomes[q]) for ctx in spec.contexts for q in ctx.contents]
     check_atom_cap(sizes, cap)
 

@@ -9,11 +9,21 @@ contexts is that content's *connection*.
 
 All probabilities are exact rationals (fractions.Fraction), so every verdict
 downstream is a matter of exact arithmetic rather than tolerance.
+
+A System indexes its marginals once, on first use.  One pass over each
+context table sums integer numerators over the lcm of the table's
+denominators, so no Fraction is added.  Each variable keeps its reduced
+integer *form*, a (den, nums) pair with nums in the content's registry
+outcome order and gcd(den, *nums) == 1; two marginals of one content are
+equal exactly when their forms are.  The isolated deltas and the
+consistency check read these forms, and each Marginal's probs are built
+from its form, one shared Fraction object per distinct value in a system.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +54,28 @@ MINUS = "-1"
 MAX_DIGITS = 4300
 _DIGIT_BOUND = 10**MAX_DIGITS
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)$")
+
+# Exact rationals as integers: (den, nums), value i == nums[i] / den.  A
+# marginal's form lists its content's registry outcomes in order, and is
+# reduced: gcd(den, *nums) == 1.
+Form = tuple[int, tuple[int, ...]]
+
+
+def to_form(values: Iterable[Fraction]) -> Form:
+    """The values as integer numerators over the lcm of their denominators.
+
+    That lcm leaves no factor common to it and all the numerators, so the
+    form is reduced."""
+    den = 1
+    nums = []
+    for v in values:
+        d = v.denominator
+        if den % d:
+            scale = d // math.gcd(den, d)
+            nums = [n * scale for n in nums]
+            den *= scale
+        nums.append(v.numerator * (den // d))
+    return den, tuple(nums)
 
 
 def to_fraction(value) -> Fraction:
@@ -129,21 +161,43 @@ class System:
         return {q: tuple(ctxs) for q, ctxs in by_content.items()}
 
     @cached_property
-    def _marginals(self) -> dict[tuple[str, str], Marginal]:
-        """(context, content) -> Marginal, one pass over each context table."""
-        out = {}
+    def _marginals(self) -> MarginalIndex:
+        """Every variable's Marginal and Form: one pass over each context
+        table, summing integer numerators over the table's lcm denominator.
+        Equal forms share one tuple, and equal values one Fraction."""
+        position = {
+            q: {o: i for i, o in enumerate(outs)} for q, outs in self.outcomes.items()
+        }
+        shared: dict[Form, tuple[Form, tuple[Fraction, ...]]] = {}
+        values: dict[Fraction, Fraction] = {}
+        index = MarginalIndex({}, {})
         for blk in self.blocks:
-            dists = [
-                {o: Fraction(0) for o in self.outcomes[q]} for q in blk.contents
-            ]
-            for cell, p in blk.table.items():
-                for dist, o in zip(dists, cell):
-                    dist[o] += p
-            for q, dist in zip(blk.contents, dists):
-                out[(blk.context, q)] = Marginal(
-                    content=q, context=blk.context, probs=dist
+            den, cell_nums = to_form(blk.table.values())
+            sums = [[0] * len(position[q]) for q in blk.contents]
+            where = [position[q] for q in blk.contents]
+            for cell, num in zip(blk.table, cell_nums):
+                for total, pos, o in zip(sums, where, cell):
+                    total[pos[o]] += num
+            for q, nums in zip(blk.contents, sums):
+                g = math.gcd(den, *nums)
+                if g > 1:
+                    form = (den // g, tuple([n // g for n in nums]))
+                else:
+                    form = (den, tuple(nums))
+                known = shared.get(form)
+                if known is None:
+                    fracs = [Fraction(n, form[0]) for n in form[1]]
+                    known = shared[form] = (
+                        form,
+                        tuple([values.setdefault(f, f) for f in fracs]),
+                    )
+                form, fracs = known
+                variable = (blk.context, q)
+                index.marginals[variable] = Marginal(
+                    q, blk.context, dict(zip(self.outcomes[q], fracs))
                 )
-        return out
+                index.forms[variable] = form
+        return index
 
     def block(self, context: str) -> ContextBlock:
         return self._by_context[context]
@@ -183,6 +237,28 @@ class System:
         return itertools.product(*(self.outcomes[q] for q in blk.contents))
 
 
+def check_context(
+    context: str,
+    contents: tuple[str, ...],
+    registry: Mapping[str, Sequence[str]],
+    seen: set[str],
+) -> None:
+    """Refuse a context id already in seen (then add it), a content listed
+    twice in the context, and a content missing from the registry."""
+    if context in seen:
+        raise DuplicateContext(f"context {context!r} defined twice")
+    seen.add(context)
+    for q in contents:
+        if contents.count(q) > 1:
+            raise DuplicateContentInContext(
+                f"content {q!r} appears twice in context {context!r}"
+            )
+        if q not in registry:
+            raise UnknownContent(
+                f"context {context!r} references unknown content {q!r}"
+            )
+
+
 def validate_system(
     outcome_sets: Mapping[str, Sequence[str]],
     blocks: Iterable[tuple[str, Sequence[str], Mapping[tuple[str, ...], object]]],
@@ -204,26 +280,15 @@ def validate_system(
             raise DomainMismatch(f"content {content!r} lists duplicate outcomes")
         registry[content] = vals
 
+    parsed: dict[str, Fraction] = {}  # each distinct string parsed once
     seen_contexts: set[str] = set()
     out_blocks: list[ContextBlock] = []
     for context, contents, table in blocks:
-        if context in seen_contexts:
-            raise DuplicateContext(f"context {context!r} defined twice")
-        seen_contexts.add(context)
         contents = tuple(contents)
+        check_context(context, contents, registry, seen_contexts)
         if not contents:
             raise DomainMismatch(f"context {context!r} lists no contents")
-        for q in contents:
-            if contents.count(q) > 1:
-                raise DuplicateContentInContext(
-                    f"content {q!r} appears twice in context {context!r}"
-                )
-            if q not in registry:
-                raise UnknownContent(
-                    f"context {context!r} references unknown content {q!r}"
-                )
         support: dict[tuple[str, ...], Fraction] = {}
-        total = Fraction(0)
         for cell, raw in table.items():
             cell = tuple(cell)
             if len(cell) != len(contents):
@@ -241,12 +306,17 @@ def validate_system(
                 raise DomainMismatch(
                     f"context {context!r}: outcome tuple {cell} listed twice"
                 )
-            p = to_fraction(raw)
-            total += p
+            if type(raw) is str:
+                p = parsed.get(raw)
+                if p is None:
+                    p = parsed[raw] = to_fraction(raw)
+            else:
+                p = to_fraction(raw)
             if p != 0:
                 support[cell] = p
-        if total != 1:
-            raise ProbabilitySumMismatch(context, total)
+        den, nums = to_form(support.values())
+        if sum(nums) != den:
+            raise ProbabilitySumMismatch(context, Fraction(sum(nums), den))
         out_blocks.append(ContextBlock(context, contents, support))
 
     if not out_blocks:
@@ -260,7 +330,11 @@ class Marginal:
     """Distribution of one variable: a content observed in one context.
 
     probs covers the full outcome set, zeros included, so two marginals of
-    the same content compare cell for cell.
+    the same content compare cell for cell.  A marginal read from a system
+    has its keys in the content's registry outcome order and its values
+    built from the variable's reduced integer form (see marginal_forms); a
+    value's Fraction object is shared across the system's marginals, but
+    each probs dict is the marginal's own.
     """
 
     content: str
@@ -281,6 +355,13 @@ class Consistency(NamedTuple):
     overall: bool
 
 
+class MarginalIndex(NamedTuple):
+    """(context, content) -> Marginal, and the same key -> its Form."""
+
+    marginals: dict[tuple[str, str], Marginal]
+    forms: dict[tuple[str, str], Form]
+
+
 def marginal(system: System, content: str, context: str) -> Marginal:
     """Marginal distribution of `content` inside `context`.
 
@@ -288,11 +369,17 @@ def marginal(system: System, content: str, context: str) -> Marginal:
     over all other contents' outcomes once; treat the result as immutable.
     """
     try:
-        return system._marginals[(context, content)]
+        return system._marginals.marginals[(context, content)]
     except KeyError:
         raise VariableNotInContext(
             f"content {content!r} not in context {context!r}"
         ) from None
+
+
+def marginal_forms(system: System) -> Mapping[tuple[str, str], Form]:
+    """(context, content) -> the variable's reduced integer form, read from
+    the same index as marginal(); treat it as read-only."""
+    return system._marginals.forms
 
 
 def connections(system: System) -> list[Connection]:
@@ -312,10 +399,11 @@ def is_consistently_connected(system: System) -> Consistency:
     Returns the per-connection flags and their conjunction.  Connections
     with a single member are trivially consistent.
     """
+    forms = marginal_forms(system)
     per: dict[str, bool] = {}
-    for conn in connections(system):
-        first = conn.members[0].probs
-        per[conn.content] = all(m.probs == first for m in conn.members[1:])
+    for q in system.content_ids:
+        first, *rest = (forms[(c, q)] for c in system.contexts_of(q))
+        per[q] = all(form == first for form in rest)
     return Consistency(per_connection=per, overall=all(per.values()))
 
 

@@ -12,10 +12,13 @@ from cbd import (
     CapExceeded,
     ContextConstraint,
     DomainMismatch,
+    DuplicateContentInContext,
+    DuplicateContext,
     EmptyVariantSet,
     EpistemicContext,
     EpistemicSpec,
     InvalidProbability,
+    UnknownContent,
     analyze,
     build_coupling_lp,
     enumerate_variants,
@@ -128,6 +131,44 @@ def test_variant_cap():
     # 12 contexts x 2 binary variables = 4^12 assignments, over the default cap
     with pytest.raises(CapExceeded):
         enumerate_variants(liar_system(12))
+
+
+def _spec(*contexts):
+    return EpistemicSpec(
+        outcomes={"q1": (PLUS, MINUS), "q2": (PLUS, MINUS)},
+        contexts=tuple(
+            EpistemicContext(c, qs, ContextConstraint.explicit(allowed))
+            for c, qs, allowed in contexts
+        ),
+    )
+
+
+def test_variants_refuse_a_content_listed_twice():
+    # one variable cannot take '+1' and '-1' at once: no variant may come back
+    spec = _spec(("c1", ("q1", "q1"), [(PLUS, MINUS)]))
+    with pytest.raises(DuplicateContentInContext, match="'q1' appears twice"):
+        enumerate_variants(spec)
+
+
+def test_variants_refuse_an_unknown_content():
+    spec = _spec(("c1", ("q1", "q9"), [(PLUS, PLUS)]))
+    with pytest.raises(UnknownContent, match="unknown content 'q9'"):
+        enumerate_variants(spec)
+
+
+def test_variants_refuse_a_context_defined_twice():
+    spec = _spec(
+        ("c1", ("q1", "q2"), [(PLUS, PLUS)]), ("c1", ("q2",), [(MINUS,)])
+    )
+    with pytest.raises(DuplicateContext, match="'c1' defined twice"):
+        enumerate_variants(spec)
+
+
+def test_variants_refuse_malformed_specs_before_the_cap():
+    # the spec is refused as malformed even where the cap would refuse it too
+    spec = _spec(("c1", ("q1", "q1"), [(PLUS, PLUS)]))
+    with pytest.raises(DuplicateContentInContext):
+        enumerate_variants(spec, cap=1)
 
 
 def test_mixture_tables_pair():

@@ -50,3 +50,27 @@ def test_cap_refused_in_one_function():
                     and node.func.id in ("CapExceeded", "AtomCapExceeded")
                 )
     assert raisers == {"coupling.py:check_atom_cap"}
+
+
+def _calls_in_scope(tree, func_name, scope="<module>"):
+    """The innermost enclosing function of every call to func_name."""
+    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = tree.name
+    if isinstance(tree, ast.Call) and func_name in (
+        getattr(tree.func, "id", None),
+        getattr(tree.func, "attr", None),
+    ):
+        yield scope
+    for child in ast.iter_child_nodes(tree):
+        yield from _calls_in_scope(child, func_name, scope)
+
+
+def test_probabilities_parsed_in_one_function():
+    # validate_system parses each distinct probability string once; a call
+    # to to_fraction anywhere else in the package would bypass that memo
+    callers = {
+        f"{name}:{scope}"
+        for name, tree in _package_trees()
+        for scope in _calls_in_scope(tree, "to_fraction")
+    }
+    assert callers == {"systems.py:validate_system"}

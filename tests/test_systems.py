@@ -151,6 +151,61 @@ def test_to_fraction_refuses_values_too_long_to_print():
     assert len(str(inside)) == 2 + 4300
 
 
+def _point_mass_chain(n, probs):
+    """n contexts over contents q0..qn, context i holding (q_i, q_i+1) with
+    the probabilities of probs(i), listed for the four cells in order."""
+    contents = [f"q{i}" for i in range(n + 1)]
+    cells = list(itertools.product((P, M), repeat=2))
+    blocks = [
+        (f"c{i}", (contents[i], contents[i + 1]), dict(zip(cells, probs(i))))
+        for i in range(n)
+    ]
+    return pm_registry(*contents), blocks
+
+
+def test_validate_parses_each_distinct_string_once(monkeypatch):
+    calls = []
+    original = systems.to_fraction
+
+    def counted(value):
+        calls.append(value)
+        return original(value)
+
+    monkeypatch.setattr(systems, "to_fraction", counted)
+    rng = random.Random(3)
+
+    def point_mass(i):
+        probs = ["0", "0", "0", "0"]
+        probs[rng.randrange(4)] = "1"
+        return probs
+
+    sys_ = validate_system(*_point_mass_chain(1000, point_mass))
+    assert sorted(calls) == ["0", "1"]
+    assert len(sys_.blocks) == 1000
+
+    # the memo holds strings only: True equals 1 but is still refused, and
+    # ints and Fractions go through to_fraction every time
+    calls.clear()
+    probs = [["1", "0", "0", "0"], [True, 0, 0, 0]]
+    with pytest.raises(InvalidProbability, match="unsupported probability type bool"):
+        validate_system(*_point_mass_chain(2, probs.__getitem__))
+    assert calls == ["1", "0", True]
+    calls.clear()
+    probs = [[F(1), 0, 0, 0], [1, F(0), 0, 0], [0, 0, "1", 0]]
+    validate_system(*_point_mass_chain(3, probs.__getitem__))
+    assert calls == [F(1), 0, 0, 0, 1, F(0), 0, 0, 0, 0, "1", 0]
+
+    # a bad string raises where it first occurs; the next call parses anew
+    calls.clear()
+    probs = [["1", "0", "0", "0"], ["x", "1", "0", "0"], ["x", "1", "0", "0"]]
+    with pytest.raises(InvalidProbability, match="cannot parse probability 'x'"):
+        validate_system(*_point_mass_chain(3, probs.__getitem__))
+    assert calls == ["1", "0", "x"]
+    calls.clear()
+    validate_system(*_point_mass_chain(1, lambda i: ["1", "0", "0", "0"]))
+    assert calls == ["1", "0"]
+
+
 def test_marginal_order_effect():
     sys_ = order_effect_system()
     m = marginal(sys_, "q1", "c1")
