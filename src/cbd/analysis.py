@@ -6,6 +6,12 @@ the per-pair minimums achievable in isolation (delta_sum).  The difference
 cnt = system_delta - delta_sum is the degree of contextuality; it is zero or
 positive for every system, and the verdict is exact because every quantity is
 a rational computed without rounding.
+
+A deterministic system (every context a point mass) is reported from its
+fixed values alone: their joint assignment is its only coupling, so each
+pair's isolated delta is 1 where its two fixed values differ and 0
+otherwise, a connection is consistent when all its fixed values agree, and
+the marginal index is never built.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from fractions import Fraction
 
 from .coupling import CouplingWitness, delta_pairs, resolve_atom_cap, system_delta
 from .errors import InternalError, NotDeterministic
-from .systems import System, is_consistently_connected, to_form
+from .systems import Consistency, System, is_consistently_connected, to_form
 
 __all__ = [
     "PairDelta",
@@ -58,24 +64,29 @@ class AnalysisReport:
 
 
 def is_deterministic(system: System) -> bool:
-    """True when every context distribution is a point mass."""
-    return all(
-        any(p == 1 for p in blk.table.values()) for blk in system.blocks
-    )
+    """True when every context distribution is a point mass.
+
+    A validated table holds its nonzero support only, summing to 1, so a
+    point mass is a table of one cell."""
+    return all(len(blk.table) == 1 for blk in system.blocks)
 
 
 def _fixed_values(system: System) -> dict[tuple[str, str], str]:
     """The fixed outcome of every variable of a deterministic system."""
     values: dict[tuple[str, str], str] = {}
     for blk in system.blocks:
-        cell = next((c for c, p in blk.table.items() if p == 1), None)
-        if cell is None:
+        if len(blk.table) != 1:
             raise NotDeterministic(
                 f"context {blk.context!r} is not a point mass"
             )
+        (cell,) = blk.table
         for q, o in zip(blk.contents, cell):
             values[(blk.context, q)] = o
     return values
+
+
+_ONE = Fraction(1)
+_ZERO = Fraction(0)
 
 
 def _report(
@@ -83,22 +94,25 @@ def _report(
     delta: Fraction,
     witness: CouplingWitness,
     deterministic: bool,
+    pairs: list[tuple[str, str, str, Fraction]],
+    consistency: Consistency,
 ) -> AnalysisReport:
-    """Assemble the report around an in-system minimum and its coupling."""
-    pairs = tuple(PairDelta(*pair) for pair in delta_pairs(system))
-    den, nums = to_form(p.delta for p in pairs)
+    """Assemble the report around an in-system minimum and its coupling,
+    the isolated delta of every pair in System.pairs() order, and the
+    connections' consistency."""
+    pair_deltas = tuple(PairDelta(*pair) for pair in pairs)
+    den, nums = to_form(p.delta for p in pair_deltas)
     delta0 = Fraction(sum(nums), den)
     cnt = delta - delta0
     if cnt < 0:
         raise InternalError(
             f"system coupling {delta} beat the isolated minimums {delta0}"
         )
-    consistency = is_consistently_connected(system)
     return AnalysisReport(
         n_contents=len(system.content_ids),
         n_contexts=len(system.blocks),
         n_variables=len(system.variables),
-        pair_deltas=pairs,
+        pair_deltas=pair_deltas,
         delta_sum=delta0,
         system_delta=delta,
         cnt=cnt,
@@ -113,21 +127,37 @@ def _report(
 def analyze_deterministic(system: System) -> AnalysisReport:
     """Fast path for deterministic systems, exact at any size.
 
-    The fixed values, jointly, are the system's unique coupling, so
-    system_delta is the number of pairs whose two fixed values differ.  Each
-    pair's isolated delta (of two point masses) is 1 exactly then and 0
-    otherwise, so system_delta == delta_sum and cnt == 0: a deterministic
-    system is never contextual.
+    The fixed values, jointly, are the system's unique coupling.  Each
+    pair's isolated delta (of two point masses) is 1 when its two fixed
+    values differ and 0 otherwise, a connection is consistent when all its
+    fixed values agree, and system_delta is the number of mismatched pairs.
+    So system_delta == delta_sum and cnt == 0: a deterministic system is
+    never contextual.  The whole report comes from the fixed values; no
+    marginal is computed.
     """
     values = _fixed_values(system)
-    mismatches = sum(
-        values[(ca, q)] != values[(cb, q)] for q, ca, cb in system.pairs()
-    )
+    per = dict.fromkeys(system.content_ids, True)
+    pairs = []
+    mismatches = 0
+    for q, ca, cb in system.pairs():
+        if values[(ca, q)] != values[(cb, q)]:
+            pairs.append((q, ca, cb, _ONE))
+            per[q] = False
+            mismatches += 1
+        else:
+            pairs.append((q, ca, cb, _ZERO))
     atom = tuple(values[v] for v in system.variables)
     witness = CouplingWitness(
-        variables=system.variables, weights=((atom, Fraction(1)),)
+        variables=system.variables, weights=((atom, _ONE),)
     )
-    return _report(system, Fraction(mismatches), witness, deterministic=True)
+    return _report(
+        system,
+        Fraction(mismatches),
+        witness,
+        True,
+        pairs,
+        Consistency(per, all(per.values())),
+    )
 
 
 def analyze(
@@ -138,14 +168,23 @@ def analyze(
 ) -> AnalysisReport:
     """Classify a system as contextual or noncontextual.
 
-    Deterministic systems take the closed-form path unless
-    deterministic_fast_path is False (useful to cross-check the LP against
-    it).  Everything else builds and solves the coupling LP exactly.  The
-    atom cap is resolved and validated on every path, as `cbd analyze` does.
+    Deterministic systems take the closed-form path, reported from their
+    fixed values, unless deterministic_fast_path is False (useful to
+    cross-check the LP and the marginal index against it).  Everything else
+    builds and solves the coupling LP exactly and reads the isolated deltas
+    and the consistency from the marginal index.  The atom cap is resolved
+    and validated on every path, as `cbd analyze` does.
     """
     atom_cap = resolve_atom_cap(atom_cap)
     deterministic = is_deterministic(system)
     if deterministic_fast_path and deterministic:
         return analyze_deterministic(system)
     delta, witness = system_delta(system, atom_cap=atom_cap)
-    return _report(system, delta, witness, deterministic)
+    return _report(
+        system,
+        delta,
+        witness,
+        deterministic,
+        delta_pairs(system),
+        is_consistently_connected(system),
+    )

@@ -289,6 +289,7 @@ def validate_system(
         if not contents:
             raise DomainMismatch(f"context {context!r} lists no contents")
         support: dict[tuple[str, ...], Fraction] = {}
+        listed: set[tuple[str, ...]] = set()  # zero cells included
         for cell, raw in table.items():
             cell = tuple(cell)
             if len(cell) != len(contents):
@@ -302,10 +303,11 @@ def validate_system(
                         f"context {context!r}: outcome {o!r} not in the "
                         f"outcome set of content {q!r}"
                     )
-            if cell in support:
+            if cell in listed:
                 raise DomainMismatch(
                     f"context {context!r}: outcome tuple {cell} listed twice"
                 )
+            listed.add(cell)
             if type(raw) is str:
                 p = parsed.get(raw)
                 if p is None:

@@ -9,6 +9,8 @@ from cbd import (
     NotDeterministic,
     analyze,
     analyze_deterministic,
+    delta_pairs,
+    is_consistently_connected,
     is_deterministic,
     validate_system,
 )
@@ -153,6 +155,54 @@ def test_fast_path_matches_lp_path():
         slow = analyze(sys_, deterministic_fast_path=False)
         assert fast == slow
         checked += 1
+
+
+def _chain(rng, n):
+    """An open chain of n point-mass contexts over n + 1 binary contents."""
+    contents = [f"q{i:04d}" for i in range(n + 1)]
+    blocks = [
+        (f"c{i:04d}", (contents[i], contents[i + 1]),
+         {(rng.choice((P, M)), rng.choice((P, M))): 1})
+        for i in range(n)
+    ]
+    return validate_system(pm_registry(*contents), blocks)
+
+
+def _assert_matches_marginal_index(sys_):
+    report = analyze(sys_)
+    assert report.deterministic
+    assert report.pair_deltas == tuple(
+        cbd.analysis.PairDelta(*pair) for pair in delta_pairs(sys_)
+    )
+    consistency = is_consistently_connected(sys_)
+    assert list(report.connection_consistent.items()) == list(
+        consistency.per_connection.items()
+    )
+    assert report.consistent == consistency.overall
+
+
+def test_fixed_values_match_marginal_index_beyond_lp_reach():
+    # the LP cannot take these sizes; the isolated side of the general code
+    # can, and the fixed values must give the same deltas and consistency
+    rng = random.Random(53)
+    for _ in range(3):
+        _assert_matches_marginal_index(_chain(rng, 1000))
+    for _ in range(60):
+        _assert_matches_marginal_index(
+            rand_deterministic(
+                rng, max_contents=30, max_contexts=40, ternary_share=0.4
+            )
+        )
+
+
+def test_deterministic_analyze_builds_no_marginal_index():
+    for sys_ in (four_cycle_name_system(), _chain(random.Random(59), 1000)):
+        report = analyze(sys_)
+        assert report.deterministic
+        assert "_marginals" not in sys_.__dict__
+    sys_ = order_effect_system()
+    analyze(sys_)
+    assert "_marginals" in sys_.__dict__
 
 
 def test_relabeling_preserves_cnt():

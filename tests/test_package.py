@@ -74,3 +74,14 @@ def test_probabilities_parsed_in_one_function():
         for scope in _calls_in_scope(tree, "to_fraction")
     }
     assert callers == {"systems.py:validate_system"}
+
+
+def test_report_built_in_one_function():
+    # one report constructor: every path, the deterministic one included,
+    # goes through analysis._report and its negative-cnt guard
+    builders = {
+        f"{name}:{scope}"
+        for name, tree in _package_trees()
+        for scope in _calls_in_scope(tree, "AnalysisReport")
+    }
+    assert builders == {"analysis.py:_report"}

@@ -106,6 +106,18 @@ def test_bad_arity_and_alien_outcome():
         validate_system(pm_registry("q1"), [("c1", ("q1",), {("0",): 1})])
 
 
+def test_cell_listed_twice_is_refused_with_zero_cells_too():
+    # the string key 'ab' and the tuple ('a', 'b') name one cell; a zero
+    # probability on either copy must not hide the repeat
+    registry = {"q": ("a", "b"), "r": ("a", "b")}
+    for table in (
+        {("a", "b"): "0", "ab": "1/2", ("b", "b"): "1/2"},
+        {("a", "b"): "1/2", "ab": "0", ("b", "b"): "1/2"},
+    ):
+        with pytest.raises(DomainMismatch, match=r"\('a', 'b'\) listed twice"):
+            validate_system(registry, [("c", ("q", "r"), table)])
+
+
 def test_outcome_set_needs_two_values():
     with pytest.raises(DomainMismatch):
         validate_system({"q1": ("+1",)}, [("c1", ("q1",), {(P,): 1})])
@@ -393,7 +405,7 @@ def test_index_is_not_part_of_equality_or_repr():
     assert repr(indexed) == repr(fresh)
 
 
-def test_analyze_computes_each_marginal_once(monkeypatch):
+def _count_marginals(monkeypatch):
     built = []
 
     class CountedMarginal(systems.Marginal):
@@ -402,10 +414,22 @@ def test_analyze_computes_each_marginal_once(monkeypatch):
             built.append((self.context, self.content))
 
     monkeypatch.setattr(systems, "Marginal", CountedMarginal)
-    for sys_ in (order_effect_system(), four_cycle_name_system()):
-        built.clear()
-        analyze(sys_)
-        assert sorted(built) == list(sys_.variables)
+    return built
+
+
+def test_analyze_computes_each_marginal_once(monkeypatch):
+    # the LP path reads every variable's marginal from the index, built once
+    built = _count_marginals(monkeypatch)
+    sys_ = order_effect_system()
+    analyze(sys_)
+    assert sorted(built) == list(sys_.variables)
+
+
+def test_analyze_deterministic_computes_no_marginal(monkeypatch):
+    # a deterministic system is reported from its fixed values
+    built = _count_marginals(monkeypatch)
+    analyze(four_cycle_name_system())
+    assert built == []
 
 
 def test_marginal_index_is_not_part_of_equality_or_repr():
