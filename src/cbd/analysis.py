@@ -160,31 +160,23 @@ def analyze_deterministic(system: System) -> AnalysisReport:
     )
 
 
-def analyze(
-    system: System,
-    *,
-    atom_cap: int | None = None,
-    deterministic_fast_path: bool = True,
-) -> AnalysisReport:
+def analyze(system: System, *, atom_cap: int | None = None) -> AnalysisReport:
     """Classify a system as contextual or noncontextual.
 
-    Deterministic systems take the closed-form path, reported from their
-    fixed values, unless deterministic_fast_path is False (useful to
-    cross-check the LP and the marginal index against it).  Everything else
-    builds and solves the coupling LP exactly and reads the isolated deltas
-    and the consistency from the marginal index.  The atom cap is resolved
-    and validated on every path, as `cbd analyze` does.
+    Deterministic systems are reported from their fixed values.  Everything
+    else builds and solves the coupling LP exactly and reads the isolated
+    deltas and the consistency from the marginal index.  The atom cap is
+    resolved and validated on every path.
     """
     atom_cap = resolve_atom_cap(atom_cap)
-    deterministic = is_deterministic(system)
-    if deterministic_fast_path and deterministic:
+    if is_deterministic(system):
         return analyze_deterministic(system)
     delta, witness = system_delta(system, atom_cap=atom_cap)
     return _report(
         system,
         delta,
         witness,
-        deterministic,
+        False,
         delta_pairs(system),
         is_consistently_connected(system),
     )

@@ -13,7 +13,7 @@ import sys
 
 from . import __version__
 from .analysis import analyze
-from .coupling import build_coupling_lp, delta_pairs, dense_rows, resolve_atom_cap
+from .coupling import build_coupling_lp, delta_pairs, dense_rows
 from .cyclic import c2_criterion, detect_cyclic
 from .epistemic import enumerate_variants, liar_system, uniform_mixture
 from .errors import CbdError, NotCyclicRank2, NotPlusMinusOne
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_analyze(args) -> int:
     system = parse_system(args.file)
-    report = analyze(system, atom_cap=resolve_atom_cap(args.atom_cap))
+    report = analyze(system, atom_cap=args.atom_cap)
     if args.json:
         import json
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from typing import IO
+from typing import IO, Iterator
 
-from .analysis import AnalysisReport
+from .analysis import AnalysisReport, PairDelta
 from .errors import SystemFileError
 from .systems import System, validate_system
 
@@ -107,6 +107,8 @@ def parse_system_text(text: str, source: str = "<string>") -> System:
         raise SystemFileError(
             f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
+    except ValueError as exc:  # an integer literal beyond int's digit limit
+        raise SystemFileError(f"{source}: {exc}")
     return parse_system_data(data, source=source)
 
 
@@ -148,27 +150,31 @@ def write_system(system: System, fh: IO[str]) -> None:
 # reports
 
 
-def report_to_dict(report: AnalysisReport, include_witness: bool = False) -> dict:
-    connections = []
-    by_content: dict[str, list] = {}
+def _connections(report: AnalysisReport) -> Iterator[tuple[str, bool, list[PairDelta]]]:
+    """(content, consistent, its pair deltas) for every content, sorted."""
+    by_content: dict[str, list[PairDelta]] = {}
     for pd in report.pair_deltas:
         by_content.setdefault(pd.content, []).append(pd)
     for q in sorted(report.connection_consistent):
-        pairs = [
-            {
-                "context_a": pd.context_a,
-                "context_b": pd.context_b,
-                "delta": rational_json(pd.delta),
-            }
-            for pd in by_content.get(q, [])
-        ]
-        connections.append(
-            {
-                "content": q,
-                "consistent": report.connection_consistent[q],
-                "pairs": pairs,
-            }
-        )
+        yield q, report.connection_consistent[q], by_content.get(q, [])
+
+
+def report_to_dict(report: AnalysisReport, include_witness: bool = False) -> dict:
+    connections = [
+        {
+            "content": q,
+            "consistent": consistent,
+            "pairs": [
+                {
+                    "context_a": pd.context_a,
+                    "context_b": pd.context_b,
+                    "delta": rational_json(pd.delta),
+                }
+                for pd in pds
+            ],
+        }
+        for q, consistent, pds in _connections(report)
+    ]
     out = {
         "contents": report.n_contents,
         "contexts": report.n_contexts,
@@ -201,11 +207,7 @@ def format_report_text(report: AnalysisReport, include_witness: bool = False) ->
         f"deterministic: {'yes' if report.deterministic else 'no'}",
         f"consistently connected: {'yes' if report.consistent else 'no'}",
     ]
-    by_content: dict[str, list] = {}
-    for pd in report.pair_deltas:
-        by_content.setdefault(pd.content, []).append(pd)
-    for q in sorted(report.connection_consistent):
-        pds = by_content.get(q, [])
+    for q, _, pds in _connections(report):
         if not pds:
             lines.append(f"connection {q}: single context")
             continue

@@ -12,12 +12,12 @@ downstream is a matter of exact arithmetic rather than tolerance.
 
 A System indexes its marginals once, on first use.  One pass over each
 context table sums integer numerators over the lcm of the table's
-denominators, so no Fraction is added.  Each variable keeps its reduced
-integer *form*, a (den, nums) pair with nums in the content's registry
-outcome order and gcd(den, *nums) == 1; two marginals of one content are
-equal exactly when their forms are.  The isolated deltas and the
-consistency check read these forms, and each Marginal's probs are built
-from its form, one shared Fraction object per distinct value in a system.
+denominators, so no Fraction is added.  The index keeps only each
+variable's reduced integer *form*, a (den, nums) pair with nums in the
+content's registry outcome order and gcd(den, *nums) == 1; two marginals of
+one content are equal exactly when their forms are.  The isolated deltas
+and the consistency check read these forms; marginal() decodes one form
+into a Marginal when it is called.
 """
 
 from __future__ import annotations
@@ -161,16 +161,14 @@ class System:
         return {q: tuple(ctxs) for q, ctxs in by_content.items()}
 
     @cached_property
-    def _marginals(self) -> MarginalIndex:
-        """Every variable's Marginal and Form: one pass over each context
-        table, summing integer numerators over the table's lcm denominator.
-        Equal forms share one tuple, and equal values one Fraction."""
+    def _marginals(self) -> dict[tuple[str, str], Form]:
+        """(context, content) -> the variable's reduced Form: one pass over
+        each context table, summing integer numerators over the table's lcm
+        denominator."""
         position = {
             q: {o: i for i, o in enumerate(outs)} for q, outs in self.outcomes.items()
         }
-        shared: dict[Form, tuple[Form, tuple[Fraction, ...]]] = {}
-        values: dict[Fraction, Fraction] = {}
-        index = MarginalIndex({}, {})
+        forms: dict[tuple[str, str], Form] = {}
         for blk in self.blocks:
             den, cell_nums = to_form(blk.table.values())
             sums = [[0] * len(position[q]) for q in blk.contents]
@@ -184,20 +182,8 @@ class System:
                     form = (den // g, tuple([n // g for n in nums]))
                 else:
                     form = (den, tuple(nums))
-                known = shared.get(form)
-                if known is None:
-                    fracs = [Fraction(n, form[0]) for n in form[1]]
-                    known = shared[form] = (
-                        form,
-                        tuple([values.setdefault(f, f) for f in fracs]),
-                    )
-                form, fracs = known
-                variable = (blk.context, q)
-                index.marginals[variable] = Marginal(
-                    q, blk.context, dict(zip(self.outcomes[q], fracs))
-                )
-                index.forms[variable] = form
-        return index
+                forms[(blk.context, q)] = form
+        return forms
 
     def block(self, context: str) -> ContextBlock:
         return self._by_context[context]
@@ -333,10 +319,9 @@ class Marginal:
 
     probs covers the full outcome set, zeros included, so two marginals of
     the same content compare cell for cell.  A marginal read from a system
-    has its keys in the content's registry outcome order and its values
-    built from the variable's reduced integer form (see marginal_forms); a
-    value's Fraction object is shared across the system's marginals, but
-    each probs dict is the marginal's own.
+    is decoded from the variable's reduced integer form (see marginal_forms)
+    on each call: keys in the content's registry outcome order, values
+    Fraction(n, den).
     """
 
     content: str
@@ -357,31 +342,26 @@ class Consistency(NamedTuple):
     overall: bool
 
 
-class MarginalIndex(NamedTuple):
-    """(context, content) -> Marginal, and the same key -> its Form."""
-
-    marginals: dict[tuple[str, str], Marginal]
-    forms: dict[tuple[str, str], Form]
-
-
 def marginal(system: System, content: str, context: str) -> Marginal:
     """Marginal distribution of `content` inside `context`.
 
-    Read from the system's marginal index, which sums each context's table
-    over all other contents' outcomes once; treat the result as immutable.
+    Decoded from the variable's form in the system's marginal index, which
+    sums each context's table over all other contents' outcomes once.
     """
     try:
-        return system._marginals.marginals[(context, content)]
+        den, nums = system._marginals[(context, content)]
     except KeyError:
         raise VariableNotInContext(
             f"content {content!r} not in context {context!r}"
         ) from None
+    probs = {o: Fraction(n, den) for o, n in zip(system.outcomes[content], nums)}
+    return Marginal(content, context, probs)
 
 
 def marginal_forms(system: System) -> Mapping[tuple[str, str], Form]:
-    """(context, content) -> the variable's reduced integer form, read from
-    the same index as marginal(); treat it as read-only."""
-    return system._marginals.forms
+    """(context, content) -> the variable's reduced integer form: the
+    system's marginal index itself; treat it as read-only."""
+    return system._marginals
 
 
 def connections(system: System) -> list[Connection]:

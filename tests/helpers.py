@@ -10,7 +10,14 @@ import itertools
 import random
 from fractions import Fraction
 
-from cbd import System, validate_system
+import cbd.analysis
+from cbd import (
+    System,
+    delta_pairs,
+    is_consistently_connected,
+    system_delta,
+    validate_system,
+)
 
 PM = ("+1", "-1")
 P, M = "+1", "-1"
@@ -196,6 +203,21 @@ def relabel(system: System) -> System:
         for blk in system.blocks
     ]
     return validate_system(outcomes, blocks)
+
+
+def lp_path_report(system: System):
+    """The report of a deterministic system built as analyze builds any
+    other: the coupling LP for system_delta, the marginal index for the
+    isolated deltas and the consistency."""
+    delta, witness = system_delta(system)
+    return cbd.analysis._report(
+        system,
+        delta,
+        witness,
+        True,
+        delta_pairs(system),
+        is_consistently_connected(system),
+    )
 
 
 def lp_dense(lp):

@@ -37,6 +37,7 @@ from helpers import (
     P,
     c2_system,
     lp_dense,
+    lp_path_report,
     order_effect_system,
     pm_registry,
     rand_c2,
@@ -163,7 +164,7 @@ def test_criterion_4_deterministic_never_contextual():
             assert not report.contextual
             assert report.system_delta == report.delta_sum
             if atom_count(sys_) <= 16:
-                slow = analyze(sys_, deterministic_fast_path=False)
+                slow = lp_path_report(sys_)
                 assert slow == report
                 lp_checked += 1
         assert lp_checked >= 50

@@ -19,6 +19,7 @@ from helpers import (
     P,
     c2_system,
     four_cycle_name_system,
+    lp_path_report,
     order_effect_system,
     pm_registry,
     rand_deterministic,
@@ -152,7 +153,7 @@ def test_fast_path_matches_lp_path():
         if atoms > 16:
             continue
         fast = analyze(sys_)
-        slow = analyze(sys_, deterministic_fast_path=False)
+        slow = lp_path_report(sys_)
         assert fast == slow
         checked += 1
 

@@ -76,6 +76,17 @@ def test_probabilities_parsed_in_one_function():
     assert callers == {"systems.py:validate_system"}
 
 
+def test_marginal_built_in_one_function():
+    # one marginal representation: the index holds integer forms, and a
+    # Marginal is decoded from one only when marginal() is called
+    builders = {
+        f"{name}:{scope}"
+        for name, tree in _package_trees()
+        for scope in _calls_in_scope(tree, "Marginal")
+    }
+    assert builders == {"systems.py:marginal"}
+
+
 def test_report_built_in_one_function():
     # one report constructor: every path, the deterministic one included,
     # goes through analysis._report and its negative-cnt guard

@@ -279,6 +279,18 @@ def test_parse_system_from_stdin(monkeypatch):
     assert parse_system("-") == order_effect_system()
 
 
+def test_overlong_integer_literal_is_a_file_error(tmp_path):
+    # json's int() refuses literals beyond its digit limit with a bare
+    # ValueError; it must reach the caller as a SystemFileError naming the file
+    text = ORDER_EFFECT_JSON.replace('"1/4"', "1" + "0" * 5000, 1)
+    assert text != ORDER_EFFECT_JSON
+    path = tmp_path / "long.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SystemFileError) as exc:
+        parse_system(str(path))
+    assert str(exc.value).startswith(f"{path}:")
+
+
 def test_parse_system_missing_file(tmp_path):
     with pytest.raises(SystemFileError) as exc:
         parse_system(str(tmp_path / "nope.json"))

@@ -24,6 +24,7 @@ from cbd import (
     to_fraction,
     validate_system,
 )
+from cbd.systems import marginal_forms
 from helpers import (
     M,
     P,
@@ -417,25 +418,20 @@ def _count_marginals(monkeypatch):
     return built
 
 
-def test_analyze_computes_each_marginal_once(monkeypatch):
-    # the LP path reads every variable's marginal from the index, built once
-    built = _count_marginals(monkeypatch)
-    sys_ = order_effect_system()
-    analyze(sys_)
-    assert sorted(built) == list(sys_.variables)
-
-
 def test_analyze_deterministic_computes_no_marginal(monkeypatch):
-    # a deterministic system is reported from its fixed values
+    # a deterministic system is reported from its fixed values, and the LP
+    # path reads only the integer forms of the marginal index
     built = _count_marginals(monkeypatch)
-    analyze(four_cycle_name_system())
+    for sys_ in (four_cycle_name_system(), order_effect_system()):
+        analyze(sys_)
     assert built == []
 
 
 def test_marginal_index_is_not_part_of_equality_or_repr():
     indexed = order_effect_system()
     fresh = order_effect_system()
-    assert marginal(indexed, "q1", "c1") is marginal(indexed, "q1", "c1")
+    assert marginal(indexed, "q1", "c1") == marginal(indexed, "q1", "c1")
+    assert marginal_forms(indexed) is marginal_forms(indexed)
     assert indexed == fresh
     assert repr(indexed) == repr(fresh)
     with pytest.raises(VariableNotInContext):
