@@ -418,6 +418,25 @@ def _count_marginals(monkeypatch):
     return built
 
 
+def test_analyze_computes_each_marginal_once(monkeypatch):
+    # the LP path reads every variable's marginal form from the index, built
+    # once in one pass over each context table
+    sys_ = order_effect_system()
+    tables = []
+    real_to_form = systems.to_form
+
+    def counted_to_form(values):
+        tables.append(values)
+        return real_to_form(values)
+
+    monkeypatch.setattr(systems, "to_form", counted_to_form)
+    analyze(sys_)
+    analyze(sys_)
+    assert len(tables) == len(sys_.blocks)
+    assert sorted(marginal_forms(sys_)) == sorted(sys_.variables)
+    assert len(tables) == len(sys_.blocks)
+
+
 def test_analyze_deterministic_computes_no_marginal(monkeypatch):
     # a deterministic system is reported from its fixed values, and the LP
     # path reads only the integer forms of the marginal index
