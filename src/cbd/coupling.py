@@ -46,7 +46,7 @@ def resolve_atom_cap(cap: int | None) -> int:
             raise ValueError(f"{ATOM_CAP_ENV} must be an integer, got {raw!r}")
         if cap < 1:
             raise ValueError(f"{ATOM_CAP_ENV} must be positive, got {cap}")
-    elif not isinstance(cap, int) or cap < 1:
+    elif not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
         raise ValueError(f"the atom cap must be a positive integer, got {cap!r}")
     return cap
 

@@ -30,8 +30,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coupling import check_atom_cap
-from .errors import DomainMismatch, EmptyVariantSet, InvalidProbability, NotBinary
-from .systems import MINUS, PLUS, System, check_context, validate_system
+from .errors import DomainMismatch, EmptyVariantSet, NotBinary
+from .systems import (
+    MINUS, PLUS, System, check_cell, check_context, exact_number, to_form,
+    validate_system,
+)
 
 EQUAL = "equal"
 UNEQUAL = "unequal"
@@ -107,16 +110,7 @@ def _admissible(spec: EpistemicSpec, ctx: EpistemicContext):
     elif kind == ALLOWED:
         allowed = ctx.constraint.allowed or ()
         for t in allowed:
-            if len(t) != len(ctx.contents):
-                raise DomainMismatch(
-                    f"context {ctx.context!r}: allowed tuple {t} has wrong arity"
-                )
-            for q, o in zip(ctx.contents, t):
-                if o not in spec.outcomes[q]:
-                    raise DomainMismatch(
-                        f"context {ctx.context!r}: outcome {o!r} not in the "
-                        f"outcome set of {q!r}"
-                    )
+            check_cell(ctx.context, ctx.contents, t, spec.outcomes)
         allowed_set = set(allowed)
         keep = lambda t: t in allowed_set
     else:
@@ -203,14 +197,6 @@ def enumerate_variants(
     return VariantProduct(spec, tuple(tuples), order)
 
 
-def _exact_weight(x) -> Fraction:
-    if isinstance(x, (float, bool)):
-        raise InvalidProbability(
-            f"weight {x!r} is not exact; pass an int, string or Fraction"
-        )
-    return Fraction(x)
-
-
 def uniform_mixture(
     spec: EpistemicSpec,
     variants: Sequence[DeterministicVariant],
@@ -219,8 +205,8 @@ def uniform_mixture(
     """Mix variant point masses into an ordinary system.
 
     Every context's table is the weighted average of the variants' fixed
-    outcome tuples; weights default to uniform and must be exact (floats
-    and booleans raise InvalidProbability) and sum to exactly 1.  The spec
+    outcome tuples; weights default to uniform, pass the number gate of a
+    probability (systems.exact_number) and sum to exactly 1.  The spec
     supplies structure (outcome sets, context content order) that the
     variants alone cannot.
 
@@ -246,14 +232,13 @@ def uniform_mixture(
     if weights is None:
         weights = [Fraction(1, len(variants))] * len(variants)
     else:
-        weights = [_exact_weight(x) for x in weights]
+        weights = [exact_number(x) for x in weights]
         if len(weights) != len(variants):
             raise DomainMismatch("one weight per variant required")
         if any(x < 0 for x in weights):
             raise DomainMismatch("weights must be nonnegative")
     # over one common denominator, the tables are sums of int numerators
-    den = math.lcm(*(x.denominator for x in weights))
-    nums = [x.numerator * (den // x.denominator) for x in weights]
+    den, nums = to_form(weights)
     if sum(nums) != den:
         raise DomainMismatch(f"weights sum to {Fraction(sum(nums), den)}, expected 1")
 

@@ -72,6 +72,7 @@ def parse_system_data(data, source: str = "<data>") -> System:
             not isinstance(entry, dict)
             or not isinstance(entry.get("id"), str)
             or not isinstance(entry.get("contents"), list)
+            or not all(isinstance(q, str) for q in entry["contents"])
             or not isinstance(entry.get("distribution"), list)
         ):
             raise SystemFileError(
@@ -83,6 +84,7 @@ def parse_system_data(data, source: str = "<data>") -> System:
             if (
                 not isinstance(cell, dict)
                 or not isinstance(cell.get("outcomes"), list)
+                or not all(isinstance(o, str) for o in cell["outcomes"])
                 or "p" not in cell
             ):
                 raise SystemFileError(
@@ -109,6 +111,8 @@ def parse_system_text(text: str, source: str = "<string>") -> System:
         )
     except ValueError as exc:  # an integer literal beyond int's digit limit
         raise SystemFileError(f"{source}: {exc}")
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise SystemFileError(f"{source}: JSON nested too deeply")
     return parse_system_data(data, source=source)
 
 

@@ -3,9 +3,10 @@
 Minimizes a linear objective subject to equality constraints and
 nonnegativity.  The optimum is the true rational optimum, not an
 approximation, yet no pivot touches a Fraction: the constraint rows, their
-right-hand sides and the costs are scaled to integers on entry, and the
-tableau is kept integral with one common positive denominator d (the
-integer-preserving pivots of Edmonds and Bareiss, Math. Comp. 22, 1968).
+right-hand sides and the costs are scaled to integers on entry, each over
+the lcm of its denominators by systems.to_form, and the tableau is kept
+integral with one common positive denominator d (the integer-preserving
+pivots of Edmonds and Bareiss, Math. Comp. 22, 1968).
 A tableau entry T[i][j] stands for the rational T[i][j] / d.  Pivoting on
 (r, s) with p = T[r][s] leaves row r as it is and turns every other row into
 (p*a - f*b) // d, an exact division, after which d = p.
@@ -19,8 +20,9 @@ variable has the smallest index leaves.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+
+from .systems import to_form
 
 ZERO = Fraction(0)
 
@@ -35,13 +37,6 @@ MAX_PIVOTS = 1_000_000
 
 class SimplexError(RuntimeError):
     """Internal failure: unbounded problem or pivot-limit overrun."""
-
-
-def _to_ints(values):
-    """Scale exact rationals (ints or Fractions) by their least common
-    denominator; returns the integer list and the scale."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 class _Tableau:
@@ -143,14 +138,14 @@ def solve_min(costs, rows, rhs):
     table = []
     scaled_rhs = []
     for row, b in zip(rows, rhs):
-        scaled, row_scale = _to_ints(list(row))
+        row_scale, scaled = to_form(row)
         b *= row_scale
         if b < 0:
             scaled = [-a for a in scaled]
             b = -b
-        table.append(scaled)
+        table.append(list(scaled))
         scaled_rhs.append(b)
-    int_rhs, rhs_scale = _to_ints(scaled_rhs)
+    rhs_scale, int_rhs = to_form(scaled_rhs)
     for row, b in zip(table, int_rhs):
         row.append(b)
 
@@ -183,7 +178,7 @@ def solve_min(costs, rows, rhs):
 
     # Phase 2: the real objective, scaled to integers, over the feasible
     # basis found above.  Its z-row carries the same denominator d.
-    icosts, cost_scale = _to_ints(list(costs))
+    cost_scale, icosts = to_form(costs)
     zrow = [tab.d * c for c in icosts] + [0]
     for i, j in enumerate(tab.basis):
         cb = icosts[j]

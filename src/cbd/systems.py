@@ -8,7 +8,10 @@ distribution at all.  The set of variables measuring one content across
 contexts is that content's *connection*.
 
 All probabilities are exact rationals (fractions.Fraction), so every verdict
-downstream is a matter of exact arithmetic rather than tolerance.
+downstream is a matter of exact arithmetic rather than tolerance.  Three
+rules on exact values live here only: exact_number, the gate every number
+passes (probabilities and mixture weights); to_form, the integer encoding
+over a common denominator; and check_cell, the outcome-tuple check.
 
 A System indexes its marginals once, on first use.  One pass over each
 context table sums integer numerators over the lcm of the table's
@@ -43,11 +46,12 @@ from .errors import (
 )
 
 # Canonical binary outcome labels, used by expectation() and the rank-2
-# criterion.  Other outcome sets are fine everywhere else.
+# criterion, coupling.min_coupling_pair and the epistemic 'equal'/'unequal'
+# constraints.  Other outcome sets are fine everywhere else.
 PLUS = "+1"
 MINUS = "-1"
 
-# Python's default int-to-str digit limit: a probability whose numerator or
+# Python's default int-to-str digit limit: a number whose numerator or
 # denominator has more digits could not be printed in a report, so it is
 # refused.  A decimal exponent beyond it is refused before Fraction builds
 # its power of ten.
@@ -78,13 +82,12 @@ def to_form(values: Iterable[Fraction]) -> Form:
     return den, tuple(nums)
 
 
-def to_fraction(value) -> Fraction:
-    """Convert an exact probability representation to a Fraction in [0, 1].
-
-    Accepts Fraction, int, and strings in either rational ("3/4") or decimal
-    ("0.75") form.  Floats are rejected: a float has already lost exactness
-    to binary rounding, and this package promises exact arithmetic.
-    """
+def exact_number(value) -> Fraction:
+    """Convert an exact number to a Fraction: a Fraction, an int, or a string
+    in rational ("3/4") or decimal ("0.75") form.  Floats have already lost
+    exactness to binary rounding, and this package promises exact arithmetic;
+    they are refused with InvalidProbability, as are booleans, other types
+    and numerators or denominators of more than MAX_DIGITS digits."""
     if isinstance(value, float):
         raise InvalidProbability(
             f"float probability {value!r} is not exact; pass a string or Fraction"
@@ -109,6 +112,12 @@ def to_fraction(value) -> Fraction:
             f"probability with more than {MAX_DIGITS} digits in its numerator "
             f"or denominator"
         )
+    return frac
+
+
+def to_fraction(value) -> Fraction:
+    """exact_number(value), refused with InvalidProbability outside [0, 1]."""
+    frac = exact_number(value)
     if frac < 0 or frac > 1:
         raise InvalidProbability(f"probability {frac} outside [0, 1]")
     return frac
@@ -245,6 +254,22 @@ def check_context(
             )
 
 
+def check_cell(context: str, contents: tuple, cell: tuple, registry: Mapping) -> None:
+    """Refuse an outcome tuple whose arity is not the context's, or with an
+    outcome outside its content's outcome set."""
+    if len(cell) != len(contents):
+        raise DomainMismatch(
+            f"context {context!r}: outcome tuple {cell} has arity "
+            f"{len(cell)}, expected {len(contents)}"
+        )
+    for q, o in zip(contents, cell):
+        if o not in registry[q]:
+            raise DomainMismatch(
+                f"context {context!r}: outcome {o!r} not in the "
+                f"outcome set of content {q!r}"
+            )
+
+
 def validate_system(
     outcome_sets: Mapping[str, Sequence[str]],
     blocks: Iterable[tuple[str, Sequence[str], Mapping[tuple[str, ...], object]]],
@@ -278,17 +303,7 @@ def validate_system(
         listed: set[tuple[str, ...]] = set()  # zero cells included
         for cell, raw in table.items():
             cell = tuple(cell)
-            if len(cell) != len(contents):
-                raise DomainMismatch(
-                    f"context {context!r}: outcome tuple {cell} has arity "
-                    f"{len(cell)}, expected {len(contents)}"
-                )
-            for q, o in zip(contents, cell):
-                if o not in registry[q]:
-                    raise DomainMismatch(
-                        f"context {context!r}: outcome {o!r} not in the "
-                        f"outcome set of content {q!r}"
-                    )
+            check_cell(context, contents, cell, registry)
             if cell in listed:
                 raise DomainMismatch(
                     f"context {context!r}: outcome tuple {cell} listed twice"

@@ -280,6 +280,15 @@ def test_internal_error_exits_1(tmp_path, capsys, monkeypatch):
     assert "infeasible" in err
 
 
+def test_deeply_nested_file_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: JSON nested too deeply\n"
+
+
 def test_usage_errors(capsys):
     assert run_cli(capsys, )[0] == 2
     assert run_cli(capsys, "analyze")[0] == 2

@@ -206,7 +206,7 @@ def test_atom_cap_env_override(monkeypatch):
 
 def test_atom_cap_must_be_positive(monkeypatch):
     monkeypatch.delenv("CBD_ATOM_CAP", raising=False)
-    for cap in (0, -5):
+    for cap in (0, -5, True, False):
         with pytest.raises(ValueError, match="positive"):
             build_coupling_lp(order_effect_system(), atom_cap=cap)
     for raw in ("0", "-5", "x"):

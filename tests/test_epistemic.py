@@ -1,3 +1,4 @@
+import decimal
 import io
 import itertools
 import random
@@ -18,6 +19,7 @@ from cbd import (
     EpistemicContext,
     EpistemicSpec,
     InvalidProbability,
+    NotBinary,
     UnknownContent,
     analyze,
     build_coupling_lp,
@@ -164,6 +166,43 @@ def test_variants_refuse_a_context_defined_twice():
         enumerate_variants(spec)
 
 
+def test_variants_refuse_an_allowed_tuple_of_the_wrong_arity():
+    spec = _spec(("c1", ("q1", "q2"), [(PLUS,)]))
+    with pytest.raises(DomainMismatch, match="context 'c1'"):
+        enumerate_variants(spec)
+
+
+def test_variants_refuse_an_allowed_outcome_outside_the_outcome_set():
+    spec = _spec(("c1", ("q1", "q2"), [(PLUS, "0")]))
+    with pytest.raises(DomainMismatch, match="context 'c1'.*'0'"):
+        enumerate_variants(spec)
+
+
+def _binary_spec(outcomes, contents, constraint):
+    return EpistemicSpec(
+        outcomes={q: outcomes for q in contents},
+        contexts=(EpistemicContext("c1", contents, constraint),),
+    )
+
+
+def test_variants_refuse_equal_over_three_contents():
+    spec = _binary_spec((PLUS, MINUS), ("q1", "q2", "q3"), ContextConstraint.equal())
+    with pytest.raises(DomainMismatch, match="exactly 2 contents"):
+        enumerate_variants(spec)
+
+
+def test_variants_refuse_unequal_over_other_outcomes():
+    spec = _binary_spec(("yes", "no"), ("q1", "q2"), ContextConstraint.unequal())
+    with pytest.raises(NotBinary, match="'\\+1'/'-1'"):
+        enumerate_variants(spec)
+
+
+def test_variants_refuse_an_unknown_constraint_kind():
+    spec = _binary_spec((PLUS, MINUS), ("q1", "q2"), ContextConstraint(kind="often"))
+    with pytest.raises(DomainMismatch, match="unknown constraint kind 'often'"):
+        enumerate_variants(spec)
+
+
 def test_variants_refuse_malformed_specs_before_the_cap():
     # the spec is refused as malformed even where the cap would refuse it too
     spec = _spec(("c1", ("q1", "q1"), [(PLUS, PLUS)]))
@@ -304,6 +343,11 @@ def test_inexact_weights_are_refused():
         [0.1, 0.2, 0.3, 0.4],
         [True, False, False, False],
         [F(1, 2), F(1, 2), 0.0, F(0)],
+        # the gate of a probability: too long for a report to print, or a
+        # type no probability may have
+        ["1e-5000"] * 4,
+        [F(1, 10**5000)] * 4,
+        [decimal.Decimal("0.25")] * 4,
     ):
         with pytest.raises(InvalidProbability):
             uniform_mixture(spec, variants, weights=weights)

@@ -96,3 +96,24 @@ def test_report_built_in_one_function():
         for scope in _calls_in_scope(tree, "AnalysisReport")
     }
     assert builders == {"analysis.py:_report"}
+
+
+def _callers_outside_systems(func_name):
+    return {
+        f"{name}:{scope}"
+        for name, tree in _package_trees()
+        if name != "systems.py"
+        for scope in _calls_in_scope(tree, func_name)
+    }
+
+
+def test_numbers_gated_in_systems_only():
+    # one number gate: a mixture weight is refused by the same rules, and
+    # with the same error, as a table probability
+    assert _callers_outside_systems("InvalidProbability") == set()
+
+
+def test_common_denominators_in_systems_only():
+    # one integer encoding: rationals go over a common denominator through
+    # systems.to_form, so no other module takes an lcm of its own
+    assert _callers_outside_systems("lcm") == set()

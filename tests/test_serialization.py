@@ -247,6 +247,26 @@ def test_bad_json_reports_location():
             },
             "twice",
         ),
+        (
+            {
+                "contents": [{"id": "q", "values": ["x", "y"]}],
+                "contexts": [{"id": "c", "contents": [["q"]], "distribution": []}],
+            },
+            "contexts[0]",
+        ),
+        (
+            {
+                "contents": [{"id": "q", "values": ["x", "y"]}],
+                "contexts": [
+                    {
+                        "id": "c",
+                        "contents": ["q"],
+                        "distribution": [{"outcomes": [["x"]], "p": "1"}],
+                    }
+                ],
+            },
+            "context 'c' distribution[0]",
+        ),
     ],
 )
 def test_structural_errors(data, fragment):
@@ -289,6 +309,13 @@ def test_overlong_integer_literal_is_a_file_error(tmp_path):
     with pytest.raises(SystemFileError) as exc:
         parse_system(str(path))
     assert str(exc.value).startswith(f"{path}:")
+
+
+def test_deeply_nested_json_is_a_file_error():
+    # json's decoder recurses once per nesting level; running out of stack
+    # must reach the caller as a SystemFileError naming the source
+    with pytest.raises(SystemFileError, match="^deep.json: "):
+        parse_system_text("[" * 100_000, source="deep.json")
 
 
 def test_parse_system_missing_file(tmp_path):
