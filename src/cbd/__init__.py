@@ -30,7 +30,7 @@ from .coupling import (
     system_delta,
     verify_solution,
 )
-from .cyclic import C2Criterion, CyclicStructure, c2_criterion, detect_cyclic
+from .cyclic import CyclicCriterion, CyclicStructure, cyclic_criterion, detect_cyclic
 from .epistemic import (
     ContextConstraint,
     DeterministicVariant,
@@ -52,7 +52,7 @@ from .errors import (
     InternalError,
     InvalidProbability,
     NotBinary,
-    NotCyclicRank2,
+    NotCyclic,
     NotDeterministic,
     NotPlusMinusOne,
     ProbabilitySumMismatch,

@@ -14,9 +14,9 @@ import sys
 from . import __version__
 from .analysis import analyze
 from .coupling import build_coupling_lp, delta_pairs, dense_rows
-from .cyclic import c2_criterion, detect_cyclic
+from .cyclic import cyclic_criterion, detect_cyclic
 from .epistemic import enumerate_variants, liar_system, uniform_mixture
-from .errors import CbdError, NotCyclicRank2, NotPlusMinusOne
+from .errors import CbdError, NotPlusMinusOne
 from .oracle import DEFAULT_BASIS_LIMIT, TooManyBases, enumerate_min
 from .serialization import (
     format_report_text,
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="system file, or - for stdin")
     p.add_argument("--content", required=True, help="content id")
 
-    p = sub.add_parser("cyclic", help="detect ring structure; rank-2 criterion")
+    p = sub.add_parser("cyclic", help="detect ring structure; closed-form criterion")
     p.add_argument("file", help="system file, or - for stdin")
 
     p = sub.add_parser("liar", help="emit the rank-n Liar system as a file")
@@ -110,21 +110,18 @@ def cmd_cyclic(args) -> int:
         return EXIT_OK
     print("cyclic: yes")
     print(f"rank: {structure.rank}")
+    print("cycle: " + "; ".join(f"{c}: ({a}, {b})" for c, a, b in structure.cycle))
+    try:
+        v = cyclic_criterion(system)
+    except NotPlusMinusOne as exc:
+        print(f"rank-{structure.rank} criterion: not applicable ({exc})")
+        return EXIT_OK
+    word = "contextual" if v.contextual else "noncontextual"
     print(
-        "cycle: "
-        + "; ".join(f"{c}: ({a}, {b})" for c, a, b in structure.cycle)
+        f"rank-{structure.rank} criterion: {word}; margin = {format_value(v.margin)} "
+        f"(lhs {format_value(v.lhs)}, rhs {format_value(v.rhs)})"
     )
-    if structure.rank == 2:
-        try:
-            verdict = c2_criterion(system)
-        except (NotCyclicRank2, NotPlusMinusOne) as exc:
-            print(f"rank-2 criterion: not applicable ({exc})")
-            return EXIT_OK
-        word = "contextual" if verdict.contextual else "noncontextual"
-        print(
-            f"rank-2 criterion: {word}; margin = {format_value(verdict.margin)} "
-            f"(lhs {format_value(verdict.lhs)}, rhs {format_value(verdict.rhs)})"
-        )
+    print(f"cnt = {format_value(v.cnt)}")
     return EXIT_OK
 
 

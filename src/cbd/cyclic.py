@@ -1,16 +1,18 @@
-"""Cyclic systems and the rank-2 closed-form criterion.
+"""Cyclic systems and their closed-form contextuality criterion.
 
 A cyclic system of rank n has n contents and n contexts arranged in a single
 ring: every context measures exactly two contents, every content appears in
 exactly two contexts, and the content-context incidence graph is one cycle.
-For rank 2 with binary '+1'/'-1' outcomes, contextuality has a closed form:
-the two contexts measure the same pair, and the system is contextual exactly
-when the product expectations differ by more than the connections' marginal
-expectations can explain,
+With binary '+1'/'-1' outcomes its degree of contextuality has a closed form
+(Kujala & Dzhafarov 2016; Dzhafarov, Kujala & Cervantes 2020):
+
+    cnt = max(0, (s_odd(<R_i R_i+1>) - D - (n - 2)) / 2),
+
+where s_odd(x) is the largest sum of the x_i with an odd number of them
+negated, and D sums |<R>_c - <R>_c'| over the n connections.  At rank 2,
+s_odd(a, b) = |a - b|, so the system is contextual exactly when
 
     |<R1 R2>_c1 - <R1 R2>_c2|  >  |<R1>_c1 - <R1>_c2| + |<R2>_c1 - <R2>_c2|.
-
-Higher ranks go through the coupling LP; no closed form is attempted there.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import NotCyclicRank2
+from .coupling import delta_pairs
+from .errors import NotCyclic
 from .systems import System, expectation
 
 
@@ -42,55 +45,51 @@ def detect_cyclic(system: System) -> CyclicStructure | None:
     """Return the system's ring structure, or None if it is not cyclic."""
     contents = system.content_ids
     n = len(system.blocks)
-    if n < 2 or len(contents) != n:
-        return None
-    for blk in system.blocks:
-        if len(blk.contents) != 2:
-            return None
-    if any(len(system.contexts_of(q)) != 2 for q in contents):
+    if (
+        n < 2
+        or len(contents) != n
+        or any(len(blk.contents) != 2 for blk in system.blocks)
+        or any(len(system.contexts_of(q)) != 2 for q in contents)
+    ):
         return None
 
-    # walk the ring; a disjoint union of smaller rings will close early
+    # every context and content now has degree two, so the walk returns to
+    # its start; a disjoint union of smaller rings closes before n steps
     start = system.blocks[0].context  # blocks are sorted, so the least id
-    first_pair = sorted(system.block(start).contents)
-    ctx, q_in, q_out = start, first_pair[0], first_pair[1]
+    ctx, (q_in, q_out) = start, sorted(system.block(start).contents)
     cycle = []
-    for _ in range(n):
+    while not cycle or ctx != start:
         cycle.append((ctx, q_in, q_out))
-        nxt = next(c for c in system.contexts_of(q_out) if c != ctx)
-        pair = system.block(nxt).contents
-        q_next = pair[0] if pair[1] == q_out else pair[1]
-        ctx, q_in, q_out = nxt, q_out, q_next
-    if ctx != start or q_in != first_pair[0]:
-        return None  # closed a shorter loop: more than one ring
-    if len({c for c, _, _ in cycle}) != n:
-        return None
-    return CyclicStructure(rank=n, cycle=tuple(cycle))
+        ctx = next(c for c in system.contexts_of(q_out) if c != ctx)
+        a, b = system.block(ctx).contents
+        q_in, q_out = q_out, a if b == q_out else b
+    return CyclicStructure(rank=n, cycle=tuple(cycle)) if len(cycle) == n else None
 
 
-class C2Criterion(NamedTuple):
+class CyclicCriterion(NamedTuple):
     contextual: bool
     margin: Fraction
     lhs: Fraction
     rhs: Fraction
+    cnt: Fraction
 
 
-def c2_criterion(system: System) -> C2Criterion:
-    """Closed-form verdict for a rank-2 cyclic system with '+1'/'-1' outcomes.
+def cyclic_criterion(system: System) -> CyclicCriterion:
+    """Closed-form verdict for a cyclic system over '+1'/'-1' outcomes.
 
-    Returns the verdict together with margin = lhs - rhs, the amount by which
-    the product-expectation difference exceeds what inconsistent connections
-    account for.  Raises NotCyclicRank2 when the structure does not apply and
-    NotPlusMinusOne when an involved outcome set is not the canonical binary
-    one.
+    lhs is s_odd of the ring's product expectations, rhs is the connections'
+    total mean gap plus n - 2, margin = lhs - rhs and cnt = max(0, margin) / 2.
+    Raises NotCyclic when the system is not one ring and NotPlusMinusOne when
+    a content's outcome set is not the canonical binary one.
     """
     structure = detect_cyclic(system)
-    if structure is None or structure.rank != 2:
-        raise NotCyclicRank2("the closed-form criterion needs a rank-2 ring")
-    (ca, q1, q2), (cb, _, _) = structure.cycle
-    lhs = abs(expectation(system, ca, (q1, q2)) - expectation(system, cb, (q1, q2)))
-    rhs = abs(expectation(system, ca, (q1,)) - expectation(system, cb, (q1,))) + abs(
-        expectation(system, ca, (q2,)) - expectation(system, cb, (q2,))
-    )
+    if structure is None:
+        raise NotCyclic("the closed-form criterion needs a cyclic system")
+    products = [expectation(system, c, (a, b)) for c, a, b in structure.cycle]
+    lhs = sum(abs(x) for x in products)
+    if sum(x < 0 for x in products) % 2 == 0:
+        lhs -= 2 * min(abs(x) for x in products)
+    # binary marginals: |<R>_c - <R>_c'| = 2 |u - v|, twice the isolated delta
+    rhs = 2 * sum(d for *_, d in delta_pairs(system)) + structure.rank - 2
     margin = lhs - rhs
-    return C2Criterion(contextual=margin > 0, margin=margin, lhs=lhs, rhs=rhs)
+    return CyclicCriterion(margin > 0, margin, lhs, rhs, max(margin, Fraction(0)) / 2)

@@ -32,8 +32,8 @@ from fractions import Fraction
 from .coupling import check_atom_cap
 from .errors import DomainMismatch, EmptyVariantSet, NotBinary
 from .systems import (
-    MINUS, PLUS, System, check_cell, check_context, exact_number, to_form,
-    validate_system,
+    MINUS, PLUS, System, check_cell, check_context, exact_number, exact_text,
+    to_form, validate_system,
 )
 
 EQUAL = "equal"
@@ -240,7 +240,8 @@ def uniform_mixture(
     # over one common denominator, the tables are sums of int numerators
     den, nums = to_form(weights)
     if sum(nums) != den:
-        raise DomainMismatch(f"weights sum to {Fraction(sum(nums), den)}, expected 1")
+        total = exact_text(Fraction(sum(nums), den))
+        raise DomainMismatch(f"weights sum to {total}, expected 1")
 
     needed = {
         (q, ctx.context) for ctx in spec.contexts for q in ctx.contents

@@ -44,10 +44,13 @@ class ProbabilitySumMismatch(CbdError):
     """A context distribution does not sum to exactly 1."""
 
     def __init__(self, context: str, total: Fraction):
+        from .systems import exact_text  # systems imports this module
+
         self.context = context
         self.total = total
         super().__init__(
-            f"distribution of context {context!r} sums to {total}, expected 1"
+            f"distribution of context {context!r} sums to {exact_text(total)}, "
+            f"expected 1"
         )
 
 
@@ -67,8 +70,8 @@ class NotDeterministic(CbdError):
     """The system has at least one non-point-mass context distribution."""
 
 
-class NotCyclicRank2(CbdError):
-    """The system is not a cyclic system of rank 2."""
+class NotCyclic(CbdError):
+    """The system is not one ring of two-content contexts."""
 
 
 class CapExceeded(CbdError):

@@ -45,7 +45,7 @@ from .errors import (
     VariableNotInContext,
 )
 
-# Canonical binary outcome labels, used by expectation() and the rank-2
+# Canonical binary outcome labels, used by expectation() and the cyclic
 # criterion, coupling.min_coupling_pair and the epistemic 'equal'/'unequal'
 # constraints.  Other outcome sets are fine everywhere else.
 PLUS = "+1"
@@ -113,6 +113,12 @@ def exact_number(value) -> Fraction:
             f"or denominator"
         )
     return frac
+
+
+def exact_text(x: Fraction) -> str:
+    """str(x), or a note of its size where str() would refuse the digits."""
+    long = abs(x.numerator) >= _DIGIT_BOUND or x.denominator >= _DIGIT_BOUND
+    return f"a rational with more than {MAX_DIGITS} digits" if long else str(x)
 
 
 def to_fraction(value) -> Fraction:

@@ -205,6 +205,23 @@ def relabel(system: System) -> System:
     return validate_system(outcomes, blocks)
 
 
+def relabel_outcomes(system: System, content: str, perm: dict) -> System:
+    """Rename content's outcome labels by perm (a permutation of its outcome
+    set) in every context that measures it; the registry stays as it is."""
+    blocks = []
+    for blk in system.blocks:
+        if content in blk.contents:
+            i = blk.contents.index(content)
+            table = {
+                cell[:i] + (perm[cell[i]],) + cell[i + 1:]: p
+                for cell, p in blk.table.items()
+            }
+        else:
+            table = dict(blk.table)
+        blocks.append((blk.context, blk.contents, table))
+    return validate_system(system.outcomes, blocks)
+
+
 def lp_path_report(system: System):
     """The report of a deterministic system built as analyze builds any
     other: the coupling LP for system_delta, the marginal index for the

@@ -18,7 +18,7 @@ from cbd import (
     PLUS,
     analyze,
     build_coupling_lp,
-    c2_criterion,
+    cyclic_criterion,
     enumerate_variants,
     is_consistently_connected,
     isolated_delta,
@@ -173,17 +173,18 @@ def test_criterion_4_deterministic_never_contextual():
 def test_criterion_5_rank2_criterion_matches_lp():
     with criterion(
         5,
-        "200 random rank-2 cycles: the closed-form inequality and the LP "
-        "agree on every verdict",
+        "200 random rank-2 cycles: the closed-form criterion and the LP "
+        "agree on every verdict and every exact cnt",
     ):
         rng = random.Random(105)
         n_contextual = 0
         for _ in range(200):
             sys_ = rand_c2(rng)
-            verdict = c2_criterion(sys_)
+            verdict = cyclic_criterion(sys_)
             report = analyze(sys_)
             assert report.contextual == (report.cnt > 0)
             assert verdict.contextual == report.contextual
+            assert verdict.cnt == report.cnt
             n_contextual += int(verdict.contextual)
         # both verdicts must actually occur for the check to mean anything
         assert 0 < n_contextual < 200

@@ -25,6 +25,7 @@ from helpers import (
     rand_deterministic,
     rand_system,
     relabel,
+    relabel_outcomes,
 )
 
 F = Fraction
@@ -217,6 +218,21 @@ def test_relabeling_preserves_cnt():
     fixed = analyze(order_effect_system())
     moved = analyze(relabel(order_effect_system()))
     assert fixed.cnt == moved.cnt
+
+
+def test_outcome_relabeling_preserves_the_report():
+    rng = random.Random(7)
+    for _ in range(100):
+        sys_ = rand_system(rng, ternary_share=0.3, max_atoms=512)
+        q = rng.choice(sys_.content_ids)
+        labels = sys_.outcomes[q]
+        moved = relabel_outcomes(sys_, q, dict(zip(labels, labels[1:] + labels[:1])))
+        a, b = analyze(sys_), analyze(moved)
+        assert a.delta_sum == b.delta_sum and a.system_delta == b.system_delta
+        assert a.cnt == b.cnt
+        assert a.pair_deltas == b.pair_deltas
+        assert a.connection_consistent == b.connection_consistent
+        assert a.consistent == b.consistent
 
 
 def test_analyze_validates_the_cap_on_every_path(monkeypatch):

@@ -4,9 +4,11 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cbd
 from cbd import enumerate_variants, liar_system, parse_system_text, uniform_mixture, write_system
 from cbd.cli import main
 from helpers import (
@@ -27,6 +29,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv, stdin=None):
+    """`python -m cbd` in a subprocess, started beside the package these
+    tests import so that it finds the same one."""
+    return subprocess.run(
+        [sys.executable, "-m", "cbd", *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        cwd=Path(cbd.__file__).parent.parent,
+    )
 
 
 def write_file(tmp_path, system, name="system.json"):
@@ -159,16 +173,33 @@ def test_cyclic_rank2_with_criterion(tmp_path, capsys):
     assert lines[1] == "rank: 2"
     assert lines[2] == "cycle: c1:q1->q2: (q1, q2); c2:q2->q1: (q2, q1)"
     assert lines[3] == "rank-2 criterion: contextual; margin = 2 (lhs 2, rhs 0)"
+    assert lines[4] == "cnt = 1"
 
 
-def test_cyclic_rank4_no_criterion(tmp_path, capsys):
+def test_cyclic_rank4_criterion(tmp_path, capsys):
     spec = liar_system(4)
     sys_ = uniform_mixture(spec, enumerate_variants(spec))
     path = write_file(tmp_path, sys_)
     code, out, _ = run_cli(capsys, "cyclic", path)
     assert code == 0
-    assert "rank: 4" in out
-    assert "criterion" not in out
+    lines = out.splitlines()
+    assert lines[1] == "rank: 4"
+    assert lines[3:] == [
+        "rank-4 criterion: contextual; margin = 2 (lhs 4, rhs 2)",
+        "cnt = 1",
+    ]
+
+
+def test_cyclic_criterion_not_applicable(tmp_path, capsys):
+    table = {("x", "x"): F(1, 2), ("y", "y"): F(1, 2)}
+    sys_ = validate_system(
+        {"q1": ("x", "y"), "q2": ("x", "y")},
+        [("c1", ("q1", "q2"), table), ("c2", ("q1", "q2"), dict(table))],
+    )
+    path = write_file(tmp_path, sys_)
+    code, out, _ = run_cli(capsys, "cyclic", path)
+    assert code == 0
+    assert out.splitlines()[3].startswith("rank-2 criterion: not applicable (")
 
 
 def test_cyclic_no(tmp_path, capsys):
@@ -303,28 +334,15 @@ def test_missing_file(capsys):
 
 
 def test_module_pipeline():
-    liar = subprocess.run(
-        [sys.executable, "-m", "cbd", "liar", "4"],
-        capture_output=True,
-        text=True,
-    )
+    liar = run_module("liar", "4")
     assert liar.returncode == 0
-    verdict = subprocess.run(
-        [sys.executable, "-m", "cbd", "analyze", "-"],
-        input=liar.stdout,
-        capture_output=True,
-        text=True,
-    )
+    verdict = run_module("analyze", "-", stdin=liar.stdout)
     assert verdict.returncode == 3
     assert "verdict: contextual" in verdict.stdout
     assert "\ncnt = 1\n" in verdict.stdout
 
 
 def test_module_version():
-    proc = subprocess.run(
-        [sys.executable, "-m", "cbd", "--version"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("--version")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "cbd 1.0.0"

@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 from cbd import (
-    NotCyclicRank2,
+    NotCyclic,
     NotPlusMinusOne,
     analyze,
     build_coupling_lp,
-    c2_criterion,
+    cyclic_criterion,
     delta_pairs,
     detect_cyclic,
+    expectation,
     enumerate_variants,
     liar_system,
     solve_lp,
@@ -28,6 +29,7 @@ from helpers import (
     rand_c2,
     rand_c2_consistent,
     rand_c2_equal_correlation,
+    relabel_outcomes,
 )
 
 F = Fraction
@@ -103,7 +105,7 @@ def test_detect_rejects_content_in_three_contexts():
 
 
 def test_criterion_order_effect():
-    verdict = c2_criterion(order_effect_system())
+    verdict = cyclic_criterion(order_effect_system())
     assert verdict.lhs == 1
     assert verdict.rhs == 0
     assert verdict.margin == 1
@@ -111,7 +113,7 @@ def test_criterion_order_effect():
 
 
 def test_criterion_liar_pair():
-    verdict = c2_criterion(liar_mixture(2))
+    verdict = cyclic_criterion(liar_mixture(2))
     assert verdict.lhs == 2
     assert verdict.rhs == 0
     assert verdict.contextual
@@ -119,14 +121,31 @@ def test_criterion_liar_pair():
 
 def test_criterion_equal_correlations_noncontextual():
     sys_ = c2_system(F(1, 2), F(1, 2), F(1, 4), F(1, 2), F(1, 2), F(1, 4))
-    verdict = c2_criterion(sys_)
+    verdict = cyclic_criterion(sys_)
     assert verdict.lhs == 0
     assert not verdict.contextual
 
 
-def test_criterion_needs_rank2():
-    with pytest.raises(NotCyclicRank2):
-        c2_criterion(liar_mixture(3))
+def test_criterion_covers_every_ring():
+    verdict = cyclic_criterion(liar_mixture(3))
+    assert (verdict.lhs, verdict.rhs, verdict.cnt) == (3, 1, 1)
+    sys_ = validate_system(
+        pm_registry("q1", "q2"),
+        [("c1", ("q1", "q2"), {(P, P): F(1, 2), (M, M): F(1, 2)})],
+    )
+    with pytest.raises(NotCyclic):
+        cyclic_criterion(sys_)
+
+
+def test_liar_rings_in_closed_form():
+    # no LP: the criterion reads the ring's products and connections only
+    for n in range(2, 61):
+        spec = liar_system(n)
+        verdict = cyclic_criterion(
+            uniform_mixture(spec, enumerate_variants(spec, cap=4**n))
+        )
+        assert (verdict.lhs, verdict.rhs) == (n, n - 2)
+        assert verdict.margin == 2 and verdict.cnt == 1 and verdict.contextual
 
 
 def test_criterion_needs_plus_minus_one():
@@ -139,14 +158,14 @@ def test_criterion_needs_plus_minus_one():
         ],
     )
     with pytest.raises(NotPlusMinusOne):
-        c2_criterion(sys_)
+        cyclic_criterion(sys_)
 
 
 def test_criterion_agrees_with_lp():
     rng = random.Random(53)
     for _ in range(30):
         sys_ = rand_c2(rng)
-        verdict = c2_criterion(sys_)
+        verdict = cyclic_criterion(sys_)
         report = analyze(sys_)
         assert verdict.contextual == report.contextual
 
@@ -155,7 +174,7 @@ def test_cnt_is_half_margin_when_consistent():
     rng = random.Random(59)
     for _ in range(20):
         sys_ = rand_c2_consistent(rng)
-        verdict = c2_criterion(sys_)
+        verdict = cyclic_criterion(sys_)
         report = analyze(sys_)
         expected = max(F(0), verdict.margin) / 2
         assert report.cnt == expected
@@ -165,7 +184,8 @@ def test_equal_correlation_systems_never_contextual():
     rng = random.Random(61)
     for _ in range(20):
         sys_ = rand_c2_equal_correlation(rng)
-        assert not c2_criterion(sys_).contextual
+        verdict = cyclic_criterion(sys_)
+        assert not verdict.contextual and verdict.cnt == 0
         assert analyze(sys_).cnt == 0
 
 
@@ -213,23 +233,55 @@ def kd_closed_form_cnt(contexts):
     return max(F(0), (s_odd - gap - (len(contexts) - 2)) / 2)
 
 
-def test_rank4_cycles_match_closed_form():
-    rng = random.Random(44)
+def cycle_system(n, contexts):
+    return validate_system(
+        pm_registry(*(f"q{i + 1}" for i in range(n))),
+        [
+            (c, qs, {cell: F(w, sum(ws.values())) for cell, w in ws.items()})
+            for c, qs, ws in contexts
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "n, seed, count, contextual_range",
+    [
+        # contextual verdicts with these seeds: rank 3, 10 of 20; rank 4,
+        # 9 of 20; rank 5, 1 of 8 (biased rank-5 cycles are rarely contextual)
+        pytest.param(3, 33, 20, (10, 10), id="rank3"),
+        pytest.param(4, 44, 20, (5, 10), id="rank4"),
+        pytest.param(5, 55, 8, (1, 1), id="rank5"),
+    ],
+)
+def test_cycles_match_closed_form(n, seed, count, contextual_range):
+    rng = random.Random(seed)
     contextual = 0
-    for k in range(20):
-        contexts = rank_n_cycle_weights(rng, 4, biased=k % 2 == 1)
-        sys_ = validate_system(
-            pm_registry("q1", "q2", "q3", "q4"),
-            [
-                (c, qs, {cell: F(w, sum(ws.values())) for cell, w in ws.items()})
-                for c, qs, ws in contexts
-            ],
-        )
-        assert detect_cyclic(sys_).rank == 4
+    for k in range(count):
+        contexts = rank_n_cycle_weights(rng, n, biased=k % 2 == 1)
+        sys_ = cycle_system(n, contexts)
+        assert detect_cyclic(sys_).rank == n
         lp = build_coupling_lp(sys_)
         sol = solve_lp(lp)
         assert verify_solution(lp, sol)
         cnt = sol.optimum - sum(d for *_, d in delta_pairs(sys_))
         assert cnt == kd_closed_form_cnt(contexts)
+        assert cnt == cyclic_criterion(sys_).cnt
         contextual += cnt > 0
-    assert 5 <= contextual <= 10
+    lo, hi = contextual_range
+    assert lo <= contextual <= hi
+
+
+def test_outcome_relabeling_keeps_the_criterion():
+    # swapping '+1'/'-1' on one content flips the two products through it,
+    # keeping the parity of negative products, and leaves every mean gap
+    rng = random.Random(71)
+    for n in (3, 4):
+        for k in range(10):
+            sys_ = cycle_system(n, rank_n_cycle_weights(rng, n, biased=k % 2 == 1))
+            q = f"q{rng.randint(1, n)}"
+            flipped = relabel_outcomes(sys_, q, {P: M, M: P})
+            for c, a, b in detect_cyclic(sys_).cycle:
+                sign = -1 if q in (a, b) else 1
+                before = expectation(sys_, c, (a, b))
+                assert expectation(flipped, c, (a, b)) == sign * before
+            assert cyclic_criterion(flipped) == cyclic_criterion(sys_)

@@ -304,6 +304,13 @@ def test_explicit_weight_validation():
         )
 
 
+def test_weight_sum_mismatch_with_too_many_digits_to_print():
+    spec = liar_system(2)
+    weights = [F(1, 2**14000), F(1, 3**8800), 0, 0]
+    with pytest.raises(DomainMismatch, match="weights sum to a rational with more"):
+        uniform_mixture(spec, enumerate_variants(spec), weights=weights)
+
+
 def test_mixture_requires_variants():
     spec = liar_system(2)
     with pytest.raises(EmptyVariantSet):

@@ -73,6 +73,15 @@ def test_probability_sum_mismatch_names_context_and_sum():
     assert "9/10" in str(info.value)
 
 
+def test_probability_sum_mismatch_with_too_many_digits_to_print():
+    x, y = F(1, 2**14000), F(1, 3**8800)
+    with pytest.raises(ProbabilitySumMismatch) as info:
+        validate_system({"q": ("x", "y")}, [("c", ("q",), {("x",): x, ("y",): y})])
+    assert info.value.context == "c"
+    assert info.value.total == x + y
+    assert f"more than {systems.MAX_DIGITS} digits" in str(info.value)
+
+
 def test_duplicate_content_in_context():
     with pytest.raises(DuplicateContentInContext):
         validate_system(
