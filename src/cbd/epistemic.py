@@ -148,15 +148,8 @@ class VariantProduct(Sequence):
         for _, tuples in reversed(self._ordered):
             k, digit = divmod(k, len(tuples))
             cells.append(tuples[digit])
-        return self._variant(reversed(cells))
-
-    def __iter__(self):
-        for combo in itertools.product(*(t for _, t in self._ordered)):
-            yield self._variant(combo)
-
-    def _variant(self, cells) -> DeterministicVariant:
         assignment: dict[tuple[str, str], str] = {}
-        for (ctx, _), cell in zip(self._ordered, cells):
+        for (ctx, _), cell in zip(self._ordered, reversed(cells)):
             for q, o in zip(ctx.contents, cell):
                 assignment[(q, ctx.context)] = o
         return DeterministicVariant(assignment=assignment)

@@ -1,17 +1,18 @@
 """Brute-force cross-check for small equality-constrained minimizations.
 
-Enumerates every basic solution of {x : A x = b, x >= 0} by plain Gaussian
-elimination over column subsets and takes the minimum objective over the
-feasible ones.  For a bounded feasible set the minimum over basic feasible
-solutions equals the LP optimum, so this is an independent oracle for the
-simplex path: the two share no pivoting code.
+Enumerates every basic solution of {x : A x = b, x >= 0} and takes the
+minimum objective over the feasible ones; for a bounded feasible set that is
+the LP optimum.  The column subsets are walked depth first in combinations
+order, each one's table its prefix's pivoted once more by rref's Gauss-Jordan
+step; a column left with no nonzero in an unpivoted row depends on the prefix,
+so that subset and its extensions are singular and skipped.  An independent
+oracle for the simplex path: it imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
 
 ZERO = Fraction(0)
 
@@ -23,6 +24,17 @@ class TooManyBases(ValueError):
     """The basis search space exceeds the configured limit."""
 
 
+def _pivot(rows, r, col):
+    """Scale rows[r] to 1 in col and clear col from every other row."""
+    # rows are replaced, never modified: a shallow copy keeps its own table
+    pivot = [a / rows[r][col] for a in rows[r]]
+    rows[r] = pivot
+    for i, row in enumerate(rows):
+        if i != r and row[col] != 0:
+            factor = row[col]
+            rows[i] = [a - factor * b for a, b in zip(row, pivot)]
+
+
 def rref(matrix):
     """Reduced row echelon form over the rationals.
 
@@ -30,29 +42,15 @@ def rref(matrix):
     of each.  The input is not modified.
     """
     rows = [[Fraction(a) for a in row] for row in matrix]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
     pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next(
-            (i for i in range(r, len(rows)) if rows[i][col] != 0), -1
-        )
-        if pivot_row < 0:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [a * inv for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if i is not None:
+            rows[r], rows[i] = rows[i], rows[r]
+            _pivot(rows, r, col)
+            pivots.append(col)
+    return rows[: len(pivots)], pivots
 
 
 def exact_rank(matrix) -> int:
@@ -61,34 +59,18 @@ def exact_rank(matrix) -> int:
     return len(pivots)
 
 
-def _solve_square(mat, rhs):
-    """Solve a square rational system; None if singular."""
-    n = len(rhs)
-    if n == 0:
-        return []
-    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
-    reduced, pivots = rref(aug)
-    if len(pivots) < n or pivots[-1] >= n:
-        # rank-deficient, or an inconsistent 0 = 1 row pivoting on the rhs
-        return None
-    x = [ZERO] * n
-    for row, col in zip(reduced, pivots):
-        x[col] = row[-1]
-    return x
-
-
 def enumerate_min(costs, rows, rhs):
     """Minimum of costs . x over all basic feasible solutions of rows.x == rhs.
 
-    Returns (optimum, x, n_bases) with one minimizing basic solution and the
-    number of column subsets examined.  Returns (None, None, n) when no basis
-    is feasible (the system is infeasible).  Raises TooManyBases when
+    Returns (optimum, x, n_bases) with the first minimizing basic solution in
+    combinations order and the number comb(n_cols, rank) of column subsets.
+    Returns (None, None, n_bases) when no basis is feasible, and
+    (None, None, 0) when a row reduces to 0 = 1.  Raises TooManyBases when
     comb(n_cols, rank) exceeds DEFAULT_BASIS_LIMIT.
     """
     n = len(costs)
     costs = [Fraction(c) for c in costs]
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug)
+    reduced, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
     if any(p == n for p in pivots):
         return None, None, 0  # a row reduced to 0 = 1: infeasible outright
     rank = len(pivots)
@@ -97,19 +79,26 @@ def enumerate_min(costs, rows, rhs):
         raise TooManyBases(
             f"{n_bases} candidate bases exceed the limit of {DEFAULT_BASIS_LIMIT}"
         )
-    red_rhs = [row[-1] for row in reduced]
-    best = None
-    best_x = None
-    for cols in combinations(range(n), rank):
-        sub = [[row[c] for c in cols] for row in reduced]
-        sol = _solve_square(sub, red_rhs)
-        if sol is None or any(v < 0 for v in sol):
+    best = best_x = None
+    # (columns, table): table's row k is pivoted on columns[k]; children are
+    # pushed last first, so the leaves pop in combinations order
+    stack = [((), reduced)]
+    while stack:
+        cols, table = stack.pop()
+        k = len(cols)
+        if k == rank:
+            x = [ZERO] * n
+            for c, row in zip(cols, table):
+                x[c] = row[-1]
+            value = sum(cv * xv for cv, xv in zip(costs, x))
+            if all(v >= 0 for v in x) and (best is None or value < best):
+                best, best_x = value, x
             continue
-        x = [ZERO] * n
-        for c, v in zip(cols, sol):
-            x[c] = v
-        value = sum(cv * xv for cv, xv in zip(costs, x))
-        if best is None or value < best:
-            best = value
-            best_x = x
+        for c in reversed(range(cols[-1] + 1 if cols else 0, n - rank + k + 1)):
+            i = next((i for i in range(k, rank) if table[i][c] != 0), None)
+            if i is not None:  # else c depends on cols: skip every extension
+                child = list(table)
+                child[k], child[i] = child[i], child[k]
+                _pivot(child, k, c)
+                stack.append((cols + (c,), child))
     return best, best_x, n_bases

@@ -19,11 +19,16 @@ from typing import IO, Iterator
 
 from .analysis import AnalysisReport, PairDelta
 from .errors import SystemFileError
-from .systems import System, validate_system
+from .systems import System, int_text, validate_system
 
 
 def format_exact(x: Fraction) -> str:
-    return str(x)
+    """str(x), its digits printed in full however many there are."""
+    try:
+        return str(x)
+    except ValueError:  # more than MAX_DIGITS digits: str() refuses them
+        num = int_text(x.numerator)
+        return num if x.denominator == 1 else f"{num}/{int_text(x.denominator)}"
 
 
 def format_value(x: Fraction) -> str:
@@ -125,6 +130,8 @@ def parse_system(path: str) -> System:
             text = fh.read()
     except OSError as exc:
         raise SystemFileError(f"{path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise SystemFileError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})")
     return parse_system_text(text, source=path)
 
 

@@ -51,13 +51,24 @@ from .errors import (
 PLUS = "+1"
 MINUS = "-1"
 
-# Python's default int-to-str digit limit: a number whose numerator or
-# denominator has more digits could not be printed in a report, so it is
-# refused.  A decimal exponent beyond it is refused before Fraction builds
-# its power of ten.
+# Python's default int-to-str digit limit: an input number whose numerator or
+# denominator has more digits is refused.  A decimal exponent beyond it is
+# refused before Fraction builds its power of ten.  Values derived from the
+# inputs can grow past it (a sum's denominator is the lcm of its terms'), so
+# reports print them through int_text.
 MAX_DIGITS = 4300
 _DIGIT_BOUND = 10**MAX_DIGITS
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)$")
+
+
+def int_text(n: int) -> str:
+    """str(n), converted MAX_DIGITS digits at a time where str() would refuse."""
+    head, chunks = abs(n), []
+    while head >= _DIGIT_BOUND:
+        head, low = divmod(head, _DIGIT_BOUND)
+        chunks.append(f"{low:0{MAX_DIGITS}d}")
+    return "-" * (n < 0) + str(head) + "".join(reversed(chunks))
+
 
 # Exact rationals as integers: (den, nums), value i == nums[i] / den.  A
 # marginal's form lists its content's registry outcomes in order, and is

@@ -222,6 +222,33 @@ def relabel_outcomes(system: System, content: str, perm: dict) -> System:
     return validate_system(system.outcomes, blocks)
 
 
+def long_denominator_system():
+    """One content measured in two contexts whose p(x) values are within the
+    digit limit, but whose delta has a 28,302-bit denominator."""
+    p1, p2 = Fraction(1, 3**9000), Fraction(1, 7**5000)
+    return validate_system(
+        {"q": ("x", "y")},
+        [
+            ("c1", ("q",), {("x",): p1, ("y",): 1 - p1}),
+            ("c2", ("q",), {("x",): p2, ("y",): 1 - p2}),
+        ],
+    )
+
+
+def fold_digits(text):
+    """The integer a digit string spells, read 1,000 digits at a time."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i : i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def fold_exact(text):
+    num, den = text.split("/")
+    return Fraction(fold_digits(num), fold_digits(den))
+
+
 def lp_path_report(system: System):
     """The report of a deterministic system built as analyze builds any
     other: the coupling LP for system_delta, the marginal index for the

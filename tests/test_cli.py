@@ -15,7 +15,9 @@ from helpers import (
     M,
     P,
     c2_system,
+    fold_exact,
     four_cycle_name_system,
+    long_denominator_system,
     order_effect_system,
     pm_registry,
     rand_system,
@@ -346,3 +348,26 @@ def test_module_version():
     proc = run_module("--version")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "cbd 1.0.0"
+
+
+def test_long_exact_values_print_in_full(tmp_path, capsys):
+    path = write_file(tmp_path, long_denominator_system())
+    code, out, err = run_cli(capsys, "analyze", path, "--json")
+    assert (code, err) == (0, "")
+    exact = json.loads(out)["delta_sum"]["exact"]
+    assert len(exact.split("/")[1]) > 4300
+    delta = F(1, 7**5000) - F(1, 3**9000)
+    assert fold_exact(exact) == delta
+    code, out, err = run_cli(capsys, "delta", path, "--content", "q")
+    assert (code, err) == (0, "")
+    assert fold_exact(out.removeprefix("delta(c1, c2) = ").split(" ")[0]) == delta
+
+
+def test_non_utf8_file_names_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path}: not UTF-8")
+    assert len(err.splitlines()) == 1

@@ -117,3 +117,19 @@ def test_common_denominators_in_systems_only():
     # one integer encoding: rationals go over a common denominator through
     # systems.to_form, so no other module takes an lcm of its own
     assert _callers_outside_systems("lcm") == set()
+
+
+def test_oracle_imports_nothing_from_the_package():
+    # the basis-enumeration oracle referees the simplex, so it must share no
+    # code with the package it checks
+    tree = dict(_package_trees())["oracle.py"]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [n for n in names if n.startswith(".") or n.split(".")[0] == "cbd"]
+    assert found == []

@@ -30,7 +30,15 @@ from cbd.serialization import (
     rational_json,
     report_to_dict,
 )
-from helpers import M, P, order_effect_system, pm_registry, rand_system
+from helpers import (
+    M,
+    P,
+    fold_exact,
+    long_denominator_system,
+    order_effect_system,
+    pm_registry,
+    rand_system,
+)
 
 F = Fraction
 
@@ -433,3 +441,28 @@ def test_report_text_single_context_connection():
     text = format_report_text(analyze(sys_))
     assert "connection q1: single context" in text
     assert "verdict: noncontextual" in text
+
+
+def test_reports_print_long_exact_values_in_full():
+    report = analyze(long_denominator_system())
+    assert report.delta_sum == F(1, 7**5000) - F(1, 3**9000)
+    assert report.delta_sum.denominator.bit_length() == 28_302
+    doc = report_to_dict(report, include_witness=True)
+    assert fold_exact(doc["delta_sum"]["exact"]) == report.delta_sum
+    assert fold_exact(doc["system_delta"]["exact"]) == report.system_delta
+    assert doc["cnt"] == {"exact": "0", "decimal": 0.0}
+    text = format_report_text(report, include_witness=True)
+    line = next(ln for ln in text.splitlines() if ln.startswith("delta_sum = "))
+    exact, reading = line.removeprefix("delta_sum = ").split(" ")
+    assert fold_exact(exact) == report.delta_sum
+    assert reading == f"({float(report.delta_sum):g})"
+    assert format_exact(F(-(10**5000) - 7, 3)) == "-1" + "0" * 4999 + "7/3"
+    assert format_exact(F(10**4300)) == "1" + "0" * 4300
+
+
+def test_non_utf8_file_is_a_file_error(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + ORDER_EFFECT_JSON.encode("utf-16-le"))
+    with pytest.raises(SystemFileError) as exc:
+        parse_system(str(path))
+    assert str(exc.value).startswith(f"{path}: not UTF-8")
