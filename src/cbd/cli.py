@@ -13,7 +13,7 @@ import sys
 
 from . import __version__
 from .analysis import analyze
-from .coupling import build_coupling_lp, delta_pairs, dense_rows
+from .coupling import build_coupling_lp, check_atom_cap, delta_pairs, dense_rows
 from .cyclic import cyclic_criterion, detect_cyclic
 from .epistemic import enumerate_variants, liar_system, uniform_mixture
 from .errors import CbdError, NotPlusMinusOne
@@ -139,17 +139,22 @@ def cmd_liar(args) -> int:
 
 def cmd_oracle(args) -> int:
     system = parse_system(args.file)
-    lp = build_coupling_lp(system)
-    n = lp.n_atoms
+    size = {q: len(outs) for q, outs in system.outcomes.items()}
+    sizes = [size[q] for _, q in system.variables]
+    check_atom_cap(sizes, None)
+    # the full LP's atoms, and its rows: one per context cell, plus mass
+    n = math.prod(sizes)
+    n_rows = 1 + sum(math.prod(size[q] for q in blk.contents) for blk in system.blocks)
     try:
         # Every context has >= 2 cells, whose rows are disjoint and nonempty,
-        # so 2 <= rank <= len(rows).  With len(rows) <= n - 2 that gives
-        # comb(n, rank) >= comb(n, 2) bases, so refuse before densifying.
-        if len(lp.rows) <= n - 2 and math.comb(n, 2) > DEFAULT_BASIS_LIMIT:
+        # so 2 <= rank <= n_rows.  With n_rows <= n - 2 that gives
+        # comb(n, rank) >= comb(n, 2) bases, so refuse before building the LP.
+        if n_rows <= n - 2 and math.comb(n, 2) > DEFAULT_BASIS_LIMIT:
             raise TooManyBases(
                 f"at least {math.comb(n, 2)} candidate bases exceed the "
                 f"limit of {DEFAULT_BASIS_LIMIT}"
             )
+        lp = build_coupling_lp(system)
         best, _, n_bases = enumerate_min(
             lp.objective,
             dense_rows(lp, lp.rows, range(n)),

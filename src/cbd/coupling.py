@@ -26,8 +26,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import simplex
-from .errors import CapExceeded, DomainMismatch, InternalError, NotBinary
-from .systems import MINUS, PLUS, Form, Marginal, System, marginal_forms, to_form
+from .errors import CapExceeded, DomainMismatch, InternalError
+from .systems import (
+    MINUS, PLUS, Form, Marginal, System, check_plus_minus_one, marginal_forms, to_form,
+)
 
 DEFAULT_ATOM_CAP = 2**20
 ATOM_CAP_ENV = "CBD_ATOM_CAP"
@@ -123,11 +125,7 @@ def min_coupling_pair(m1: Marginal, m2: Marginal) -> JointTable:
     """The minimal coupling of a binary pair: diagonal cells as large as the
     margins allow, so the off-diagonal mass is exactly |u - v|."""
     _check_coupleable(m1, m2)
-    if set(m1.probs) != {PLUS, MINUS}:
-        raise NotBinary(
-            f"minimal-coupling table requires the binary '+1'/'-1' outcomes, "
-            f"got {sorted(m1.probs)}"
-        )
+    check_plus_minus_one(f"minimal coupling of {m1.content!r}", m1.probs)
     u = m1.probs[PLUS]
     v = m2.probs[PLUS]
     lo = min(u, v)

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coupling import check_atom_cap
-from .errors import DomainMismatch, EmptyVariantSet, NotBinary
+from .errors import DomainMismatch, EmptyVariantSet
 from .systems import (
-    MINUS, PLUS, System, check_cell, check_context, exact_number, exact_text,
-    to_form, validate_system,
+    MINUS, PLUS, System, check_cell, check_context, check_plus_minus_one,
+    exact_number, exact_text, to_form, validate_system,
 )
 
 EQUAL = "equal"
@@ -99,10 +99,9 @@ def _admissible(spec: EpistemicSpec, ctx: EpistemicContext):
                 f"context {ctx.context!r}: '{kind}' needs exactly 2 contents"
             )
         for q in ctx.contents:
-            if set(spec.outcomes[q]) != {PLUS, MINUS}:
-                raise NotBinary(
-                    f"context {ctx.context!r}: '{kind}' needs '+1'/'-1' outcomes"
-                )
+            check_plus_minus_one(
+                f"context {ctx.context!r}: '{kind}' on content {q!r}", spec.outcomes[q]
+            )
         if kind == EQUAL:
             keep = lambda t: t[0] == t[1]
         else:

@@ -62,8 +62,7 @@ class NotPlusMinusOne(CbdError):
     """Operation requires the canonical binary outcome labels '+1'/'-1'."""
 
 
-class NotBinary(CbdError):
-    """Operation requires binary outcome sets."""
+NotBinary = NotPlusMinusOne  # earlier name of the same error
 
 
 class NotDeterministic(CbdError):
@@ -82,11 +81,13 @@ class CapExceeded(CbdError):
     """
 
     def __init__(self, required: int, cap: int):
+        from .systems import int_text  # systems imports this module
+
         self.required = required
         self.cap = cap
         super().__init__(
-            f"{required} atoms needed, above the cap of {cap}; raise it with "
-            f"the CBD_ATOM_CAP environment variable (or analyze --atom-cap)"
+            f"{int_text(required)} atoms needed, above the cap of {cap}; raise it "
+            f"with the CBD_ATOM_CAP environment variable (or analyze --atom-cap)"
         )
 
 

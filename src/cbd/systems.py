@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DomainMismatch,
@@ -45,9 +45,10 @@ from .errors import (
     VariableNotInContext,
 )
 
-# Canonical binary outcome labels, used by expectation() and the cyclic
-# criterion, coupling.min_coupling_pair and the epistemic 'equal'/'unequal'
-# constraints.  Other outcome sets are fine everywhere else.
+# Canonical binary outcome labels, required through check_plus_minus_one by
+# expectation() and the cyclic criterion, coupling.min_coupling_pair and the
+# epistemic 'equal'/'unequal' constraints.  Other outcome sets are fine
+# everywhere else.
 PLUS = "+1"
 MINUS = "-1"
 
@@ -287,6 +288,12 @@ def check_cell(context: str, contents: tuple, cell: tuple, registry: Mapping) ->
             )
 
 
+def check_plus_minus_one(what: str, outcomes: Collection[str]) -> None:
+    """Refuse an outcome collection other than exactly {'+1', '-1'}."""
+    if set(outcomes) != {PLUS, MINUS}:
+        raise NotPlusMinusOne(f"{what} needs the '+1'/'-1' outcome labels")
+
+
 def validate_system(
     outcome_sets: Mapping[str, Sequence[str]],
     blocks: Iterable[tuple[str, Sequence[str], Mapping[tuple[str, ...], object]]],
@@ -300,6 +307,10 @@ def validate_system(
     registry: dict[str, tuple[str, ...]] = {}
     for content, values in outcome_sets.items():
         vals = tuple(values)
+        if not isinstance(content, str) or not all(isinstance(o, str) for o in vals):
+            raise DomainMismatch(
+                f"content {content!r}: content ids and outcome labels must be strings"
+            )
         if len(vals) < 2:
             raise DomainMismatch(
                 f"content {content!r} needs at least 2 outcomes, got {len(vals)}"
@@ -312,6 +323,8 @@ def validate_system(
     seen_contexts: set[str] = set()
     out_blocks: list[ContextBlock] = []
     for context, contents, table in blocks:
+        if not isinstance(context, str):
+            raise DomainMismatch(f"context id {context!r} is not a string")
         contents = tuple(contents)
         check_context(context, contents, registry, seen_contexts)
         if not contents:
@@ -434,10 +447,7 @@ def expectation(system: System, context: str, contents: Sequence[str]) -> Fracti
             raise VariableNotInContext(
                 f"content {q!r} not in context {context!r}"
             )
-        if set(system.outcomes[q]) != {PLUS, MINUS}:
-            raise NotPlusMinusOne(
-                f"content {q!r} is not over the '+1'/'-1' outcome labels"
-            )
+        check_plus_minus_one(f"content {q!r}", system.outcomes[q])
         positions.append(blk.contents.index(q))
     total = Fraction(0)
     for cell, p in blk.table.items():

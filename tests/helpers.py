@@ -6,6 +6,7 @@ probabilities are exact Fractions built from integer weights.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -13,11 +14,13 @@ from fractions import Fraction
 import cbd.analysis
 from cbd import (
     System,
+    build_coupling_lp,
     delta_pairs,
     is_consistently_connected,
     system_delta,
     validate_system,
 )
+from cbd.oracle import enumerate_min
 
 PM = ("+1", "-1")
 P, M = "+1", "-1"
@@ -57,6 +60,60 @@ def order_effect_system(a=Fraction(1, 4), b=Fraction(1, 2)) -> System:
              {(P, P): a, (P, M): Fraction(0), (M, P): b - a, (M, M): 1 - b}),
             ("c2", ("q1", "q2"),
              {(P, P): Fraction(0), (P, M): a, (M, P): b, (M, M): 1 - a - b}),
+        ],
+    )
+
+
+SIGN = {P: 1, M: -1}
+
+
+def rank_n_cycle_weights(rng, n, biased):
+    """Integer cell weights 1..9 for a full-support binary rank-n cycle.
+
+    Context i measures (q_i, q_i+1).  A biased cycle adds 20 to the agreeing
+    cells of every context but one and to the disagreeing cells of that one,
+    pushing the product expectations towards an odd number of sign flips.
+    """
+    anti = rng.randrange(n)
+    contexts = []
+    for i in range(n):
+        weights = {(x, y): rng.randint(1, 9) for x in (P, M) for y in (P, M)}
+        if biased:
+            for x, y in weights:
+                if (x == y) == (i != anti):
+                    weights[(x, y)] += 20
+        contexts.append((f"c{i + 1}", (f"q{i + 1}", f"q{(i + 1) % n + 1}"), weights))
+    return contexts
+
+
+def kd_closed_form_cnt(contexts):
+    """Kujala-Dzhafarov degree of a binary cyclic system, from raw weights:
+    max(0, (s_odd(<R_i R_i+1>) - D - (n - 2)) / 2), with D the sum over
+    contents of |<R>_c - <R>_c'|."""
+    products = []
+    means = {}
+    for _, (a, b), weights in contexts:
+        total = sum(weights.values())
+
+        def mean(f):
+            return Fraction(sum(w * f(x, y) for (x, y), w in weights.items()), total)
+
+        products.append(mean(lambda x, y: SIGN[x] * SIGN[y]))
+        means.setdefault(a, []).append(mean(lambda x, y: SIGN[x]))
+        means.setdefault(b, []).append(mean(lambda x, y: SIGN[y]))
+    gap = sum(abs(u - v) for u, v in means.values())
+    s_odd = sum(abs(x) for x in products)
+    if sum(x < 0 for x in products) % 2 == 0:
+        s_odd -= 2 * min(abs(x) for x in products)
+    return max(Fraction(0), (s_odd - gap - (len(contexts) - 2)) / 2)
+
+
+def cycle_system(n, contexts):
+    return validate_system(
+        pm_registry(*(f"q{i + 1}" for i in range(n))),
+        [
+            (c, qs, {cell: Fraction(w, sum(ws.values())) for cell, w in ws.items()})
+            for c, qs, ws in contexts
         ],
     )
 
@@ -273,3 +330,13 @@ def lp_dense(lp):
             vec[c] = 1
         rows.append(vec)
     return rows, [r.rhs for r in lp.rows]
+
+
+@functools.cache
+def order_effect_oracle_min():
+    """The basis-enumeration optimum of order_effect_system()'s full coupling
+    LP.  Enumerating the 16-atom LP's bases takes seconds, so it runs once."""
+    lp = build_coupling_lp(order_effect_system())
+    rows, rhs = lp_dense(lp)
+    best, _, _ = enumerate_min(list(lp.objective), rows, rhs)
+    return best

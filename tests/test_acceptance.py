@@ -31,13 +31,13 @@ from cbd import (
     validate_system,
     verify_solution,
 )
-from cbd.oracle import enumerate_min, exact_rank
+from cbd.oracle import exact_rank
 from helpers import (
     M,
     P,
     c2_system,
-    lp_dense,
     lp_path_report,
+    order_effect_oracle_min,
     order_effect_system,
     pm_registry,
     rand_c2,
@@ -84,10 +84,7 @@ def test_criterion_1_order_effect_pair():
         assert report.system_delta == F(1, 2)
         assert report.cnt == F(1, 2)
         assert report.contextual
-        lp = build_coupling_lp(sys_)
-        rows, rhs = lp_dense(lp)
-        best, _, _ = enumerate_min(list(lp.objective), rows, rhs)
-        assert best == F(1, 2)
+        assert order_effect_oracle_min() == F(1, 2)
 
 
 def test_criterion_2_coupling_lp_shape():

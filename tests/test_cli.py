@@ -15,12 +15,14 @@ from helpers import (
     M,
     P,
     c2_system,
+    cycle_system,
     fold_exact,
     four_cycle_name_system,
     long_denominator_system,
     order_effect_system,
     pm_registry,
     rand_system,
+    rank_n_cycle_weights,
 )
 from cbd import validate_system
 
@@ -287,6 +289,34 @@ def test_oracle_refuses_before_densifying(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "oracle", path)
     assert code == 1
     assert "too large" in err
+
+
+def test_oracle_refuses_before_building_the_lp(tmp_path, capsys, monkeypatch):
+    # a full-support rank-6 cycle: 4,096 atoms, so comb(4096, 2), about 8.4
+    # million, candidate bases at least
+    sys_ = cycle_system(6, rank_n_cycle_weights(random.Random(6), 6, biased=False))
+    path = write_file(tmp_path, sys_)
+    calls = []
+    build = cbd.cli.build_coupling_lp
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cbd.cli, "build_coupling_lp", spy)
+    code, _, err = run_cli(capsys, "oracle", path)
+    assert code == 1
+    assert "too large for the brute-force oracle" in err
+    assert calls == []
+
+
+def test_liar_count_beyond_the_digit_limit_names_the_cap(capsys, monkeypatch):
+    monkeypatch.delenv("CBD_ATOM_CAP", raising=False)
+    code, out, err = run_cli(capsys, "liar", "8000")
+    assert code == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "above the cap of 1048576" in line
 
 
 def test_liar_over_the_cap_names_the_override(capsys, monkeypatch):

@@ -24,11 +24,12 @@ from cbd import (
     verify_solution,
 )
 from cbd.coupling import LPInstance, LPRow, LPSolution, dense_rows
-from cbd.oracle import enumerate_min, exact_rank
+from cbd.oracle import exact_rank
 from helpers import (
     M,
     P,
     lp_dense,
+    order_effect_oracle_min,
     order_effect_system,
     pm_registry,
     rand_marginal_probs,
@@ -219,9 +220,7 @@ def test_solve_lp_matches_enumeration_on_pair_system():
     lp = build_coupling_lp(order_effect_system())
     sol = solve_lp(lp)
     assert sol.status == "optimal"
-    rows, rhs = lp_dense(lp)
-    best, _, _ = enumerate_min(list(lp.objective), rows, rhs)
-    assert sol.optimum == best == F(1, 2)
+    assert sol.optimum == order_effect_oracle_min() == F(1, 2)
     assert verify_solution(lp, sol)
 
 

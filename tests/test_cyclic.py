@@ -23,12 +23,15 @@ from helpers import (
     M,
     P,
     c2_system,
+    cycle_system,
     four_cycle_name_system,
+    kd_closed_form_cnt,
     order_effect_system,
     pm_registry,
     rand_c2,
     rand_c2_consistent,
     rand_c2_equal_correlation,
+    rank_n_cycle_weights,
     relabel_outcomes,
 )
 
@@ -187,60 +190,6 @@ def test_equal_correlation_systems_never_contextual():
         verdict = cyclic_criterion(sys_)
         assert not verdict.contextual and verdict.cnt == 0
         assert analyze(sys_).cnt == 0
-
-
-SIGN = {P: 1, M: -1}
-
-
-def rank_n_cycle_weights(rng, n, biased):
-    """Integer cell weights 1..9 for a full-support binary rank-n cycle.
-
-    Context i measures (q_i, q_i+1).  A biased cycle adds 20 to the agreeing
-    cells of every context but one and to the disagreeing cells of that one,
-    pushing the product expectations towards an odd number of sign flips.
-    """
-    anti = rng.randrange(n)
-    contexts = []
-    for i in range(n):
-        weights = {(x, y): rng.randint(1, 9) for x in (P, M) for y in (P, M)}
-        if biased:
-            for x, y in weights:
-                if (x == y) == (i != anti):
-                    weights[(x, y)] += 20
-        contexts.append((f"c{i + 1}", (f"q{i + 1}", f"q{(i + 1) % n + 1}"), weights))
-    return contexts
-
-
-def kd_closed_form_cnt(contexts):
-    """Kujala-Dzhafarov degree of a binary cyclic system, from raw weights:
-    max(0, (s_odd(<R_i R_i+1>) - D - (n - 2)) / 2), with D the sum over
-    contents of |<R>_c - <R>_c'|."""
-    products = []
-    means = {}
-    for _, (a, b), weights in contexts:
-        total = sum(weights.values())
-
-        def mean(f):
-            return F(sum(w * f(x, y) for (x, y), w in weights.items()), total)
-
-        products.append(mean(lambda x, y: SIGN[x] * SIGN[y]))
-        means.setdefault(a, []).append(mean(lambda x, y: SIGN[x]))
-        means.setdefault(b, []).append(mean(lambda x, y: SIGN[y]))
-    gap = sum(abs(u - v) for u, v in means.values())
-    s_odd = sum(abs(x) for x in products)
-    if sum(x < 0 for x in products) % 2 == 0:
-        s_odd -= 2 * min(abs(x) for x in products)
-    return max(F(0), (s_odd - gap - (len(contexts) - 2)) / 2)
-
-
-def cycle_system(n, contexts):
-    return validate_system(
-        pm_registry(*(f"q{i + 1}" for i in range(n))),
-        [
-            (c, qs, {cell: F(w, sum(ws.values())) for cell, w in ws.items()})
-            for c, qs, ws in contexts
-        ],
-    )
 
 
 @pytest.mark.parametrize(

@@ -135,6 +135,13 @@ def test_variant_cap():
         enumerate_variants(liar_system(12))
 
 
+def test_variant_cap_refuses_a_count_beyond_the_digit_limit():
+    # 4^8000 has 4,817 digits, more than str() converts by default
+    with pytest.raises(CapExceeded, match="above the cap of") as info:
+        enumerate_variants(liar_system(8000))
+    assert info.value.required == 4**8000
+
+
 def _spec(*contexts):
     return EpistemicSpec(
         outcomes={"q1": (PLUS, MINUS), "q2": (PLUS, MINUS)},

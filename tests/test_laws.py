@@ -10,7 +10,14 @@ from fractions import Fraction
 import pytest
 
 from cbd import analyze, validate_system
-from helpers import rand_c2_consistent, rand_system, rand_weights
+from helpers import (
+    cycle_system,
+    kd_closed_form_cnt,
+    rand_c2_consistent,
+    rand_system,
+    rand_weights,
+    rank_n_cycle_weights,
+)
 
 F = Fraction
 
@@ -50,6 +57,21 @@ def northwest_joint(xs, ys):
             if j == len(ys):
                 return joint
             b = ys[j][1]
+
+
+def product_joint(xs, ys):
+    """The independent coupling of two tables, cells concatenated."""
+    return {cx + cy: px * py for cx, px in xs.items() for cy, py in ys.items()}
+
+
+def glued(s1, s2, x, y, joint):
+    """The union of s1 and s2 with context x of s1 and y of s2 merged into
+    one context, "glued", whose table is joint."""
+    union = union_of(s1, s2)
+    kept = [b for b in blocks_of(union) if b[0] not in (x.context, y.context)]
+    return validate_system(
+        union.outcomes, kept + [("glued", x.contents + y.contents, joint)]
+    )
 
 
 def numbers(report):
@@ -96,20 +118,36 @@ def test_gluing_one_context_from_each_side_adds(pairs):
     for s1, s2, r1, r2 in pairs:
         x, y = rng.choice(s1.blocks), rng.choice(s2.blocks)
         if rng.random() < 0.5:
-            joint = {
-                cx + cy: px * py
-                for cx, px in x.table.items()
-                for cy, py in y.table.items()
-            }
+            joint = product_joint(x.table, y.table)
         else:
             joint = northwest_joint(x.table, y.table)
         assert sum(joint.values()) == 1
-        union = union_of(s1, s2)
-        kept = [b for b in blocks_of(union) if b[0] not in (x.context, y.context)]
-        glued = validate_system(
-            union.outcomes, kept + [("glued", x.contents + y.contents, joint)]
-        )
-        assert numbers(analyze(glued)) == added(r1, r2)
+        assert numbers(analyze(glued(s1, s2, x, y, joint))) == added(r1, r2)
+
+
+def test_gluing_adds_on_a_necklace_of_two_rank3_rings():
+    # two full-support binary rank-3 rings glued at one context each: 12
+    # variables and 4,096 atoms, with each ring's cnt refereed by the closed
+    # form; the first necklace has both rings contextual
+    rng = random.Random(91)
+    for biased, joint_of in (
+        ((True, True), product_joint),
+        ((True, False), northwest_joint),
+    ):
+        sides = []
+        for tag, bias in zip("ab", biased):
+            contexts = rank_n_cycle_weights(rng, 3, bias)
+            ring = prefixed(cycle_system(3, contexts), tag)
+            report = analyze(ring)
+            assert report.cnt == kd_closed_form_cnt(contexts)
+            sides.append((ring, report))
+        (s1, r1), (s2, r2) = sides
+        if joint_of is product_joint:
+            assert r1.contextual and r2.contextual
+        x, y = s1.blocks[0], s2.blocks[0]
+        necklace = glued(s1, s2, x, y, joint_of(x.table, y.table))
+        assert len(necklace.variables) == 12
+        assert numbers(analyze(necklace)) == added(r1, r2)
 
 
 def test_private_content_changes_nothing(pairs):

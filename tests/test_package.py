@@ -52,17 +52,24 @@ def test_cap_refused_in_one_function():
     assert raisers == {"coupling.py:check_atom_cap"}
 
 
-def _calls_in_scope(tree, func_name, scope="<module>"):
-    """The innermost enclosing function of every call to func_name."""
+def _scopes_of(tree, match, scope="<module>"):
+    """The innermost enclosing function of every node that match accepts."""
     if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)):
         scope = tree.name
-    if isinstance(tree, ast.Call) and func_name in (
-        getattr(tree.func, "id", None),
-        getattr(tree.func, "attr", None),
-    ):
+    if match(tree):
         yield scope
     for child in ast.iter_child_nodes(tree):
-        yield from _calls_in_scope(child, func_name, scope)
+        yield from _scopes_of(child, match, scope)
+
+
+def _calls_in_scope(tree, func_name):
+    """The innermost enclosing function of every call to func_name."""
+    return _scopes_of(
+        tree,
+        lambda node: isinstance(node, ast.Call)
+        and func_name
+        in (getattr(node.func, "id", None), getattr(node.func, "attr", None)),
+    )
 
 
 def test_probabilities_parsed_in_one_function():
@@ -117,6 +124,28 @@ def test_common_denominators_in_systems_only():
     # one integer encoding: rationals go over a common denominator through
     # systems.to_form, so no other module takes an lcm of its own
     assert _callers_outside_systems("lcm") == set()
+
+
+def test_plus_minus_one_refused_in_one_function():
+    # one '+1'/'-1' rule: its error (NotBinary is another name for it) is
+    # built, and an outcome set compared with {PLUS, MINUS}, in one function
+    def is_plus_minus_set(node):
+        names = {getattr(elt, "id", None) for elt in getattr(node, "elts", ())}
+        return isinstance(node, ast.Set) and names == {"PLUS", "MINUS"}
+
+    trees = list(_package_trees())
+    raisers = {
+        f"{name}:{scope}"
+        for name, tree in trees
+        for error in ("NotPlusMinusOne", "NotBinary")
+        for scope in _calls_in_scope(tree, error)
+    }
+    comparers = {
+        f"{name}:{scope}"
+        for name, tree in trees
+        for scope in _scopes_of(tree, is_plus_minus_set)
+    }
+    assert raisers == comparers == {"systems.py:check_plus_minus_one"}
 
 
 def test_oracle_imports_nothing_from_the_package():

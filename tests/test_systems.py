@@ -128,6 +128,22 @@ def test_cell_listed_twice_is_refused_with_zero_cells_too():
             validate_system(registry, [("c", ("q", "r"), table)])
 
 
+@pytest.mark.parametrize(
+    "registry, context",
+    [
+        pytest.param({"q1": (0, 1)}, "c1", id="outcome-labels"),
+        pytest.param({1: ("0", "1")}, "c1", id="content-id"),
+        pytest.param({"q1": ("0", "1")}, 7, id="context-id"),
+    ],
+)
+def test_labels_must_be_strings(registry, context):
+    # later code joins labels into strings (LP row labels, witness text) and
+    # the file format holds strings only, so the gate refuses anything else
+    (q, outs), = registry.items()
+    with pytest.raises(DomainMismatch, match="string"):
+        validate_system(registry, [(context, (q,), {(o,): F(1, 2) for o in outs})])
+
+
 def test_outcome_set_needs_two_values():
     with pytest.raises(DomainMismatch):
         validate_system({"q1": ("+1",)}, [("c1", ("q1",), {(P,): 1})])
