@@ -157,6 +157,10 @@ class LPInstance:
     one outcome to each.  rows hold one equality per context cell plus the
     total-mass row; the objective counts, per atom, how many content-sharing
     pairs it assigns different outcomes.
+
+    start: a feasible starting basis as (row index, atom index) pairs, or
+    empty.  Its rows are independent and imply every other positive row, and
+    its basis matrix, in this order, is unit lower-triangular.
     """
 
     variables: tuple[tuple[str, str], ...]
@@ -164,6 +168,7 @@ class LPInstance:
     rows: tuple[LPRow, ...]
     objective: tuple[int, ...]
     pairs: tuple[tuple[int, int], ...]
+    start: tuple[tuple[int, int], ...] = ()
 
     @property
     def n_atoms(self) -> int:
@@ -195,6 +200,10 @@ def build_coupling_lp(
     plus mass.  A zero cell forces every atom it covers to weight zero, so
     this is the program solve_lp reduces the full one to, with the same atoms
     and rows in the same order, and the same optimum and witness.
+
+    Either way the instance carries the north-west-corner start (see
+    _north_west_corner), computed from the positive cells alone, so both
+    modes give the same start atoms and rows.
     """
     variables = system.variables
     check_atom_cap([len(system.outcomes[q]) for (_, q) in variables], atom_cap)
@@ -203,20 +212,29 @@ def build_coupling_lp(
     # atoms are the product of the contexts' cell lists.  variables sorts the
     # contents within each context, so each list is in sorted-content product
     # order; digits maps a cell in blk.contents order to its list position.
+    # positive: each context's positive cells in list order, as (list
+    # position, probability), and below with their row index appended
     lists: list[list[tuple[str, ...]]] = []
     digits: list[dict[tuple[str, ...], int]] = []
+    positive: list[list[tuple]] = []
     for blk in system.blocks:
         contents = sorted(blk.contents)
         where = [contents.index(q) for q in blk.contents]
         digit: dict[tuple[str, ...], int] = {}
         cells = []
+        spots = []
         for cell in itertools.product(*(system.outcomes[q] for q in contents)):
             as_block = tuple(cell[k] for k in where)
-            if not support or as_block in blk.table:
-                digit[as_block] = len(cells)
-                cells.append(cell)
+            p = blk.table.get(as_block)
+            if p is not None:
+                spots.append((len(cells), p))
+            elif support:
+                continue
+            digit[as_block] = len(cells)
+            cells.append(cell)
         lists.append(cells)
         digits.append(digit)
+        positive.append(spots)
     # tuples are built from lists, not iterators: a tuple grown from an
     # iterator is resized as it fills, which raised peak RSS by about 0.5 MB
     # over a thousand small verdicts
@@ -229,10 +247,13 @@ def build_coupling_lp(
     # `stride` consecutive indices, one run every `period`
     n = len(atoms)
     rows: list[LPRow] = []
+    strides = []
     stride = n
-    for blk, cells, digit in zip(system.blocks, lists, digits):
+    for i, (blk, cells, digit) in enumerate(zip(system.blocks, lists, digits)):
         period = stride
         stride //= len(cells)
+        strides.append(stride)
+        row_at = {}
         for cell in system.cells(blk.context):
             d = digit.get(cell)
             if d is None:
@@ -241,7 +262,9 @@ def build_coupling_lp(
                 c for s in range(d * stride, n, period) for c in range(s, s + stride)
             ]
             label = f"{blk.context}[{','.join(cell)}]"
+            row_at[d] = len(rows)
             rows.append(LPRow(label=label, cols=tuple(cols), rhs=blk.prob(cell)))
+        positive[i] = [(d, p, row_at[d]) for d, p in positive[i]]
     rows.append(LPRow(label="mass", cols=tuple(range(n)), rhs=Fraction(1)))
 
     var_index = {v: i for i, v in enumerate(variables)}
@@ -255,7 +278,50 @@ def build_coupling_lp(
         rows=tuple(rows),
         objective=objective,
         pairs=tuple(pairs),
+        start=_north_west_corner(positive, strides, len(rows) - 1),
     )
+
+
+def _north_west_corner(
+    positive: Sequence[Sequence[tuple[int, Fraction, int]]],
+    strides: Sequence[int],
+    mass_row: int,
+) -> tuple[tuple[int, int], ...]:
+    """A basic feasible solution of the coupling LP by the north-west-corner
+    rule of the transportation problem (Dantzig, Linear Programming and
+    Extensions, 1963), as (row index, atom index) pairs.
+
+    positive[i] lists context i's positive cells in atom-list order as
+    (list position, probability, row index); an atom's index is the sum of
+    its cells' list positions times strides.  The rule starts at the atom of
+    every context's first cell and moves one context at a time to its next
+    cell, at the cumulative mass where its current cell is used up: the
+    moves are those masses merged in increasing order, ties to the lower
+    context, so tied contexts move over zero-weight atoms.  Each move pairs
+    the used-up cell's row with the atom it leaves, and the last atom takes
+    the mass row.  That is 1 + sum(c_i - 1) atoms, one row per positive cell
+    except each context's last, which the mass row and the context's other
+    cells imply.  A row's cell is in no later atom, so the basis matrix, in
+    this order, is unit lower-triangular.
+    """
+    _, nums = to_form(p for spots in positive for _, p, _ in spots)
+    moves = []
+    k = 0
+    for i, spots in enumerate(positive):
+        used = 0
+        for j in range(len(spots) - 1):
+            used += nums[k + j]
+            moves.append((used, i, j))
+        k += len(spots)
+    moves.sort()
+    atom = sum(spots[0][0] * s for spots, s in zip(positive, strides))
+    start = []
+    for _, i, j in moves:
+        here, after = positive[i][j], positive[i][j + 1]
+        start.append((here[2], atom))
+        atom += (after[0] - here[0]) * strides[i]
+    start.append((mass_row, atom))
+    return tuple(start)
 
 
 def dense_rows(
@@ -281,9 +347,12 @@ def solve_lp(lp: LPInstance) -> LPSolution:
     """Solve the coupling LP exactly.
 
     A zero-probability cell forces every atom it covers to weight zero (all
-    coefficients are +1), so those columns are fixed before pivoting; the
-    two-phase simplex then runs on the reduced instance.  The returned
-    weights are a basic feasible solution of the full program.
+    coefficients are +1), so those columns are fixed before pivoting, and
+    the simplex runs on the reduced instance.  With lp.start, the tableau
+    holds only the start's rows (the others are implied) and the simplex
+    starts from that basis; without it, on every positive row, it runs
+    phase 1 first.  The returned weights are a basic feasible solution of
+    the full program.
     """
     n = lp.n_atoms
     forced = [False] * n
@@ -292,12 +361,19 @@ def solve_lp(lp: LPInstance) -> LPSolution:
             for c in row.cols:
                 forced[c] = True
     alive = [i for i in range(n) if not forced[i]]
-    # a zero-rhs row is met identically once its columns are fixed at 0
-    live_rows = [row for row in lp.rows if row.rhs != 0]
+    if lp.start:
+        column = {c: k for k, c in enumerate(alive)}
+        live_rows = [lp.rows[r] for r, _ in lp.start]
+        start = [column.get(c, -1) for _, c in lp.start]
+    else:
+        # a zero-rhs row is met identically once its columns are fixed at 0
+        live_rows = [row for row in lp.rows if row.rhs != 0]
+        start = None
     status, optimum, x = simplex.solve_min(
         [lp.objective[c] for c in alive],
         dense_rows(lp, live_rows, alive),
         [row.rhs for row in live_rows],
+        start=start,
     )
     if status != "optimal":
         return LPSolution(status=status, optimum=None, weights={})
@@ -338,7 +414,10 @@ def system_delta(
     Returns the exact minimum and one witness coupling attaining it.
     """
     lp = build_coupling_lp(system, atom_cap=atom_cap, support=True)
-    sol = solve_lp(lp)
+    try:
+        sol = solve_lp(lp)
+    except simplex.SimplexError as exc:
+        raise InternalError(f"coupling LP solve failed: {exc}") from exc
     if sol.status != "optimal":
         raise InternalError("coupling LP infeasible on a valid system")
     witness = CouplingWitness(

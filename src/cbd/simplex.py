@@ -11,6 +11,18 @@ A tableau entry T[i][j] stands for the rational T[i][j] / d.  Pivoting on
 (r, s) with p = T[r][s] leaves row r as it is and turns every other row into
 (p*a - f*b) // d, an exact division, after which d = p.
 
+The starting basis comes from one of two places.  Without a start, phase 1
+minimizes the sum of one artificial variable per row, and artificials still
+basic at zero afterwards are driven out or, on a redundant row, dropped with
+their row.  With a start (one column per row, so the rows must be
+independent), its columns are pivoted in row by row, in order; it must be
+nonsingular in that order and its basic solution nonnegative, or
+SimplexError is raised.  Phase
+1 and the drive-out are then skipped.  The coupling LP supplies such a start
+(its north-west-corner basis, see coupling.build_coupling_lp), on whose unit
+lower-triangular basis every install pivot is 1.  Phase 2 is the same either
+way.
+
 Entering takes the most negative reduced cost (Dantzig's rule).  After
 DEGENERATE_RUN consecutive degenerate pivots it switches to Bland's rule
 (smallest eligible index enters) until the next nondegenerate pivot, so
@@ -36,7 +48,8 @@ MAX_PIVOTS = 1_000_000
 
 
 class SimplexError(RuntimeError):
-    """Internal failure: unbounded problem or pivot-limit overrun."""
+    """Internal failure: unbounded problem, pivot-limit overrun, or a start
+    basis that is singular or infeasible."""
 
 
 class _Tableau:
@@ -55,7 +68,8 @@ class _Tableau:
         prow = rows[r]
         p = prow[s]
         if p < 0:
-            # only when driving out a leftover artificial, whose rhs is 0
+            # only when driving out a leftover artificial, whose rhs is 0, or
+            # when installing a start basis, whose rhs is checked afterwards
             prow = rows[r] = [-a for a in prow]
             p = -p
         d = self.d
@@ -109,21 +123,57 @@ class _Tableau:
             self.pivot(leave, enter)
 
 
-def solve_min(costs, rows, rhs):
+def _phase_one(tab, n):
+    """Pivot tab, whose basis is all artificial, to a feasible basis of the
+    n original columns; False when there is none."""
+    # Phase 1: minimize the sum of one artificial variable per row.  The
+    # artificial columns are not stored: they never re-enter (forcing them
+    # to stay at zero once nonbasic cannot hide feasibility, since any
+    # all-original feasible point has every artificial at zero already), and
+    # no other column's update reads them.
+    tab.rows.append([-sum(col) for col in zip(*tab.rows)])
+    tab.iterate(n)
+    if tab.rows[-1][-1] != 0:
+        return False
+    tab.rows.pop()
+
+    # Drive leftover artificials out of the basis; rows that cannot pivot on
+    # any original column are redundant and get dropped.
+    drop = []
+    for i in range(len(tab.rows)):
+        if tab.basis[i] >= n:
+            col = next((j for j in range(n) if tab.rows[i][j] != 0), -1)
+            if col < 0:
+                drop.append(i)
+            else:
+                tab.pivot(i, col)
+    for i in reversed(drop):
+        del tab.rows[i]
+        del tab.basis[i]
+    return True
+
+
+def solve_min(costs, rows, rhs, start=None):
     """Minimize costs . x subject to rows . x == rhs, x >= 0.
 
     costs: sequence of n exact numbers (ints or Fractions).
     rows:  m sequences of n exact numbers.
     rhs:   m exact numbers.
+    start: optional starting basis, m column indices: start[i] is made basic
+           in row i.  Without it, phase 1 finds a feasible basis.
 
     Returns (status, optimum, x): status "optimal" with the exact optimum as
     a Fraction and one optimal basic feasible solution as a list of
-    Fractions, or ("infeasible", None, None).  Raises SimplexError on an
-    unbounded objective (impossible when the feasible set is bounded, as for
-    every instance built by this package).
+    Fractions, or ("infeasible", None, None) (only without a start).  Raises
+    SimplexError on an unbounded objective (impossible when the feasible set
+    is bounded, as for every instance built by this package) and on a start
+    that is not m columns, hits a zero pivot, or gives a negative basic
+    value.
     """
     m = len(rows)
     n = len(costs)
+    if start is not None and len(start) != m:
+        raise SimplexError(f"start basis has {len(start)} columns for {m} rows")
     if m == 0:
         # only nonnegativity: x = 0 is optimal whenever no cost is negative
         if any(c < 0 for c in costs):
@@ -149,32 +199,19 @@ def solve_min(costs, rows, rhs):
     for row, b in zip(table, int_rhs):
         row.append(b)
 
-    # Phase 1: minimize the sum of one artificial variable per row.  The
-    # artificial columns are not stored: they never re-enter (forcing them
-    # to stay at zero once nonbasic cannot hide feasibility, since any
-    # all-original feasible point has every artificial at zero already), and
-    # no other column's update reads them.  Basis index n + i stands for
-    # row i's artificial.
-    zrow = [-sum(col) for col in zip(*table)]
-    tab = _Tableau(table + [zrow], list(range(n, n + m)))
-    tab.iterate(n)
-    if tab.rows[-1][-1] != 0:
-        return "infeasible", None, None
-    tab.rows.pop()
-
-    # Drive leftover artificials out of the basis; rows that cannot pivot on
-    # any original column are redundant and get dropped.
-    drop = []
-    for i in range(m):
-        if tab.basis[i] >= n:
-            col = next((j for j in range(n) if tab.rows[i][j] != 0), -1)
-            if col < 0:
-                drop.append(i)
-            else:
-                tab.pivot(i, col)
-    for i in reversed(drop):
-        del tab.rows[i]
-        del tab.basis[i]
+    # Basis index n + i stands for row i's artificial, until a pivot
+    # replaces it.
+    tab = _Tableau(table, list(range(n, n + m)))
+    if start is None:
+        if not _phase_one(tab, n):
+            return "infeasible", None, None
+    else:
+        for i, j in enumerate(start):
+            if not 0 <= j < n or tab.rows[i][j] == 0:
+                raise SimplexError(f"start basis is singular at row {i}")
+            tab.pivot(i, j)
+        if any(row[-1] < 0 for row in tab.rows):
+            raise SimplexError("start basis is infeasible")
 
     # Phase 2: the real objective, scaled to integers, over the feasible
     # basis found above.  Its z-row carries the same denominator d.
@@ -192,3 +229,4 @@ def solve_min(costs, rows, rhs):
         x[j] = Fraction(tab.rows[i][-1], tab.d * rhs_scale)
     optimum = Fraction(-tab.rows[-1][-1], tab.d * cost_scale * rhs_scale)
     return "optimal", optimum, x
+

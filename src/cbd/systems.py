@@ -257,7 +257,8 @@ def check_context(
     seen: set[str],
 ) -> None:
     """Refuse a context id already in seen (then add it), a content listed
-    twice in the context, and a content missing from the registry."""
+    twice in the context, an unhashable content (the registry's ids are
+    strings) and a content missing from the registry."""
     if context in seen:
         raise DuplicateContext(f"context {context!r} defined twice")
     seen.add(context)
@@ -266,7 +267,13 @@ def check_context(
             raise DuplicateContentInContext(
                 f"content {q!r} appears twice in context {context!r}"
             )
-        if q not in registry:
+        try:
+            known = q in registry
+        except TypeError:
+            raise DomainMismatch(
+                f"context {context!r}: content {q!r} is not a string"
+            ) from None
+        if not known:
             raise UnknownContent(
                 f"context {context!r} references unknown content {q!r}"
             )

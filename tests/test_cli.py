@@ -343,6 +343,22 @@ def test_internal_error_exits_1(tmp_path, capsys, monkeypatch):
     assert "infeasible" in err
 
 
+def test_solver_failure_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # a pivot-limit overrun, an unbounded objective or a rejected start
+    from cbd.simplex import SimplexError
+
+    def fail(*args, **kwargs):
+        raise SimplexError("pivot limit exceeded")
+
+    path = write_file(tmp_path, order_effect_system())
+    monkeypatch.setattr(cbd.simplex, "solve_min", fail)
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "pivot limit exceeded" in err
+
+
 def test_deeply_nested_file_is_one_error_line(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000, encoding="utf-8")

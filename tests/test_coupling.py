@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import cbd.coupling
+import cbd.simplex
 from cbd import (
     AtomCapExceeded,
     DomainMismatch,
@@ -24,14 +25,20 @@ from cbd import (
     verify_solution,
 )
 from cbd.coupling import LPInstance, LPRow, LPSolution, dense_rows
+from cbd.errors import InternalError
 from cbd.oracle import exact_rank
+from cbd.simplex import SimplexError
 from helpers import (
     M,
     P,
+    four_cycle_name_system,
     lp_dense,
     order_effect_oracle_min,
     order_effect_system,
     pm_registry,
+    rand_c2,
+    rand_c2_equal_correlation,
+    rand_deterministic,
     rand_marginal_probs,
     rand_system,
 )
@@ -330,9 +337,13 @@ def alive_atoms(lp):
     return [i for i in range(lp.n_atoms) if i not in forced]
 
 
-def liar7():
-    spec = liar_system(7)
+def liar_ring(n):
+    spec = liar_system(n)
     return uniform_mixture(spec, enumerate_variants(spec))
+
+
+def liar7():
+    return liar_ring(7)
 
 
 def check_full_lp(sys_, lp):
@@ -361,6 +372,9 @@ def check_support_lp(sys_):
     # the atoms, rows and costs the simplex sees, in the same order
     assert sup.variables == full.variables
     assert sup.pairs == full.pairs
+    assert [(sup.rows[r].label, sup.atoms[a]) for r, a in sup.start] == [
+        (full.rows[r].label, full.atoms[a]) for r, a in full.start
+    ]
     assert sup.atoms == tuple(full.atoms[i] for i in alive)
     assert sup.objective == tuple(full.objective[i] for i in alive)
     assert [(r.label, r.rhs) for r in sup.rows] == [(r.label, r.rhs) for r in live_rows]
@@ -416,3 +430,162 @@ def test_analyze_builds_only_the_support_lp(monkeypatch):
     report = analyze(liar7())
     assert report.cnt == 1
     assert calls == [True]
+
+
+def test_solver_failure_is_an_internal_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise SimplexError("pivot limit exceeded")
+
+    monkeypatch.setattr(cbd.simplex, "solve_min", fail)
+    with pytest.raises(InternalError, match="pivot limit exceeded"):
+        system_delta(order_effect_system())
+
+
+# ---------------------------------------------------------------------------
+# the north-west-corner start
+
+
+def start_systems():
+    """Seeded random systems and the degenerate cases of the start: Liar
+    rings with every table at 1/2 (ties at every step), point-mass contexts
+    alone and mixed with others, and ternary contents."""
+    systems = [liar_ring(n) for n in range(2, 7)]
+    point = {(P, M): F(1)}
+    half = {(P, P): F(1, 2), (M, M): F(1, 2)}
+    systems.append(validate_system(
+        pm_registry("q1", "q2", "q3"),
+        [("c1", ("q1", "q2"), point), ("c2", ("q2", "q3"), point)],
+    ))
+    systems.append(validate_system(
+        pm_registry("q1", "q2", "q3"),
+        [("c1", ("q1", "q2"), point), ("c2", ("q2", "q3"), half),
+         ("c3", ("q3", "q1"), {(M, P): F(1, 3), (P, M): F(2, 3)})],
+    ))
+    rng = random.Random(53)
+    for _ in range(40):
+        systems.append(rand_system(rng, ternary_share=0.5, max_block=3, max_atoms=256))
+    return systems
+
+
+def start_matrix(lp):
+    """The start's basis columns over its rows, both in start order."""
+    return dense_rows(lp, [lp.rows[r] for r, _ in lp.start], [a for _, a in lp.start])
+
+
+def start_weights(lp):
+    """The start's basic solution by forward substitution, atom -> weight."""
+    basis = start_matrix(lp)
+    weights = []
+    for row, (r, _) in zip(basis, lp.start):
+        weights.append(lp.rows[r].rhs - sum(a * w for a, w in zip(row, weights)))
+    return {a: w for (_, a), w in zip(lp.start, weights)}
+
+
+def test_start_is_a_unit_lower_triangular_basis():
+    for sys_ in start_systems():
+        for support in (False, True):
+            lp = build_coupling_lp(sys_, support=support)
+            basis = start_matrix(lp)
+            size = len(lp.start)
+            assert size == 1 + sum(len(blk.table) - 1 for blk in sys_.blocks)
+            assert lp.start[-1][0] == len(lp.rows) - 1  # the mass row
+            assert len({r for r, _ in lp.start}) == size
+            for i, row in enumerate(basis):
+                assert row[i] == 1
+                assert all(a == 0 for a in row[i + 1 :])
+                assert set(row) <= {0, 1}
+            if support and lp.n_atoms <= 64:
+                rows, _ = lp_dense(lp)
+                assert exact_rank(rows) == size
+
+
+def test_start_weights_are_feasible_for_the_full_lp():
+    for sys_ in start_systems():
+        full = build_coupling_lp(sys_)
+        weights = start_weights(full)
+        assert all(w >= 0 for w in weights.values())
+        for row in full.rows:
+            assert sum(weights.get(c, 0) for c in row.cols) == row.rhs
+        sup = build_coupling_lp(sys_, support=True)
+        assert {sup.atoms[a]: w for a, w in start_weights(sup).items()} == {
+            full.atoms[a]: w for a, w in weights.items()
+        }
+
+
+def two_phase_optimum(lp):
+    """The optimum of a support LP by solve_min without a start."""
+    status, optimum, _ = cbd.simplex.solve_min(
+        list(lp.objective),
+        dense_rows(lp, lp.rows, range(lp.n_atoms)),
+        [row.rhs for row in lp.rows],
+    )
+    assert status == "optimal"
+    return optimum
+
+
+def test_start_optimum_matches_the_two_phase_path():
+    for sys_ in start_systems():
+        lp = build_coupling_lp(sys_, support=True)
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        assert sol.optimum == two_phase_optimum(lp)
+        assert verify_solution(lp, sol)
+
+
+def test_analyze_installs_the_start_and_runs_only_phase_2(monkeypatch):
+    events = []
+    pivot, iterate = cbd.simplex._Tableau.pivot, cbd.simplex._Tableau.iterate
+
+    def recording_pivot(tab, r, s):
+        events.append((tab.rows[r][s], tab.d))
+        pivot(tab, r, s)
+
+    def recording_iterate(tab, n_enter):
+        events.append("iterate")
+        iterate(tab, n_enter)
+
+    monkeypatch.setattr(cbd.simplex._Tableau, "pivot", recording_pivot)
+    monkeypatch.setattr(cbd.simplex._Tableau, "iterate", recording_iterate)
+    for sys_ in start_systems()[:20]:
+        lp = build_coupling_lp(sys_, support=True)
+        if lp.n_atoms == 1:
+            continue  # a deterministic system: analyze solves no LP
+        rows, _ = lp_dense(lp)
+        events.clear()
+        analyze(sys_)
+        assert events.count("iterate") == 1
+        install = events[: events.index("iterate")]
+        assert install == [(1, 1)] * exact_rank(rows)
+
+
+# ---------------------------------------------------------------------------
+# witnesses as certificates
+
+
+def certificate_systems():
+    """The acceptance criteria's systems, a few of each kind, and a seeded
+    random set with ternary contents."""
+    rng = random.Random(59)
+    systems = [order_effect_system(), four_cycle_name_system()]
+    systems += [liar_ring(n) for n in range(2, 6)]
+    systems += [rand_c2(rng) for _ in range(10)]
+    systems += [rand_c2_equal_correlation(rng) for _ in range(10)]
+    systems += [rand_deterministic(rng, max_contexts=3, max_block=2) for _ in range(5)]
+    systems += [rand_system(rng, ternary_share=0.3, max_block=3) for _ in range(40)]
+    return systems
+
+
+def test_every_witness_is_a_certificate():
+    for sys_ in certificate_systems():
+        report = analyze(sys_)
+        sup = build_coupling_lp(sys_, support=True)
+        for lp in (sup, build_coupling_lp(sys_)):
+            index = {atom: i for i, atom in enumerate(lp.atoms)}
+            weights = {index[atom]: w for atom, w in report.witness.weights}
+            sol = LPSolution(status="optimal", optimum=report.system_delta, weights=weights)
+            assert verify_solution(lp, sol)
+        # optimal: no coupling mismatches less, by the two-phase path
+        assert report.system_delta == two_phase_optimum(sup)
+        # the support LP's row rank (test_start_is_a_unit_lower_triangular_basis)
+        rank = 1 + sum(len(blk.table) - 1 for blk in sys_.blocks)
+        assert len(report.witness.weights) <= rank

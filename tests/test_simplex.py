@@ -190,3 +190,46 @@ def test_leftover_artificial_driven_out_on_negative_entry(monkeypatch):
     assert status == "optimal"
     assert opt == 1 == enumerate_min(costs, rows, rhs)[0]
     assert x == [F(1), F(0), F(0)]
+
+
+def test_singular_start_raises():
+    costs = [F(1), F(1), F(1)]
+    rows = [[F(1), F(1), F(0)], [F(2), F(2), F(1)]]
+    rhs = [F(1), F(3)]
+    # column 1 is column 0 over these rows; a repeated or unknown column too
+    for start in ([0, 1], [2, 2], [0, 3], [0, -1], [0]):
+        with pytest.raises(SimplexError):
+            solve_min(costs, rows, rhs, start=start)
+    assert solve_min(costs, rows, rhs, start=[0, 2])[1] == 2
+
+
+def test_infeasible_start_raises():
+    # x0 + x2 = 1, x1 + x2 = 2: the basis {x2, x0} gives x2 = 2, x0 = -1
+    costs = [F(1), F(1), F(1)]
+    rows = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
+    rhs = [F(1), F(2)]
+    with pytest.raises(SimplexError, match="infeasible"):
+        solve_min(costs, rows, rhs, start=[2, 0])
+    assert solve_min(costs, rows, rhs, start=[2, 1]) == solve_min(costs, rows, rhs)
+
+
+def test_slack_start_matches_two_phase():
+    # [A | I] x = b with b >= 0: the slack columns are a feasible basis
+    rng = random.Random(43)
+    for _ in range(40):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [
+            [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+            + [F(int(i == k)) for k in range(m)]
+            for i in range(m)
+        ]
+        rhs = [F(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(m)]
+        # nonnegative costs keep every instance bounded
+        costs = [F(rng.randint(0, 5), rng.randint(1, 2)) for _ in range(n + m)]
+        status, opt, x = solve_min(costs, rows, rhs, start=list(range(n, n + m)))
+        assert status == "optimal"
+        assert opt == solve_min(costs, rows, rhs)[1] == enumerate_min(costs, rows, rhs)[0]
+        assert all(v >= 0 for v in x)
+        for row, b in zip(rows, rhs):
+            assert sum(a * v for a, v in zip(row, x)) == b
+        assert sum(c * v for c, v in zip(costs, x)) == opt

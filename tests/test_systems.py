@@ -95,6 +95,11 @@ def test_unknown_content():
         validate_system(pm_registry("q1"), [("c1", ("q2",), {(P,): 1})])
 
 
+def test_unhashable_content_in_a_context():
+    with pytest.raises(DomainMismatch, match="context 'c'"):
+        validate_system({"q": ("a", "b")}, [("c", (["q"],), {("a",): 1})])
+
+
 def test_empty_system():
     with pytest.raises(EmptySystem):
         validate_system(pm_registry("q1"), [])
