@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -235,13 +236,16 @@ def build_coupling_lp(
         lists.append(cells)
         digits.append(digit)
         positive.append(spots)
-    # tuples are built from lists, not iterators: a tuple grown from an
-    # iterator is resized as it fills, which raised peak RSS by about 0.5 MB
-    # over a thousand small verdicts
-    atoms = tuple([
-        tuple([o for cell in combo for o in cell])
-        for combo in itertools.product(*lists)
-    ])
+    # each context's cells extend every atom of the contexts before it, in
+    # product order; the tuple is built from a list, not an iterator: a tuple
+    # grown from an iterator is resized as it fills, which raised peak RSS by
+    # about 0.5 MB over a thousand small verdicts
+    prefixes: list[tuple[str, ...]] = [()]
+    for cells in lists:
+        prefixes = list(
+            itertools.starmap(operator.add, itertools.product(prefixes, cells))
+        )
+    atoms = tuple(prefixes)
 
     # the atoms whose cell in a context sits at list position d: runs of
     # `stride` consecutive indices, one run every `period`
@@ -258,28 +262,61 @@ def build_coupling_lp(
             d = digit.get(cell)
             if d is None:
                 continue
-            cols = [
-                c for s in range(d * stride, n, period) for c in range(s, s + stride)
-            ]
+            lo = d * stride
+            if stride == 1:
+                cols = range(lo, n, period)
+            else:
+                cols = itertools.chain.from_iterable(
+                    range(s, s + stride) for s in range(lo, n, period)
+                )
             label = f"{blk.context}[{','.join(cell)}]"
             row_at[d] = len(rows)
             rows.append(LPRow(label=label, cols=tuple(cols), rhs=blk.prob(cell)))
         positive[i] = [(d, p, row_at[d]) for d, p in positive[i]]
     rows.append(LPRow(label="mass", cols=tuple(range(n)), rhs=Fraction(1)))
 
+    # The objective counts, per atom, the pairs whose two outcomes differ.
+    # Over the atoms, a variable's outcomes repeat with its context's period
+    # (see _outcome_runs).  A pair's first context comes before its second
+    # (blocks and each content's contexts are both sorted), so the first's
+    # period is a whole number of the second's, and the pair's pattern of
+    # splits over it repeats over the atoms.  Variables run context by
+    # context, contents sorted: a variable's place in its context's cells is
+    # its index less that of the context's first variable.
     var_index = {v: i for i, v in enumerate(variables)}
-    pairs = [(var_index[(ca, q)], var_index[(cb, q)]) for q, ca, cb in system.pairs()]
-    objective = tuple(
-        sum(1 for i, j in pairs if atom[i] != atom[j]) for atom in atoms
-    )
+    first: dict[str, int] = {}
+    for i, (c, _) in enumerate(variables):
+        first.setdefault(c, i)
+    at = {blk.context: k for k, blk in enumerate(system.blocks)}
+    pairs = []
+    splits = [[0] * n]
+    for q, ca, cb in system.pairs():
+        i, j = var_index[(ca, q)], var_index[(cb, q)]
+        pairs.append((i, j))
+        a, b = at[ca], at[cb]
+        xs = _outcome_runs(lists[a], i - first[ca], strides[a])
+        ys = _outcome_runs(lists[b], j - first[cb], strides[b])
+        split = list(map(operator.ne, xs, ys * (len(xs) // len(ys))))
+        splits.append(split * (n // len(split)))
     return LPInstance(
         variables=variables,
         atoms=atoms,
         rows=tuple(rows),
-        objective=objective,
+        objective=tuple(map(sum, zip(*splits))),
         pairs=tuple(pairs),
         start=_north_west_corner(positive, strides, len(rows) - 1),
     )
+
+
+def _outcome_runs(
+    cells: Sequence[tuple[str, ...]], place: int, stride: int
+) -> list[str]:
+    """One period of a variable's outcomes over the atoms: the outcome at
+    place in each of its context's cells, stride times each."""
+    out = []
+    for cell in cells:
+        out += [cell[place]] * stride
+    return out
 
 
 def _north_west_corner(
@@ -377,7 +414,8 @@ def solve_lp(lp: LPInstance) -> LPSolution:
     )
     if status != "optimal":
         return LPSolution(status=status, optimum=None, weights={})
-    weights = {alive[k]: v for k, v in enumerate(x) if v != 0}
+    # solve_min leaves every zero entry of x as simplex.ZERO itself
+    weights = {alive[k]: v for k, v in enumerate(x) if v is not simplex.ZERO}
     return LPSolution(status="optimal", optimum=optimum, weights=weights)
 
 

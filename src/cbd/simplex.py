@@ -2,14 +2,16 @@
 
 Minimizes a linear objective subject to equality constraints and
 nonnegativity.  The optimum is the true rational optimum, not an
-approximation, yet no pivot touches a Fraction: the constraint rows, their
-right-hand sides and the costs are scaled to integers on entry, each over
-the lcm of its denominators by systems.to_form, and the tableau is kept
-integral with one common positive denominator d (the integer-preserving
-pivots of Edmonds and Bareiss, Math. Comp. 22, 1968).
+approximation, yet no pivot touches a Fraction: a constraint row or the
+cost vector that holds only ints passes through as it is, any other is
+scaled to integers over the lcm of its denominators by systems.to_form, as
+is the right-hand-side column, and the tableau is kept integral with one
+common positive denominator d (the integer-preserving pivots of Edmonds and
+Bareiss, Math. Comp. 22, 1968).
 A tableau entry T[i][j] stands for the rational T[i][j] / d.  Pivoting on
 (r, s) with p = T[r][s] leaves row r as it is and turns every other row into
-(p*a - f*b) // d, an exact division, after which d = p.
+(p*a - f*b) // d, an exact division, after which d = p; with p = d = 1 that
+is the row subtraction a - f*b.
 
 The starting basis comes from one of two places.  Without a start, phase 1
 minimizes the sum of one artificial variable per row, and artificials still
@@ -20,8 +22,9 @@ nonsingular in that order and its basic solution nonnegative, or
 SimplexError is raised.  Phase
 1 and the drive-out are then skipped.  The coupling LP supplies such a start
 (its north-west-corner basis, see coupling.build_coupling_lp), on whose unit
-lower-triangular basis every install pivot is 1.  Phase 2 is the same either
-way.
+lower-triangular basis every install pivot is 1: on its 0/1 int rows each
+install pivot updates the other rows by plain subtraction.  Phase 2 is the
+same either way.
 
 Entering takes the most negative reduced cost (Dantzig's rule).  After
 DEGENERATE_RUN consecutive degenerate pivots it switches to Bland's rule
@@ -73,6 +76,9 @@ class _Tableau:
             prow = rows[r] = [-a for a in prow]
             p = -p
         d = self.d
+        # with p = d = 1 (every pivot installing the coupling LP's start) the
+        # update is a plain row subtraction
+        unit = p == 1 and d == 1
         for i, row in enumerate(rows):
             if i == r:
                 continue
@@ -80,6 +86,8 @@ class _Tableau:
             if f == 0:
                 if p != d:
                     rows[i] = [p * a // d for a in row]
+            elif unit:
+                rows[i] = [a - f * b for a, b in zip(row, prow)]
             else:
                 rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
         self.d = p
@@ -123,6 +131,13 @@ class _Tableau:
             self.pivot(leave, enter)
 
 
+def _integer_form(values):
+    """to_form(values), with an int sequence passed through as (1, values)."""
+    if set(map(type, values)) <= {int}:
+        return 1, values
+    return to_form(values)
+
+
 def _phase_one(tab, n):
     """Pivot tab, whose basis is all artificial, to a feasible basis of the
     n original columns; False when there is none."""
@@ -157,14 +172,16 @@ def solve_min(costs, rows, rhs, start=None):
     """Minimize costs . x subject to rows . x == rhs, x >= 0.
 
     costs: sequence of n exact numbers (ints or Fractions).
-    rows:  m sequences of n exact numbers.
+    rows:  m sequences of n exact numbers.  Only a sequence holding a
+           non-int is scaled to integers; an int one is read as it is.
     rhs:   m exact numbers.
     start: optional starting basis, m column indices: start[i] is made basic
            in row i.  Without it, phase 1 finds a feasible basis.
 
     Returns (status, optimum, x): status "optimal" with the exact optimum as
     a Fraction and one optimal basic feasible solution as a list of
-    Fractions, or ("infeasible", None, None) (only without a start).  Raises
+    Fractions, each zero entry the module's ZERO itself, or ("infeasible",
+    None, None) (only without a start).  Raises
     SimplexError on an unbounded objective (impossible when the feasible set
     is bounded, as for every instance built by this package) and on a start
     that is not m columns, hits a zero pivot, or gives a negative basic
@@ -188,8 +205,9 @@ def solve_min(costs, rows, rhs, start=None):
     table = []
     scaled_rhs = []
     for row, b in zip(rows, rhs):
-        row_scale, scaled = to_form(row)
-        b *= row_scale
+        row_scale, scaled = _integer_form(row)
+        if row_scale != 1:
+            b *= row_scale
         if b < 0:
             scaled = [-a for a in scaled]
             b = -b
@@ -215,7 +233,7 @@ def solve_min(costs, rows, rhs, start=None):
 
     # Phase 2: the real objective, scaled to integers, over the feasible
     # basis found above.  Its z-row carries the same denominator d.
-    cost_scale, icosts = to_form(costs)
+    cost_scale, icosts = _integer_form(costs)
     zrow = [tab.d * c for c in icosts] + [0]
     for i, j in enumerate(tab.basis):
         cb = icosts[j]
@@ -226,7 +244,8 @@ def solve_min(costs, rows, rhs, start=None):
 
     x = [ZERO] * n
     for i, j in enumerate(tab.basis):
-        x[j] = Fraction(tab.rows[i][-1], tab.d * rhs_scale)
+        if tab.rows[i][-1]:
+            x[j] = Fraction(tab.rows[i][-1], tab.d * rhs_scale)
     optimum = Fraction(-tab.rows[-1][-1], tab.d * cost_scale * rhs_scale)
     return "optimal", optimum, x
 

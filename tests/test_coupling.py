@@ -346,27 +346,50 @@ def liar7():
     return liar_ring(7)
 
 
-def check_full_lp(sys_, lp):
-    """The full LP against its definition, atom by atom."""
+def check_lp_definition(sys_, lp, support):
+    """The full or support LP against its definition, atom by atom: the
+    atoms, each row's columns (the atoms whose cell matches), the pairs, and
+    each atom's objective (its count of pairs with two different outcomes)."""
     domains = [sys_.outcomes[q] for _, q in lp.variables]
-    assert lp.atoms == tuple(itertools.product(*domains))
+    spots = {
+        blk.context: [lp.variables.index((blk.context, q)) for q in blk.contents]
+        for blk in sys_.blocks
+    }
+
+    def cell_of(atom, blk):
+        return tuple(atom[k] for k in spots[blk.context])
+
+    atoms = tuple(
+        atom for atom in itertools.product(*domains)
+        if not support or all(blk.prob(cell_of(atom, blk)) for blk in sys_.blocks)
+    )
+    assert lp.atoms == atoms
     want = []
     for blk in sys_.blocks:
-        spots = [lp.variables.index((blk.context, q)) for q in blk.contents]
         for cell in sys_.cells(blk.context):
+            if support and not blk.prob(cell):
+                continue
             cols = tuple(
-                i for i, atom in enumerate(lp.atoms)
-                if tuple(atom[k] for k in spots) == cell
+                i for i, atom in enumerate(lp.atoms) if cell_of(atom, blk) == cell
             )
             want.append((cols, blk.prob(cell)))
     want.append((tuple(range(lp.n_atoms)), F(1)))
     assert [(row.cols, row.rhs) for row in lp.rows] == want
+    index = {v: i for i, v in enumerate(lp.variables)}
+    assert lp.pairs == tuple(
+        (index[(ca, q)], index[(cb, q)]) for q, ca, cb in sys_.pairs()
+    )
+    assert lp.objective == tuple(
+        sum(1 for i, j in lp.pairs if atom[i] != atom[j]) for atom in lp.atoms
+    )
+    assert all(type(c) is int for c in lp.objective)
 
 
 def check_support_lp(sys_):
     full = build_coupling_lp(sys_)
     sup = build_coupling_lp(sys_, support=True)
-    check_full_lp(sys_, full)
+    check_lp_definition(sys_, full, support=False)
+    check_lp_definition(sys_, sup, support=True)
     alive = alive_atoms(full)
     live_rows = [row for row in full.rows if row.rhs != 0]
     # the atoms, rows and costs the simplex sees, in the same order
@@ -397,12 +420,24 @@ def check_support_lp(sys_):
 
 def test_support_lp_is_the_alive_part_of_the_full_lp():
     rng = random.Random(41)
-    zero_cells = 0
-    for _ in range(60):
-        sys_ = rand_system(rng, ternary_share=0.4, max_block=3, max_atoms=256)
+    systems = [
+        rand_system(rng, ternary_share=0.4, max_block=3, max_atoms=256)
+        for _ in range(60)
+    ]
+    # deterministic systems: every context a point mass, one positive cell
+    systems += [
+        rand_deterministic(
+            rng, max_contents=4, max_contexts=3, ternary_share=0.4, max_block=2
+        )
+        for _ in range(10)
+    ]
+    zero_cells = ternary = point_mass = 0
+    for sys_ in systems:
         full, sup = check_support_lp(sys_)
         zero_cells += len(full.rows) - len(sup.rows)
-    assert zero_cells > 0
+        ternary += any(len(outs) == 3 for outs in sys_.outcomes.values())
+        point_mass += any(len(blk.table) == 1 for blk in sys_.blocks)
+    assert zero_cells > 0 and ternary > 0 and point_mass > 10
 
 
 def test_support_lp_of_liar_7():

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from cbd import simplex
+from cbd.coupling import build_coupling_lp, dense_rows
 from cbd.oracle import enumerate_min
-from cbd.simplex import SimplexError, solve_min
-from helpers import rand_weights
+from cbd.simplex import ZERO, SimplexError, solve_min
+from helpers import rand_system, rand_weights
 
 F = Fraction
 
@@ -214,13 +215,15 @@ def test_infeasible_start_raises():
 
 
 def test_slack_start_matches_two_phase():
-    # [A | I] x = b with b >= 0: the slack columns are a feasible basis
+    # [A | sI] x = b with b >= 0: the slack columns are a feasible basis; with
+    # s = 2 they install by non-unit pivots, through the general update
     rng = random.Random(43)
-    for _ in range(40):
+    for trial in range(40):
         m, n = rng.randint(1, 4), rng.randint(1, 5)
+        s = 1 + trial % 2
         rows = [
             [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
-            + [F(int(i == k)) for k in range(m)]
+            + [F(s * int(i == k)) for k in range(m)]
             for i in range(m)
         ]
         rhs = [F(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(m)]
@@ -233,3 +236,62 @@ def test_slack_start_matches_two_phase():
         for row, b in zip(rows, rhs):
             assert sum(a * v for a, v in zip(row, x)) == b
         assert sum(c * v for c, v in zip(costs, x)) == opt
+
+
+def test_integer_rows_skip_scaling(monkeypatch):
+    # coupling LPs come as int rows and costs, which solve_min takes as they
+    # are; the same LP as Fractions is scaled and solved by the same pivots
+    scaled = []
+    real_to_form = simplex.to_form
+
+    def counted_to_form(values):
+        scaled.append(values)
+        return real_to_form(values)
+
+    pivots = []
+    real_pivot = simplex._Tableau.pivot
+
+    def recorded_pivot(tab, r, s):
+        pivots.append((r, s))
+        real_pivot(tab, r, s)
+
+    monkeypatch.setattr(simplex, "to_form", counted_to_form)
+    monkeypatch.setattr(simplex._Tableau, "pivot", recorded_pivot)
+    rng = random.Random(47)
+    solved = 0
+    for _ in range(30):
+        lp = build_coupling_lp(
+            rand_system(rng, ternary_share=0.3, max_block=3, max_atoms=128),
+            support=True,
+        )
+        costs = list(lp.objective)
+        rhs = [row.rhs for row in lp.rows]
+        rows = dense_rows(lp, lp.rows, range(lp.n_atoms))
+        live = [r for r, _ in lp.start]
+        start_rows = [rows[r] for r in live]
+        cases = [
+            (rows, rhs, None),
+            (start_rows, [rhs[r] for r in live], [c for _, c in lp.start]),
+        ]
+        for int_rows, b, start in cases:
+            scaled.clear()
+            pivots.clear()
+            result = solve_min(costs, int_rows, b, start=start)
+            assert len(scaled) == 1  # the rhs column alone
+            int_pivots = list(pivots)
+            scaled.clear()
+            pivots.clear()
+            as_fractions = solve_min(
+                [F(c) for c in costs],
+                [[F(a) for a in row] for row in int_rows],
+                b,
+                start=start,
+            )
+            assert len(scaled) == len(int_rows) + 2  # every row, costs, rhs
+            assert as_fractions == result and pivots == int_pivots
+            status, optimum, x = result
+            assert status == "optimal"
+            # the zeros of x are ZERO itself, which solve_lp relies on
+            assert all(v is ZERO or v > 0 for v in x)
+            solved += 1
+    assert solved == 60
