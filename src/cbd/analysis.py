@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .coupling import CouplingWitness, delta_pairs, resolve_atom_cap, system_delta
 from .errors import InternalError, NotDeterministic
-from .systems import Consistency, System, is_consistently_connected, to_form
+from .systems import ZERO, Consistency, System, is_consistently_connected, to_form
 
 __all__ = [
     "PairDelta",
@@ -86,7 +86,6 @@ def _fixed_values(system: System) -> dict[tuple[str, str], str]:
 
 
 _ONE = Fraction(1)
-_ZERO = Fraction(0)
 
 
 def _report(
@@ -145,7 +144,7 @@ def analyze_deterministic(system: System) -> AnalysisReport:
             per[q] = False
             mismatches += 1
         else:
-            pairs.append((q, ca, cb, _ZERO))
+            pairs.append((q, ca, cb, ZERO))
     atom = tuple(values[v] for v in system.variables)
     witness = CouplingWitness(
         variables=system.variables, weights=((atom, _ONE),)

@@ -161,7 +161,7 @@ def cmd_oracle(args) -> int:
         lp = build_coupling_lp(system)
         best, _, n_bases = enumerate_min(
             lp.objective,
-            dense_rows(lp, lp.rows, range(n)),
+            dense_rows(lp, lp.rows),
             [row.rhs for row in lp.rows],
         )
     except TooManyBases as exc:

@@ -29,7 +29,8 @@ from typing import Iterable, Sequence
 from . import simplex
 from .errors import CapExceeded, DomainMismatch, InternalError
 from .systems import (
-    MINUS, PLUS, Form, Marginal, System, check_plus_minus_one, marginal_forms, to_form,
+    MINUS, PLUS, ZERO, Form, Marginal, System, check_plus_minus_one, marginal_forms,
+    to_form,
 )
 
 DEFAULT_ATOM_CAP = 2**20
@@ -70,14 +71,11 @@ def _check_coupleable(m1: Marginal, m2: Marginal) -> None:
         )
 
 
-_ZERO = Fraction(0)
-
-
 def _total_variation(f1: Form, f2: Form) -> Fraction:
     """The mass f1 puts above f2, for two forms over the same outcome order:
     sum_o max(0, a_o*d2 - b_o*d1) / (d1*d2)."""
     if f1 == f2:
-        return _ZERO
+        return ZERO
     (d1, a), (d2, b) = f1, f2
     excess = sum(max(0, x * d2 - y * d1) for x, y in zip(a, b))
     return Fraction(excess, d1 * d2)
@@ -159,9 +157,9 @@ class LPInstance:
     total-mass row; the objective counts, per atom, how many content-sharing
     pairs it assigns different outcomes.
 
-    start: a feasible starting basis as (row index, atom index) pairs, or
-    empty.  Its rows are independent and imply every other positive row, and
-    its basis matrix, in this order, is unit lower-triangular.
+    start: a feasible starting basis as (row index, atom index) pairs.  Its
+    rows are independent and imply every other positive row, and its basis
+    matrix, in this order, is unit lower-triangular.
     """
 
     variables: tuple[tuple[str, str], ...]
@@ -169,7 +167,7 @@ class LPInstance:
     rows: tuple[LPRow, ...]
     objective: tuple[int, ...]
     pairs: tuple[tuple[int, int], ...]
-    start: tuple[tuple[int, int], ...] = ()
+    start: tuple[tuple[int, int], ...]
 
     @property
     def n_atoms(self) -> int:
@@ -180,8 +178,7 @@ class LPInstance:
 class LPSolution:
     """Solver result: exact optimum and the nonzero atom weights."""
 
-    status: str
-    optimum: Fraction | None
+    optimum: Fraction
     weights: dict[int, Fraction]
 
 
@@ -198,9 +195,11 @@ def build_coupling_lp(
 
     support=True builds the support LP instead: only the atoms whose cell in
     every context has positive probability, and only the positive cells' rows
-    plus mass.  A zero cell forces every atom it covers to weight zero, so
-    this is the program solve_lp reduces the full one to, with the same atoms
-    and rows in the same order, and the same optimum and witness.
+    plus mass, in the full LP's order.  A zero cell forces every atom it
+    covers to weight zero, so the two programs have the same optimum, and a
+    solution of the support LP solves the full one once its atoms are mapped.
+    solve_lp takes only the support LP; the full LP is the definition it is
+    checked against.
 
     Either way the instance carries the north-west-corner start (see
     _north_west_corner), computed from the positive cells alone, so both
@@ -361,73 +360,52 @@ def _north_west_corner(
     return tuple(start)
 
 
-def dense_rows(
-    lp: LPInstance, rows: Sequence[LPRow], columns: Sequence[int]
-) -> list[list[int]]:
-    """The 0/1 coefficients of rows over the given atom columns, in that
-    order; atoms not listed are left out."""
-    # atoms not listed write to a spare last slot, cut off below
-    m = len(columns)
-    pos = [m] * lp.n_atoms
-    for k, c in enumerate(columns):
-        pos[c] = k
+def dense_rows(lp: LPInstance, rows: Sequence[LPRow]) -> list[list[int]]:
+    """The 0/1 coefficients of rows over every atom, in atom order."""
+    n = lp.n_atoms
     out = []
     for row in rows:
-        vec = [0] * (m + 1)
+        vec = [0] * n
         for c in row.cols:
-            vec[pos[c]] = 1
-        out.append(vec[:m])
+            vec[c] = 1
+        out.append(vec)
     return out
 
 
 def solve_lp(lp: LPInstance) -> LPSolution:
-    """Solve the coupling LP exactly.
+    """Solve a support LP (build_coupling_lp with support=True) exactly.
 
-    A zero-probability cell forces every atom it covers to weight zero (all
-    coefficients are +1), so those columns are fixed before pivoting, and
-    the simplex runs on the reduced instance.  With lp.start, the tableau
-    holds only the start's rows (the others are implied) and the simplex
-    starts from that basis; without it, on every positive row, it runs
-    phase 1 first.  The returned weights are a basic feasible solution of
-    the full program.
+    The tableau holds only the start's rows, as the start implies the others,
+    and the simplex runs phase 2 from the start's basis.  A full LP with a
+    zero cell is refused: the rows that force its zero-cell atoms to weight
+    zero would be left out, and those atoms could enter the basis.  The
+    returned weights are a basic feasible solution of the support LP.
     """
-    n = lp.n_atoms
-    forced = [False] * n
-    for row in lp.rows:
-        if row.rhs == 0:
-            for c in row.cols:
-                forced[c] = True
-    alive = [i for i in range(n) if not forced[i]]
-    if lp.start:
-        column = {c: k for k, c in enumerate(alive)}
-        live_rows = [lp.rows[r] for r, _ in lp.start]
-        start = [column.get(c, -1) for _, c in lp.start]
-    else:
-        # a zero-rhs row is met identically once its columns are fixed at 0
-        live_rows = [row for row in lp.rows if row.rhs != 0]
-        start = None
-    status, optimum, x = simplex.solve_min(
-        [lp.objective[c] for c in alive],
-        dense_rows(lp, live_rows, alive),
-        [row.rhs for row in live_rows],
-        start=start,
+    if not lp.start:
+        raise ValueError("solve_lp needs an LP with a start basis, got none")
+    zero = next((row.label for row in lp.rows if not row.rhs), None)
+    if zero is not None:
+        raise ValueError(f"solve_lp takes a support LP, but row {zero} has rhs 0")
+    rows = [lp.rows[r] for r, _ in lp.start]
+    # from a start, solve_min returns "optimal" or raises SimplexError
+    _, optimum, x = simplex.solve_min(
+        lp.objective,
+        dense_rows(lp, rows),
+        [row.rhs for row in rows],
+        start=[c for _, c in lp.start],
     )
-    if status != "optimal":
-        return LPSolution(status=status, optimum=None, weights={})
-    # solve_min leaves every zero entry of x as simplex.ZERO itself
-    weights = {alive[k]: v for k, v in enumerate(x) if v is not simplex.ZERO}
-    return LPSolution(status="optimal", optimum=optimum, weights=weights)
+    # solve_min leaves every zero entry of x as ZERO itself
+    weights = {k: v for k, v in enumerate(x) if v is not ZERO}
+    return LPSolution(optimum=optimum, weights=weights)
 
 
 def verify_solution(lp: LPInstance, sol: LPSolution) -> bool:
-    """Exact recheck of a solution against the full instance: nonnegative
+    """Exact recheck of a solution against the instance: nonnegative
     weights, every equality met, and the objective equal to the optimum."""
-    if sol.status != "optimal":
-        return False
     if any(not 0 <= c < lp.n_atoms or v < 0 for c, v in sol.weights.items()):
         return False
     for row in lp.rows:
-        total = sum(sol.weights.get(c, Fraction(0)) for c in row.cols)
+        total = sum(sol.weights.get(c, ZERO) for c in row.cols)
         if total != row.rhs:
             return False
     value = sum(
@@ -456,8 +434,6 @@ def system_delta(
         sol = solve_lp(lp)
     except simplex.SimplexError as exc:
         raise InternalError(f"coupling LP solve failed: {exc}") from exc
-    if sol.status != "optimal":
-        raise InternalError("coupling LP infeasible on a valid system")
     witness = CouplingWitness(
         variables=lp.variables,
         weights=tuple(

@@ -37,9 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .systems import to_form
-
-ZERO = Fraction(0)
+from .systems import ZERO, to_form
 
 # Consecutive degenerate pivots after which entering falls back to Bland's
 # rule until the next nondegenerate pivot.

@@ -52,6 +52,10 @@ from .errors import (
 PLUS = "+1"
 MINUS = "-1"
 
+# The one zero: a table's default for an absent cell, and every zero weight
+# the simplex returns.
+ZERO = Fraction(0)
+
 # Python's default int-to-str digit limit: an input number whose numerator or
 # denominator has more digits is refused.  A decimal exponent beyond it is
 # refused before Fraction builds its power of ten.  Values derived from the
@@ -155,7 +159,7 @@ class ContextBlock:
     table: dict[tuple[str, ...], Fraction]
 
     def prob(self, cell: tuple[str, ...]) -> Fraction:
-        return self.table.get(cell, Fraction(0))
+        return self.table.get(cell, ZERO)
 
 
 @dataclass(frozen=True)

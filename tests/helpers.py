@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 import cbd.analysis
+import cbd.simplex
 from cbd import (
     System,
     build_coupling_lp,
@@ -20,6 +21,7 @@ from cbd import (
     system_delta,
     validate_system,
 )
+from cbd.coupling import LPSolution, dense_rows
 from cbd.oracle import enumerate_min
 
 PM = ("+1", "-1")
@@ -330,6 +332,24 @@ def lp_dense(lp):
             vec[c] = 1
         rows.append(vec)
     return rows, [r.rhs for r in lp.rows]
+
+
+def two_phase_optimum(lp):
+    """The optimum of a full or support LP by solve_min without a start,
+    through phase 1."""
+    status, optimum, _ = cbd.simplex.solve_min(
+        list(lp.objective), dense_rows(lp, lp.rows), [row.rhs for row in lp.rows]
+    )
+    assert status == "optimal"
+    return optimum
+
+
+def on_full_lp(full, sup, sol):
+    """A solution of the support LP sup, its atoms mapped to those of the
+    full LP full."""
+    index = {atom: i for i, atom in enumerate(full.atoms)}
+    weights = {index[sup.atoms[i]]: w for i, w in sol.weights.items()}
+    return LPSolution(optimum=sol.optimum, weights=weights)
 
 
 @functools.cache

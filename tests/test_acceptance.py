@@ -37,6 +37,7 @@ from helpers import (
     P,
     c2_system,
     lp_path_report,
+    on_full_lp,
     order_effect_oracle_min,
     order_effect_system,
     pm_registry,
@@ -45,6 +46,7 @@ from helpers import (
     rand_deterministic,
     rand_system,
     relabel,
+    two_phase_optimum,
 )
 
 F = Fraction
@@ -219,16 +221,20 @@ def test_criterion_6_isolated_deltas():
 def test_criterion_7_random_systems_verified():
     with criterion(
         7,
-        "200 random systems: simplex optimum feasible and exact, cnt >= 0, "
-        "and invariant under relabeling",
+        "200 random systems: support-LP optimum feasible for the full LP and "
+        "equal to its two-phase optimum, cnt >= 0, and invariant under "
+        "relabeling",
     ):
         rng = random.Random(107)
         for _ in range(200):
             sys_ = rand_system(rng)
-            lp = build_coupling_lp(sys_)
-            sol = solve_lp(lp)
-            assert sol.status == "optimal"
-            assert verify_solution(lp, sol)
+            full = build_coupling_lp(sys_)
+            sup = build_coupling_lp(sys_, support=True)
+            sol = solve_lp(sup)
+            assert verify_solution(sup, sol)
+            assert verify_solution(full, on_full_lp(full, sup, sol))
+            assert full.n_atoms <= 256
+            assert sol.optimum == two_phase_optimum(full)
             report = analyze(sys_)
             assert report.system_delta == sol.optimum
             assert report.cnt >= 0

@@ -329,18 +329,19 @@ def test_liar_over_the_cap_names_the_override(capsys, monkeypatch):
 
 
 def test_internal_error_exits_1(tmp_path, capsys, monkeypatch):
+    # an optimum below delta_sum (0 here) trips analyze's cnt < 0 check
     import cbd.coupling
     from cbd.coupling import LPSolution
 
     path = write_file(tmp_path, order_effect_system())
     monkeypatch.setattr(
-        cbd.coupling,
-        "solve_lp",
-        lambda lp: LPSolution(status="infeasible", optimum=None, weights={}),
+        cbd.coupling, "solve_lp", lambda lp: LPSolution(optimum=F(-1), weights={})
     )
-    code, _, err = run_cli(capsys, "analyze", path)
+    code, out, err = run_cli(capsys, "analyze", path)
     assert code == 1
-    assert "infeasible" in err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "beat the isolated minimums" in err
 
 
 def test_solver_failure_is_one_error_line(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from cbd import (
     NotBinary,
     analyze,
     build_coupling_lp,
+    cyclic_criterion,
     delta_pairs,
     enumerate_variants,
     isolated_delta,
@@ -24,7 +26,7 @@ from cbd import (
     validate_system,
     verify_solution,
 )
-from cbd.coupling import LPInstance, LPRow, LPSolution, dense_rows
+from cbd.coupling import LPSolution, dense_rows
 from cbd.errors import InternalError
 from cbd.oracle import exact_rank
 from cbd.simplex import SimplexError
@@ -33,6 +35,7 @@ from helpers import (
     P,
     four_cycle_name_system,
     lp_dense,
+    on_full_lp,
     order_effect_oracle_min,
     order_effect_system,
     pm_registry,
@@ -41,6 +44,7 @@ from helpers import (
     rand_deterministic,
     rand_marginal_probs,
     rand_system,
+    two_phase_optimum,
 )
 
 F = Fraction
@@ -175,7 +179,6 @@ def test_build_lp_single_context_unique_coupling():
     lp = build_coupling_lp(sys_)
     assert lp.objective == (0, 0, 0, 0)
     sol = solve_lp(lp)
-    assert sol.status == "optimal"
     assert sol.optimum == 0
     recovered = {lp.atoms[i]: w for i, w in sol.weights.items()}
     assert recovered == table
@@ -224,44 +227,44 @@ def test_atom_cap_must_be_positive(monkeypatch):
 
 
 def test_solve_lp_matches_enumeration_on_pair_system():
-    lp = build_coupling_lp(order_effect_system())
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
+    full = build_coupling_lp(order_effect_system())
+    sup = build_coupling_lp(order_effect_system(), support=True)
+    sol = solve_lp(sup)
     assert sol.optimum == order_effect_oracle_min() == F(1, 2)
-    assert verify_solution(lp, sol)
+    assert sol.optimum == two_phase_optimum(full)
+    assert verify_solution(sup, sol)
+    assert verify_solution(full, on_full_lp(full, sup, sol))
 
 
 def test_verify_solution_rejects_weights_off_the_atoms():
-    lp = build_coupling_lp(order_effect_system())
-    sol = solve_lp(lp)
-    assert verify_solution(lp, sol)
+    full = build_coupling_lp(order_effect_system())
+    sup = build_coupling_lp(order_effect_system(), support=True)
+    sol = on_full_lp(full, sup, solve_lp(sup))
+    assert sol.optimum == two_phase_optimum(full)
+    assert verify_solution(full, sol)
     for atom in (-1, 99):
         weights = {**sol.weights, atom: F(1, 2)}
-        extra = LPSolution(status=sol.status, optimum=sol.optimum, weights=weights)
-        assert not verify_solution(lp, extra)
+        extra = LPSolution(optimum=sol.optimum, weights=weights)
+        assert not verify_solution(full, extra)
 
 
-def test_solve_lp_infeasible_when_a_positive_row_is_forced_to_zero():
-    def lp(rows):
-        return LPInstance(
-            variables=(), atoms=(("a",), ("b",)), rows=rows, objective=(0, 0), pairs=()
-        )
-
-    mass = LPRow("mass", (0, 1), F(1))
-    # a positive row left with no live atom, and no live atom at all
-    some_live = lp((LPRow("zero", (0,), F(0)), LPRow("half", (0,), F(1, 2)), mass))
-    none_live = lp((LPRow("zero", (0, 1), F(0)), mass))
-    for instance in (some_live, none_live):
-        assert solve_lp(instance).status == "infeasible"
+def test_solve_lp_refuses_a_zero_cell_and_an_empty_start():
+    # a full LP's zero-cell rows force atoms to 0, but the tableau holds only
+    # the start's rows, so those atoms could enter the basis
+    full = build_coupling_lp(order_effect_system())
+    assert any(row.rhs == 0 for row in full.rows)
+    with pytest.raises(ValueError, match="support LP.*rhs 0"):
+        solve_lp(full)
+    sup = build_coupling_lp(order_effect_system(), support=True)
+    with pytest.raises(ValueError, match="start basis"):
+        solve_lp(dataclasses.replace(sup, start=()))
 
 
-def test_dense_rows_follow_the_given_columns():
+def test_dense_rows_cover_every_atom():
     lp = build_coupling_lp(order_effect_system())
     rows, _ = lp_dense(lp)
-    assert dense_rows(lp, lp.rows, range(lp.n_atoms)) == rows
-    columns = [5, 0, 12]
-    want = [[row[c] for c in columns] for row in rows]
-    assert dense_rows(lp, lp.rows, columns) == want
+    assert dense_rows(lp, lp.rows) == rows
+    assert dense_rows(lp, lp.rows[3:6]) == rows[3:6]
 
 
 def test_system_delta_product_coupling_zero():
@@ -319,10 +322,12 @@ def test_lp_lower_bound_and_witness_random():
     rng = random.Random(31)
     for _ in range(15):
         sys_ = rand_system(rng, ternary_share=0.2, max_atoms=128)
-        lp = build_coupling_lp(sys_)
-        sol = solve_lp(lp)
-        assert sol.status == "optimal"
-        assert verify_solution(lp, sol)
+        full = build_coupling_lp(sys_)
+        sup = build_coupling_lp(sys_, support=True)
+        sol = solve_lp(sup)
+        assert verify_solution(sup, sol)
+        assert verify_solution(full, on_full_lp(full, sup, sol))
+        assert sol.optimum == two_phase_optimum(full)
         baseline = sum((d for _, _, _, d in delta_pairs(sys_)), F(0))
         assert sol.optimum >= baseline
 
@@ -332,7 +337,7 @@ def test_lp_lower_bound_and_witness_random():
 
 
 def alive_atoms(lp):
-    """Atoms left after zero-cell fixing, in index order, as solve_lp finds them."""
+    """The atoms of a full LP that no zero cell forces to 0, in index order."""
     forced = {c for row in lp.rows if row.rhs == 0 for c in row.cols}
     return [i for i in range(lp.n_atoms) if i not in forced]
 
@@ -401,21 +406,17 @@ def check_support_lp(sys_):
     assert sup.atoms == tuple(full.atoms[i] for i in alive)
     assert sup.objective == tuple(full.objective[i] for i in alive)
     assert [(r.label, r.rhs) for r in sup.rows] == [(r.label, r.rhs) for r in live_rows]
-    assert dense_rows(sup, sup.rows, range(sup.n_atoms)) == dense_rows(
-        full, live_rows, alive
-    )
-    full_sol, sup_sol = solve_lp(full), solve_lp(sup)
-    assert sup_sol.optimum == full_sol.optimum
-    assert [(sup.atoms[i], w) for i, w in sorted(sup_sol.weights.items())] == [
-        (full.atoms[i], w) for i, w in sorted(full_sol.weights.items())
+    assert dense_rows(sup, sup.rows) == [
+        [row[c] for c in alive] for row in dense_rows(full, live_rows)
     ]
-    assert verify_solution(full, full_sol)
-    assert verify_solution(sup, sup_sol)
-    index = {atom: i for i, atom in enumerate(full.atoms)}
-    mapped = {index[sup.atoms[i]]: w for i, w in sup_sol.weights.items()}
-    back = LPSolution(status=sup_sol.status, optimum=sup_sol.optimum, weights=mapped)
-    assert verify_solution(full, back)
-    return full, sup
+    sol = solve_lp(sup)
+    assert verify_solution(sup, sol)
+    assert verify_solution(full, on_full_lp(full, sup, sol))
+    # phase 1 on the full LP, where that is cheap; Liar 7's 16,384 atoms take
+    # seconds, and its test checks the optimum by the closed form instead
+    if full.n_atoms <= 256:
+        assert sol.optimum == two_phase_optimum(full)
+    return full, sup, sol
 
 
 def test_support_lp_is_the_alive_part_of_the_full_lp():
@@ -433,7 +434,7 @@ def test_support_lp_is_the_alive_part_of_the_full_lp():
     ]
     zero_cells = ternary = point_mass = 0
     for sys_ in systems:
-        full, sup = check_support_lp(sys_)
+        full, sup, _ = check_support_lp(sys_)
         zero_cells += len(full.rows) - len(sup.rows)
         ternary += any(len(outs) == 3 for outs in sys_.outcomes.values())
         point_mass += any(len(blk.table) == 1 for blk in sys_.blocks)
@@ -441,10 +442,13 @@ def test_support_lp_is_the_alive_part_of_the_full_lp():
 
 
 def test_support_lp_of_liar_7():
-    full, sup = check_support_lp(liar7())
+    sys_ = liar7()
+    full, sup, sol = check_support_lp(sys_)
     assert full.n_atoms == 2**14
     assert sup.n_atoms == 128
     assert len(sup.rows) == 15
+    delta_sum = sum(d for *_, d in delta_pairs(sys_))
+    assert sol.optimum == cyclic_criterion(sys_).cnt + delta_sum == 1
 
 
 def test_support_lp_checks_the_cap_on_every_atom():
@@ -504,7 +508,9 @@ def start_systems():
 
 def start_matrix(lp):
     """The start's basis columns over its rows, both in start order."""
-    return dense_rows(lp, [lp.rows[r] for r, _ in lp.start], [a for _, a in lp.start])
+    columns = [a for _, a in lp.start]
+    rows = dense_rows(lp, [lp.rows[r] for r, _ in lp.start])
+    return [[row[a] for a in columns] for row in rows]
 
 
 def start_weights(lp):
@@ -547,22 +553,10 @@ def test_start_weights_are_feasible_for_the_full_lp():
         }
 
 
-def two_phase_optimum(lp):
-    """The optimum of a support LP by solve_min without a start."""
-    status, optimum, _ = cbd.simplex.solve_min(
-        list(lp.objective),
-        dense_rows(lp, lp.rows, range(lp.n_atoms)),
-        [row.rhs for row in lp.rows],
-    )
-    assert status == "optimal"
-    return optimum
-
-
 def test_start_optimum_matches_the_two_phase_path():
     for sys_ in start_systems():
         lp = build_coupling_lp(sys_, support=True)
         sol = solve_lp(lp)
-        assert sol.status == "optimal"
         assert sol.optimum == two_phase_optimum(lp)
         assert verify_solution(lp, sol)
 
@@ -617,7 +611,7 @@ def test_every_witness_is_a_certificate():
         for lp in (sup, build_coupling_lp(sys_)):
             index = {atom: i for i, atom in enumerate(lp.atoms)}
             weights = {index[atom]: w for atom, w in report.witness.weights}
-            sol = LPSolution(status="optimal", optimum=report.system_delta, weights=weights)
+            sol = LPSolution(optimum=report.system_delta, weights=weights)
             assert verify_solution(lp, sol)
         # optimal: no coupling mismatches less, by the two-phase path
         assert report.system_delta == two_phase_optimum(sup)

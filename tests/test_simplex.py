@@ -266,7 +266,7 @@ def test_integer_rows_skip_scaling(monkeypatch):
         )
         costs = list(lp.objective)
         rhs = [row.rhs for row in lp.rows]
-        rows = dense_rows(lp, lp.rows, range(lp.n_atoms))
+        rows = dense_rows(lp, lp.rows)
         live = [r for r, _ in lp.start]
         start_rows = [rows[r] for r in live]
         cases = [
