@@ -104,13 +104,13 @@ class JointTable:
     cells: dict[tuple[str, str], Fraction]
 
     def row_margin(self) -> dict[str, Fraction]:
-        out = {o: Fraction(0) for o in self.row_outcomes}
+        out = {o: ZERO for o in self.row_outcomes}
         for (r, _), p in self.cells.items():
             out[r] += p
         return out
 
     def col_margin(self) -> dict[str, Fraction]:
-        out = {o: Fraction(0) for o in self.col_outcomes}
+        out = {o: ZERO for o in self.col_outcomes}
         for (_, c), p in self.cells.items():
             out[c] += p
         return out
@@ -379,7 +379,9 @@ def solve_lp(lp: LPInstance) -> LPSolution:
     and the simplex runs phase 2 from the start's basis.  A full LP with a
     zero cell is refused: the rows that force its zero-cell atoms to weight
     zero would be left out, and those atoms could enter the basis.  The
-    returned weights are a basic feasible solution of the support LP.
+    solution is solve_min's (optimum, weights) as it is: the weights are the
+    nonzero values of an optimal basic feasible solution of the support LP,
+    by atom index in ascending order.
     """
     if not lp.start:
         raise ValueError("solve_lp needs an LP with a start basis, got none")
@@ -387,15 +389,12 @@ def solve_lp(lp: LPInstance) -> LPSolution:
     if zero is not None:
         raise ValueError(f"solve_lp takes a support LP, but row {zero} has rhs 0")
     rows = [lp.rows[r] for r, _ in lp.start]
-    # from a start, solve_min returns "optimal" or raises SimplexError
-    _, optimum, x = simplex.solve_min(
+    optimum, weights = simplex.solve_min(
         lp.objective,
         dense_rows(lp, rows),
         [row.rhs for row in rows],
         start=[c for _, c in lp.start],
     )
-    # solve_min leaves every zero entry of x as ZERO itself
-    weights = {k: v for k, v in enumerate(x) if v is not ZERO}
     return LPSolution(optimum=optimum, weights=weights)
 
 

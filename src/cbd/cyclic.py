@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .coupling import delta_pairs
 from .errors import NotCyclic
-from .systems import System, expectation
+from .systems import ZERO, System, expectation
 
 
 @dataclass(frozen=True)
@@ -92,4 +92,4 @@ def cyclic_criterion(system: System) -> CyclicCriterion:
     # binary marginals: |<R>_c - <R>_c'| = 2 |u - v|, twice the isolated delta
     rhs = 2 * sum(d for *_, d in delta_pairs(system)) + structure.rank - 2
     margin = lhs - rhs
-    return CyclicCriterion(margin > 0, margin, lhs, rhs, max(margin, Fraction(0)) / 2)
+    return CyclicCriterion(margin > 0, margin, lhs, rhs, max(margin, ZERO) / 2)

@@ -120,17 +120,16 @@ def _admissible(spec: EpistemicSpec, ctx: EpistemicContext):
 class VariantProduct(Sequence):
     """The deterministic variants of a spec, decoded on demand.
 
-    `tuples[i]` lists the admissible tuples of `spec.contexts[i]`, and
-    `order` lists the context positions sorted by context id.  Variant k is
-    read off the mixed-radix digits of k over the contexts in that order,
-    the last context varying fastest: the order of itertools.product.
+    `contexts` pairs each context of `spec` with its admissible tuples,
+    sorted by context id.  Variant k is read off the mixed-radix digits of k
+    over the contexts in that order, the last context varying fastest: the
+    order of itertools.product.
     """
 
-    def __init__(self, spec: EpistemicSpec, tuples: tuple[tuple, ...], order):
+    def __init__(self, spec: EpistemicSpec, contexts: tuple[tuple, ...]):
         self.spec = spec
-        self.tuples = tuples
-        self._ordered = tuple((spec.contexts[i], tuples[i]) for i in order)
-        self._len = math.prod(len(t) for t in tuples)
+        self.contexts = contexts
+        self._len = math.prod(len(tuples) for _, tuples in contexts)
 
     def __len__(self) -> int:
         return self._len
@@ -144,11 +143,11 @@ class VariantProduct(Sequence):
         if not 0 <= k < self._len:
             raise IndexError("variant index out of range")
         cells = []
-        for _, tuples in reversed(self._ordered):
+        for _, tuples in reversed(self.contexts):
             k, digit = divmod(k, len(tuples))
             cells.append(tuples[digit])
         assignment: dict[tuple[str, str], str] = {}
-        for (ctx, _), cell in zip(self._ordered, reversed(cells)):
+        for (ctx, _), cell in zip(self.contexts, reversed(cells)):
             for q, o in zip(ctx.contents, cell):
                 assignment[(q, ctx.context)] = o
         return DeterministicVariant(assignment=assignment)
@@ -177,16 +176,15 @@ def enumerate_variants(
     sizes = [len(spec.outcomes[q]) for ctx in spec.contexts for q in ctx.contents]
     check_atom_cap(sizes, cap)
 
-    order = sorted(range(len(spec.contexts)), key=lambda i: spec.contexts[i].context)
-    tuples = [()] * len(order)
-    for i in order:
-        ctx = spec.contexts[i]
-        tuples[i] = _admissible(spec, ctx)
-        if not tuples[i]:
+    contexts = []
+    for ctx in sorted(spec.contexts, key=lambda c: c.context):
+        tuples = _admissible(spec, ctx)
+        if not tuples:
             raise EmptyVariantSet(
                 f"context {ctx.context!r} admits no outcome tuple"
             )
-    return VariantProduct(spec, tuple(tuples), order)
+        contexts.append((ctx, tuples))
+    return VariantProduct(spec, tuple(contexts))
 
 
 def uniform_mixture(
@@ -216,7 +214,7 @@ def uniform_mixture(
     ):
         blocks = [
             (ctx.context, ctx.contents, dict.fromkeys(cells, Fraction(1, len(cells))))
-            for ctx, cells in zip(spec.contexts, variants.tuples)
+            for ctx, cells in variants.contexts
         ]
         return validate_system(spec.outcomes, blocks)
     # a view decodes its variants on every walk; walk them once

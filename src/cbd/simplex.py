@@ -14,17 +14,19 @@ A tableau entry T[i][j] stands for the rational T[i][j] / d.  Pivoting on
 is the row subtraction a - f*b.
 
 The starting basis comes from one of two places.  Without a start, phase 1
-minimizes the sum of one artificial variable per row, and artificials still
+minimizes the sum of one artificial variable per row; a positive minimum
+means the LP is infeasible, and SimplexError is raised.  Artificials still
 basic at zero afterwards are driven out or, on a redundant row, dropped with
 their row.  With a start (one column per row, so the rows must be
 independent), its columns are pivoted in row by row, in order; it must be
 nonsingular in that order and its basic solution nonnegative, or
-SimplexError is raised.  Phase
-1 and the drive-out are then skipped.  The coupling LP supplies such a start
+SimplexError is raised.  Phase 1 and the drive-out are then skipped, as
+they are for an LP with no rows.  The coupling LP supplies such a start
 (its north-west-corner basis, see coupling.build_coupling_lp), on whose unit
 lower-triangular basis every install pivot is 1: on its 0/1 int rows each
 install pivot updates the other rows by plain subtraction.  Phase 2 is the
-same either way.
+same either way, and the solution is read off its final basis: the optimum
+and the nonzero basic values, by column.
 
 Entering takes the most negative reduced cost (Dantzig's rule).  After
 DEGENERATE_RUN consecutive degenerate pivots it switches to Bland's rule
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .systems import ZERO, to_form
+from .systems import to_form
 
 # Consecutive degenerate pivots after which entering falls back to Bland's
 # rule until the next nondegenerate pivot.
@@ -49,8 +51,8 @@ MAX_PIVOTS = 1_000_000
 
 
 class SimplexError(RuntimeError):
-    """Internal failure: unbounded problem, pivot-limit overrun, or a start
-    basis that is singular or infeasible."""
+    """Failure to solve: an infeasible LP, an unbounded objective, a
+    pivot-limit overrun, or a start basis that is singular or infeasible."""
 
 
 class _Tableau:
@@ -138,7 +140,7 @@ def _integer_form(values):
 
 def _phase_one(tab, n):
     """Pivot tab, whose basis is all artificial, to a feasible basis of the
-    n original columns; False when there is none."""
+    n original columns; raise SimplexError when there is none."""
     # Phase 1: minimize the sum of one artificial variable per row.  The
     # artificial columns are not stored: they never re-enter (forcing them
     # to stay at zero once nonbasic cannot hide feasibility, since any
@@ -146,9 +148,8 @@ def _phase_one(tab, n):
     # no other column's update reads them.
     tab.rows.append([-sum(col) for col in zip(*tab.rows)])
     tab.iterate(n)
-    if tab.rows[-1][-1] != 0:
-        return False
-    tab.rows.pop()
+    if tab.rows.pop()[-1] != 0:
+        raise SimplexError("infeasible: no point meets every row")
 
     # Drive leftover artificials out of the basis; rows that cannot pivot on
     # any original column are redundant and get dropped.
@@ -163,7 +164,6 @@ def _phase_one(tab, n):
     for i in reversed(drop):
         del tab.rows[i]
         del tab.basis[i]
-    return True
 
 
 def solve_min(costs, rows, rhs, start=None):
@@ -176,24 +176,18 @@ def solve_min(costs, rows, rhs, start=None):
     start: optional starting basis, m column indices: start[i] is made basic
            in row i.  Without it, phase 1 finds a feasible basis.
 
-    Returns (status, optimum, x): status "optimal" with the exact optimum as
-    a Fraction and one optimal basic feasible solution as a list of
-    Fractions, each zero entry the module's ZERO itself, or ("infeasible",
-    None, None) (only without a start).  Raises
-    SimplexError on an unbounded objective (impossible when the feasible set
-    is bounded, as for every instance built by this package) and on a start
-    that is not m columns, hits a zero pivot, or gives a negative basic
-    value.
+    Returns (optimum, weights): the exact optimum as a Fraction and one
+    optimal basic feasible solution as {column: Fraction}, its nonzero basic
+    values in ascending column order.  Raises SimplexError on an infeasible
+    LP (found by phase 1), on an unbounded objective (impossible when the
+    feasible set is bounded, as for every instance built by this package)
+    and on a start that is not m columns, hits a zero pivot, or gives a
+    negative basic value.
     """
     m = len(rows)
     n = len(costs)
     if start is not None and len(start) != m:
         raise SimplexError(f"start basis has {len(start)} columns for {m} rows")
-    if m == 0:
-        # only nonnegativity: x = 0 is optimal whenever no cost is negative
-        if any(c < 0 for c in costs):
-            raise SimplexError("unbounded objective")
-        return "optimal", ZERO, [ZERO] * n
 
     # Each row (with its rhs) is scaled by the least common denominator of
     # its coefficients, and the rhs column then by the least common
@@ -218,16 +212,15 @@ def solve_min(costs, rows, rhs, start=None):
     # Basis index n + i stands for row i's artificial, until a pivot
     # replaces it.
     tab = _Tableau(table, list(range(n, n + m)))
-    if start is None:
-        if not _phase_one(tab, n):
-            return "infeasible", None, None
-    else:
+    if start is not None:
         for i, j in enumerate(start):
             if not 0 <= j < n or tab.rows[i][j] == 0:
                 raise SimplexError(f"start basis is singular at row {i}")
             tab.pivot(i, j)
         if any(row[-1] < 0 for row in tab.rows):
             raise SimplexError("start basis is infeasible")
+    elif m:  # with no rows, the empty basis is already feasible
+        _phase_one(tab, n)
 
     # Phase 2: the real objective, scaled to integers, over the feasible
     # basis found above.  Its z-row carries the same denominator d.
@@ -240,10 +233,9 @@ def solve_min(costs, rows, rhs, start=None):
     tab.rows.append(zrow)
     tab.iterate(n)
 
-    x = [ZERO] * n
-    for i, j in enumerate(tab.basis):
-        if tab.rows[i][-1]:
-            x[j] = Fraction(tab.rows[i][-1], tab.d * rhs_scale)
-    optimum = Fraction(-tab.rows[-1][-1], tab.d * cost_scale * rhs_scale)
-    return "optimal", optimum, x
-
+    den = tab.d * rhs_scale
+    # zip stops at the last basis entry, before the z-row
+    values = sorted((j, row[-1]) for j, row in zip(tab.basis, tab.rows))
+    weights = {j: Fraction(v, den) for j, v in values if v}
+    optimum = Fraction(-tab.rows[-1][-1], den * cost_scale)
+    return optimum, weights

@@ -460,7 +460,7 @@ def expectation(system: System, context: str, contents: Sequence[str]) -> Fracti
             )
         check_plus_minus_one(f"content {q!r}", system.outcomes[q])
         positions.append(blk.contents.index(q))
-    total = Fraction(0)
+    total = ZERO
     for cell, p in blk.table.items():
         sign = 1
         for pos in positions:

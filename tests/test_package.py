@@ -162,3 +162,21 @@ def test_oracle_imports_nothing_from_the_package():
             continue
         found += [n for n in names if n.startswith(".") or n.split(".")[0] == "cbd"]
     assert found == []
+
+
+def test_zero_built_once():
+    # one zero: systems.ZERO is the package's Fraction(0), built at module
+    # level; the oracle, which shares no code with the package, builds its own
+    def is_fraction_zero(node):
+        return (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "Fraction"
+            and (not node.args or getattr(node.args[0], "value", None) == 0)
+        )
+
+    builders = {
+        f"{name}:{scope}"
+        for name, tree in _package_trees()
+        for scope in _scopes_of(tree, is_fraction_zero)
+    }
+    assert builders == {"systems.py:<module>", "oracle.py:<module>"}

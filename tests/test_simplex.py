@@ -6,60 +6,52 @@ import pytest
 from cbd import simplex
 from cbd.coupling import build_coupling_lp, dense_rows
 from cbd.oracle import enumerate_min
-from cbd.simplex import ZERO, SimplexError, solve_min
+from cbd.simplex import SimplexError, solve_min
 from helpers import rand_system, rand_weights
 
 F = Fraction
 
 
 def test_single_equality():
-    status, opt, x = solve_min([F(1), F(1)], [[F(1), F(1)]], [F(1)])
-    assert status == "optimal"
+    opt, x = solve_min([F(1), F(1)], [[F(1), F(1)]], [F(1)])
     assert opt == 1
-    assert sum(x) == 1
+    assert sum(x.values()) == 1
 
 
 def test_prefers_cheap_coordinate():
-    status, opt, x = solve_min([F(3), F(1)], [[F(1), F(1)]], [F(1)])
-    assert status == "optimal"
+    opt, x = solve_min([F(3), F(1)], [[F(1), F(1)]], [F(1)])
     assert opt == 1
-    assert x == [F(0), F(1)]
+    assert x == {1: F(1)}
 
 
 def test_two_constraints():
     # x1 + x2 = 2, x2 + x3 = 1, minimize x1 + 2 x2 + 3 x3
-    status, opt, x = solve_min(
+    opt, x = solve_min(
         [F(1), F(2), F(3)],
         [[F(1), F(1), F(0)], [F(0), F(1), F(1)]],
         [F(2), F(1)],
     )
-    assert status == "optimal"
     assert opt == 3  # x = (1, 1, 0)
-    assert x == [F(1), F(1), F(0)]
+    assert x == {0: F(1), 1: F(1)}
 
 
 def test_negative_rhs_normalized():
     # -x1 - x2 = -1 is the same constraint as x1 + x2 = 1
-    status, opt, _ = solve_min([F(1), F(2)], [[F(-1), F(-1)]], [F(-1)])
-    assert status == "optimal"
+    opt, _ = solve_min([F(1), F(2)], [[F(-1), F(-1)]], [F(-1)])
     assert opt == 1
 
 
 def test_infeasible():
-    status, opt, x = solve_min(
-        [F(1)], [[F(1)], [F(1)]], [F(1), F(2)]
-    )
-    assert status == "infeasible"
-    assert opt is None and x is None
+    with pytest.raises(SimplexError, match="infeasible"):
+        solve_min([F(1)], [[F(1)], [F(1)]], [F(1), F(2)])
 
 
 def test_redundant_rows_accepted():
-    status, opt, _ = solve_min(
+    opt, _ = solve_min(
         [F(1), F(1)],
         [[F(1), F(1)], [F(1), F(1)], [F(2), F(2)]],
         [F(1), F(1), F(2)],
     )
-    assert status == "optimal"
     assert opt == 1
 
 
@@ -68,14 +60,22 @@ def test_unbounded_raises():
         solve_min([F(-1)], [[F(0)]], [F(0)])
 
 
+@pytest.mark.parametrize("start", [None, []])
+def test_no_rows(start):
+    # only x >= 0: x = 0 is optimal unless some cost is negative
+    assert solve_min([F(2), 0, F(1, 3)], [], [], start=start) == (0, {})
+    assert solve_min([], [], [], start=start) == (0, {})
+    with pytest.raises(SimplexError, match="unbounded"):
+        solve_min([F(1), F(-1, 2)], [], [], start=start)
+
+
 def test_degenerate_vertex_terminates():
     # several tight constraints meeting at x = 0 force degenerate pivots
-    status, opt, _ = solve_min(
+    opt, _ = solve_min(
         [F(1), F(1), F(1)],
         [[F(1), F(-1), F(0)], [F(1), F(0), F(-1)], [F(1), F(1), F(1)]],
         [F(0), F(0), F(3)],
     )
-    assert status == "optimal"
     assert opt == 3  # x = (1, 1, 1) is the only feasible point
 
 
@@ -96,11 +96,10 @@ def test_transportation_matches_total_variation():
         for j in range(k):  # column margins
             rows.append([F(1) if b == j else F(0) for _ in range(k) for b in range(k)])
             rhs.append(v[j])
-        status, opt, x = solve_min(costs, rows, rhs)
-        assert status == "optimal"
+        opt, x = solve_min(costs, rows, rhs)
         tv = sum(abs(a - b) for a, b in zip(u, v)) / 2
         assert opt == tv
-        assert all(val >= 0 for val in x)
+        assert all(val > 0 for val in x.values())
 
 
 def test_random_lps_match_enumeration():
@@ -112,12 +111,11 @@ def test_random_lps_match_enumeration():
         x0 = [F(rng.randint(0, 3)) for _ in range(n)]
         b = [sum(row[j] * x0[j] for j in range(n)) for row in A]
         costs = [F(rng.randint(0, 5)) for _ in range(n)]
-        status, opt, x = solve_min(costs, A, b)
-        assert status == "optimal"
+        opt, x = solve_min(costs, A, b)
         best, _, _ = enumerate_min(costs, A, b)
         assert opt == best
         for row, bi in zip(A, b):
-            assert sum(a * v for a, v in zip(row, x)) == bi
+            assert sum(row[j] * v for j, v in x.items()) == bi
 
 
 def test_beale_cycling_lp():
@@ -130,11 +128,10 @@ def test_beale_cycling_lp():
         [F(0), F(0), F(1), F(0), F(0), F(1), F(0)],
     ]
     rhs = [F(0), F(0), F(1)]
-    status, opt, x = solve_min(costs, rows, rhs)
-    assert status == "optimal"
+    opt, x = solve_min(costs, rows, rhs)
     assert opt == F(-5, 4)
     assert opt == enumerate_min(costs, rows, rhs)[0]
-    assert sum(c * v for c, v in zip(costs, x)) == opt
+    assert sum(costs[j] * v for j, v in x.items()) == opt
 
 
 def zero_rhs_row(rng, x0):
@@ -163,13 +160,12 @@ def test_random_mixed_sign_degenerate_lps_match_enumeration():
         else:
             costs = [F(rng.randint(0, 5), rng.randint(1, 4)) for _ in range(n)]
         b = [sum(a * v for a, v in zip(row, x0)) for row in A]
-        status, opt, x = solve_min(costs, A, b)
-        assert status == "optimal"
+        opt, x = solve_min(costs, A, b)
         assert opt == enumerate_min(costs, A, b)[0]
-        assert all(isinstance(v, Fraction) and v >= 0 for v in x)
+        assert all(isinstance(v, Fraction) and v > 0 for v in x.values())
         for row, bi in zip(A, b):
-            assert sum(a * v for a, v in zip(row, x)) == bi
-        assert sum(c * v for c, v in zip(costs, x)) == opt
+            assert sum(row[j] * v for j, v in x.items()) == bi
+        assert sum(costs[j] * v for j, v in x.items()) == opt
 
 
 def test_leftover_artificial_driven_out_on_negative_entry(monkeypatch):
@@ -186,11 +182,10 @@ def test_leftover_artificial_driven_out_on_negative_entry(monkeypatch):
     costs = [F(1), F(2), F(3)]
     rows = [[F(1), F(1), F(0)], [F(1), F(1), F(-1)], [F(2), F(2), F(0)]]
     rhs = [F(1), F(1), F(2)]
-    status, opt, x = solve_min(costs, rows, rhs)
+    opt, x = solve_min(costs, rows, rhs)
     assert any(negative)
-    assert status == "optimal"
     assert opt == 1 == enumerate_min(costs, rows, rhs)[0]
-    assert x == [F(1), F(0), F(0)]
+    assert x == {0: F(1)}
 
 
 def test_singular_start_raises():
@@ -201,7 +196,7 @@ def test_singular_start_raises():
     for start in ([0, 1], [2, 2], [0, 3], [0, -1], [0]):
         with pytest.raises(SimplexError):
             solve_min(costs, rows, rhs, start=start)
-    assert solve_min(costs, rows, rhs, start=[0, 2])[1] == 2
+    assert solve_min(costs, rows, rhs, start=[0, 2])[0] == 2
 
 
 def test_infeasible_start_raises():
@@ -229,13 +224,12 @@ def test_slack_start_matches_two_phase():
         rhs = [F(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(m)]
         # nonnegative costs keep every instance bounded
         costs = [F(rng.randint(0, 5), rng.randint(1, 2)) for _ in range(n + m)]
-        status, opt, x = solve_min(costs, rows, rhs, start=list(range(n, n + m)))
-        assert status == "optimal"
-        assert opt == solve_min(costs, rows, rhs)[1] == enumerate_min(costs, rows, rhs)[0]
-        assert all(v >= 0 for v in x)
+        opt, x = solve_min(costs, rows, rhs, start=list(range(n, n + m)))
+        assert opt == solve_min(costs, rows, rhs)[0] == enumerate_min(costs, rows, rhs)[0]
+        assert all(v > 0 for v in x.values())
         for row, b in zip(rows, rhs):
-            assert sum(a * v for a, v in zip(row, x)) == b
-        assert sum(c * v for c, v in zip(costs, x)) == opt
+            assert sum(row[j] * v for j, v in x.items()) == b
+        assert sum(costs[j] * v for j, v in x.items()) == opt
 
 
 def test_integer_rows_skip_scaling(monkeypatch):
@@ -289,9 +283,10 @@ def test_integer_rows_skip_scaling(monkeypatch):
             )
             assert len(scaled) == len(int_rows) + 2  # every row, costs, rhs
             assert as_fractions == result and pivots == int_pivots
-            status, optimum, x = result
-            assert status == "optimal"
-            # the zeros of x are ZERO itself, which solve_lp relies on
-            assert all(v is ZERO or v > 0 for v in x)
+            _, x = result
+            # only nonzero weights, keyed by column in ascending order, which
+            # solve_lp takes as they are
+            assert all(v > 0 for v in x.values())
+            assert list(x) == sorted(x)
             solved += 1
     assert solved == 60
