@@ -50,6 +50,7 @@ from .errors import (
     EmptySystem,
     EmptyVariantSet,
     InternalError,
+    InvalidArgument,
     InvalidProbability,
     NotBinary,
     NotCyclic,

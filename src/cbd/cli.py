@@ -189,7 +189,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (CbdError, ValueError, OSError) as exc:
+    except (CbdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

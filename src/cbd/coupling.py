@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import simplex
-from .errors import CapExceeded, DomainMismatch, InternalError
+from .errors import CapExceeded, DomainMismatch, InternalError, InvalidArgument
 from .systems import (
     MINUS, PLUS, ZERO, Form, Marginal, System, check_plus_minus_one, marginal_forms,
     to_form,
@@ -47,11 +47,11 @@ def resolve_atom_cap(cap: int | None) -> int:
         try:
             cap = int(raw)
         except ValueError:
-            raise ValueError(f"{ATOM_CAP_ENV} must be an integer, got {raw!r}")
+            raise InvalidArgument(f"{ATOM_CAP_ENV} must be an integer, got {raw!r}")
         if cap < 1:
-            raise ValueError(f"{ATOM_CAP_ENV} must be positive, got {cap}")
+            raise InvalidArgument(f"{ATOM_CAP_ENV} must be positive, got {cap}")
     elif not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
-        raise ValueError(f"the atom cap must be a positive integer, got {cap!r}")
+        raise InvalidArgument(f"the atom cap must be a positive integer, got {cap!r}")
     return cap
 
 
@@ -153,9 +153,12 @@ class LPInstance:
     """The system-coupling linear program.
 
     variables: (context, content) pairs in canonical order; an atom assigns
-    one outcome to each.  rows hold one equality per context cell plus the
-    total-mass row; the objective counts, per atom, how many content-sharing
-    pairs it assigns different outcomes.
+    one outcome to each.  rows hold one equality per context cell, context by
+    context, each context's cells in the atoms' order (the product of its
+    contents' outcomes, contents sorted), then the total-mass row; a row's
+    label lists its cell's outcomes in the context's own contents order.  The
+    objective counts, per atom, how many content-sharing pairs
+    (System.pairs()) it assigns different outcomes.
 
     start: a feasible starting basis as (row index, atom index) pairs.  Its
     rows are independent and imply every other positive row, and its basis
@@ -166,7 +169,6 @@ class LPInstance:
     atoms: tuple[tuple[str, ...], ...]
     rows: tuple[LPRow, ...]
     objective: tuple[int, ...]
-    pairs: tuple[tuple[int, int], ...]
     start: tuple[tuple[int, int], ...]
 
     @property
@@ -189,9 +191,10 @@ def build_coupling_lp(
 
     One nonnegative unknown per atom (an outcome assignment to every variable
     of the system), one equality per (context, outcome tuple) cell including
-    zero-probability cells, plus total mass 1.  Raises CapExceeded before
-    materializing anything larger than the cap; the cap is checked against
-    the full atom count in either mode.
+    zero-probability cells, plus total mass 1.  A context's rows follow its
+    cell list, the order in which its cells vary over the atoms.  Raises
+    CapExceeded before materializing anything larger than the cap; the cap
+    is checked against the full atom count in either mode.
 
     support=True builds the support LP instead: only the atoms whose cell in
     every context has positive probability, and only the positive cells' rows
@@ -211,30 +214,25 @@ def build_coupling_lp(
     # Contexts share no variable, so an atom is one cell per context and the
     # atoms are the product of the contexts' cell lists.  variables sorts the
     # contents within each context, so each list is in sorted-content product
-    # order; digits maps a cell in blk.contents order to its list position.
-    # positive: each context's positive cells in list order, as (list
-    # position, probability), and below with their row index appended
+    # order.  Each cell keeps its row label, in blk.contents order, and its
+    # probability.
+    orders: list[list[str]] = []
     lists: list[list[tuple[str, ...]]] = []
-    digits: list[dict[tuple[str, ...], int]] = []
-    positive: list[list[tuple]] = []
+    entries: list[list[tuple[str, Fraction]]] = []
     for blk in system.blocks:
         contents = sorted(blk.contents)
         where = [contents.index(q) for q in blk.contents]
-        digit: dict[tuple[str, ...], int] = {}
         cells = []
-        spots = []
+        labelled = []
         for cell in itertools.product(*(system.outcomes[q] for q in contents)):
             as_block = tuple(cell[k] for k in where)
-            p = blk.table.get(as_block)
-            if p is not None:
-                spots.append((len(cells), p))
-            elif support:
-                continue
-            digit[as_block] = len(cells)
-            cells.append(cell)
+            p = blk.prob(as_block)
+            if p or not support:
+                cells.append(cell)
+                labelled.append((f"{blk.context}[{','.join(as_block)}]", p))
+        orders.append(contents)
         lists.append(cells)
-        digits.append(digit)
-        positive.append(spots)
+        entries.append(labelled)
     # each context's cells extend every atom of the contexts before it, in
     # product order; the tuple is built from a list, not an iterator: a tuple
     # grown from an iterator is resized as it fills, which raised peak RSS by
@@ -246,21 +244,23 @@ def build_coupling_lp(
         )
     atoms = tuple(prefixes)
 
-    # the atoms whose cell in a context sits at list position d: runs of
-    # `stride` consecutive indices, one run every `period`
+    # One row per cell, in list order.  The atoms whose cell in a context
+    # sits at list position d: runs of `stride` consecutive indices, one run
+    # every `period`.  positive: each context's positive cells as (list
+    # position, probability, row index).
     n = len(atoms)
     rows: list[LPRow] = []
+    positive: list[list[tuple[int, Fraction, int]]] = []
     strides = []
     stride = n
-    for i, (blk, cells, digit) in enumerate(zip(system.blocks, lists, digits)):
+    for labelled in entries:
         period = stride
-        stride //= len(cells)
+        stride //= len(labelled)
         strides.append(stride)
-        row_at = {}
-        for cell in system.cells(blk.context):
-            d = digit.get(cell)
-            if d is None:
-                continue
+        spots = []
+        for d, (label, p) in enumerate(labelled):
+            if p:
+                spots.append((d, p, len(rows)))
             lo = d * stride
             if stride == 1:
                 cols = range(lo, n, period)
@@ -268,10 +268,8 @@ def build_coupling_lp(
                 cols = itertools.chain.from_iterable(
                     range(s, s + stride) for s in range(lo, n, period)
                 )
-            label = f"{blk.context}[{','.join(cell)}]"
-            row_at[d] = len(rows)
-            rows.append(LPRow(label=label, cols=tuple(cols), rhs=blk.prob(cell)))
-        positive[i] = [(d, p, row_at[d]) for d, p in positive[i]]
+            rows.append(LPRow(label=label, cols=tuple(cols), rhs=p))
+        positive.append(spots)
     rows.append(LPRow(label="mass", cols=tuple(range(n)), rhs=Fraction(1)))
 
     # The objective counts, per atom, the pairs whose two outcomes differ.
@@ -279,22 +277,14 @@ def build_coupling_lp(
     # (see _outcome_runs).  A pair's first context comes before its second
     # (blocks and each content's contexts are both sorted), so the first's
     # period is a whole number of the second's, and the pair's pattern of
-    # splits over it repeats over the atoms.  Variables run context by
-    # context, contents sorted: a variable's place in its context's cells is
-    # its index less that of the context's first variable.
-    var_index = {v: i for i, v in enumerate(variables)}
-    first: dict[str, int] = {}
-    for i, (c, _) in enumerate(variables):
-        first.setdefault(c, i)
+    # splits over it repeats over the atoms.  A variable's place in its
+    # context's cells is its content's place in the sorted contents.
     at = {blk.context: k for k, blk in enumerate(system.blocks)}
-    pairs = []
     splits = [[0] * n]
     for q, ca, cb in system.pairs():
-        i, j = var_index[(ca, q)], var_index[(cb, q)]
-        pairs.append((i, j))
         a, b = at[ca], at[cb]
-        xs = _outcome_runs(lists[a], i - first[ca], strides[a])
-        ys = _outcome_runs(lists[b], j - first[cb], strides[b])
+        xs = _outcome_runs(lists[a], orders[a].index(q), strides[a])
+        ys = _outcome_runs(lists[b], orders[b].index(q), strides[b])
         split = list(map(operator.ne, xs, ys * (len(xs) // len(ys))))
         splits.append(split * (n // len(split)))
     return LPInstance(
@@ -302,7 +292,6 @@ def build_coupling_lp(
         atoms=atoms,
         rows=tuple(rows),
         objective=tuple(map(sum, zip(*splits))),
-        pairs=tuple(pairs),
         start=_north_west_corner(positive, strides, len(rows) - 1),
     )
 
@@ -435,9 +424,7 @@ def system_delta(
         raise InternalError(f"coupling LP solve failed: {exc}") from exc
     witness = CouplingWitness(
         variables=lp.variables,
-        weights=tuple(
-            (lp.atoms[i], w) for i, w in sorted(sol.weights.items())
-        ),
+        weights=tuple((lp.atoms[i], w) for i, w in sol.weights.items()),
     )
     return sol.optimum, witness
 

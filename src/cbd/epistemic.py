@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coupling import check_atom_cap
-from .errors import DomainMismatch, EmptyVariantSet
+from .errors import DomainMismatch, EmptyVariantSet, InvalidArgument
 from .systems import (
     MINUS, PLUS, System, check_cell, check_context, check_plus_minus_one,
     exact_number, exact_text, to_form, validate_system,
@@ -260,7 +260,7 @@ def liar_system(n: int) -> EpistemicSpec:
     direction of inference, since both contexts measure the same pair.
     """
     if n < 2:
-        raise ValueError(f"liar system needs n >= 2, got {n}")
+        raise InvalidArgument(f"liar system needs n >= 2, got {n}")
     qs = [f"q{i}" for i in range(1, n + 1)]
     outcomes = {q: (PLUS, MINUS) for q in qs}
     contexts = []

@@ -94,6 +94,12 @@ class CapExceeded(CbdError):
 AtomCapExceeded = CapExceeded  # earlier name of the same error
 
 
+class InvalidArgument(CbdError, ValueError):
+    """A caller's argument is out of range: an atom cap that is not a
+    positive integer, or a Liar ring of rank below 2.  Also a ValueError,
+    so a caller that catches ValueError for these refusals still does."""
+
+
 class InternalError(CbdError):
     """An internal consistency check failed: a bug, not bad input."""
 

@@ -123,16 +123,18 @@ def parse_system_text(text: str, source: str = "<string>") -> System:
 
 def parse_system(path: str) -> System:
     """Load a system file; '-' reads standard input."""
-    if path == "-":
-        return parse_system_text(sys.stdin.read(), source="<stdin>")
+    source = "<stdin>" if path == "-" else path
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
     except OSError as exc:
-        raise SystemFileError(f"{path}: {exc.strerror or exc}")
+        raise SystemFileError(f"{source}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
-        raise SystemFileError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})")
-    return parse_system_text(text, source=path)
+        raise SystemFileError(f"{source}: not UTF-8 ({exc.reason} at byte {exc.start})")
+    return parse_system_text(text, source=source)
 
 
 def system_to_dict(system: System) -> dict:

@@ -248,11 +248,6 @@ class System:
             for ca, cb in itertools.combinations(self._by_content[q], 2)
         ]
 
-    def cells(self, context: str):
-        """All outcome tuples of a context, in canonical product order."""
-        blk = self.block(context)
-        return itertools.product(*(self.outcomes[q] for q in blk.contents))
-
 
 def check_context(
     context: str,

@@ -360,6 +360,19 @@ def test_solver_failure_is_one_error_line(tmp_path, capsys, monkeypatch):
     assert "pivot limit exceeded" in err
 
 
+def test_a_bug_is_not_an_error_line(tmp_path, capsys, monkeypatch):
+    # main turns only domain and file errors into an error line; a ValueError
+    # from a bug keeps its traceback
+    def bug(*args, **kwargs):
+        raise ValueError("a bug, not bad input")
+
+    path = write_file(tmp_path, order_effect_system())
+    monkeypatch.setattr(cbd.cli, "analyze", bug)
+    with pytest.raises(ValueError, match="a bug, not bad input"):
+        main(["analyze", path])
+    assert capsys.readouterr().err == ""
+
+
 def test_deeply_nested_file_is_one_error_line(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000, encoding="utf-8")
@@ -410,7 +423,7 @@ def test_long_exact_values_print_in_full(tmp_path, capsys):
     assert fold_exact(out.removeprefix("delta(c1, c2) = ").split(" ")[0]) == delta
 
 
-def test_non_utf8_file_names_the_file(tmp_path, capsys):
+def test_non_utf8_file_names_the_file(tmp_path, capsys, monkeypatch):
     path = tmp_path / "latin1.json"
     path.write_bytes(b"\xff\xfe{}")
     code, out, err = run_cli(capsys, "analyze", str(path))
@@ -418,3 +431,9 @@ def test_non_utf8_file_names_the_file(tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"error: {path}: not UTF-8")
     assert len(err.splitlines()) == 1
+    # and standard input, which main would otherwise not catch
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run_cli(capsys, "analyze", "-")
+    assert (code, out) == (1, "")
+    assert err == "error: <stdin>: not UTF-8 (invalid start byte at byte 0)\n"

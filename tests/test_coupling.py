@@ -166,7 +166,7 @@ def test_build_lp_pair_system_shape():
     cells = [r for r in lp.rows if r.label != "mass"]
     assert len(cells) == 8
     assert len(lp.rows) == 9
-    assert len(lp.pairs) == 2
+    assert len(order_effect_system().pairs()) == 2
     assert set(lp.objective) <= {0, 1, 2}
     rows, _ = lp_dense(lp)
     assert exact_rank(rows[:-1]) == 7  # one dependency among the 8 cell rows
@@ -196,7 +196,7 @@ def test_build_lp_four_cycle_shape():
     lp = build_coupling_lp(sys_)
     assert lp.n_atoms == 256
     assert len(lp.rows) == 17  # 4 contexts x 4 cells + mass
-    assert len(lp.pairs) == 4
+    assert len(sys_.pairs()) == 4
     assert max(lp.objective) <= 4
 
 
@@ -246,6 +246,40 @@ def test_verify_solution_rejects_weights_off_the_atoms():
         weights = {**sol.weights, atom: F(1, 2)}
         extra = LPSolution(optimum=sol.optimum, weights=weights)
         assert not verify_solution(full, extra)
+    # move an atom's mass to another atom of the same cost: the mass row and
+    # the objective still hold, but a cell row does not
+    a, w = next(iter(sol.weights.items()))
+    b = next(
+        c for c in range(full.n_atoms)
+        if c != a and full.objective[c] == full.objective[a]
+    )
+    moved = dict(sol.weights)
+    del moved[a]
+    moved[b] = moved.get(b, 0) + w
+    assert sum(moved.values()) == 1
+    assert sum(full.objective[c] * v for c, v in moved.items()) == sol.optimum
+    assert not verify_solution(full, LPSolution(optimum=sol.optimum, weights=moved))
+    # a negative weight that every row and the optimum accept: take t from
+    # atoms a and c and give it to the two atoms that swap their first
+    # context's cells, with t above a's weight (negating a weight alone
+    # would break a row too)
+    k = sum(1 for ctx, _ in full.variables if ctx == full.variables[0][0])
+    x = full.atoms[a]
+    c = next(
+        i for i, y in enumerate(full.atoms) if y[:k] != x[:k] and y[k:] != x[k:]
+    )
+    y = full.atoms[c]
+    index = {atom: i for i, atom in enumerate(full.atoms)}
+    t = w + 1
+    negative = dict(sol.weights)
+    for atom, dt in ((x, -t), (y, -t), (y[:k] + x[k:], t), (x[:k] + y[k:], t)):
+        negative[index[atom]] = negative.get(index[atom], 0) + dt
+    assert negative[a] < 0
+    value = sum(full.objective[i] * v for i, v in negative.items())
+    assert not verify_solution(full, LPSolution(optimum=value, weights=negative))
+    # a wrong optimum
+    off = LPSolution(optimum=sol.optimum + 1, weights=sol.weights)
+    assert not verify_solution(full, off)
 
 
 def test_solve_lp_refuses_a_zero_cell_and_an_empty_start():
@@ -353,8 +387,10 @@ def liar7():
 
 def check_lp_definition(sys_, lp, support):
     """The full or support LP against its definition, atom by atom: the
-    atoms, each row's columns (the atoms whose cell matches), the pairs, and
-    each atom's objective (its count of pairs with two different outcomes)."""
+    atoms, each row's columns (the atoms whose cell matches), and each atom's
+    objective (its count of System.pairs() with two different outcomes).  A
+    context's rows follow its cells in the atoms' order: the product of its
+    contents' outcomes, contents sorted."""
     domains = [sys_.outcomes[q] for _, q in lp.variables]
     spots = {
         blk.context: [lp.variables.index((blk.context, q)) for q in blk.contents]
@@ -371,7 +407,9 @@ def check_lp_definition(sys_, lp, support):
     assert lp.atoms == atoms
     want = []
     for blk in sys_.blocks:
-        for cell in sys_.cells(blk.context):
+        contents = sorted(blk.contents)
+        for sorted_cell in itertools.product(*(sys_.outcomes[q] for q in contents)):
+            cell = tuple(sorted_cell[contents.index(q)] for q in blk.contents)
             if support and not blk.prob(cell):
                 continue
             cols = tuple(
@@ -381,11 +419,9 @@ def check_lp_definition(sys_, lp, support):
     want.append((tuple(range(lp.n_atoms)), F(1)))
     assert [(row.cols, row.rhs) for row in lp.rows] == want
     index = {v: i for i, v in enumerate(lp.variables)}
-    assert lp.pairs == tuple(
-        (index[(ca, q)], index[(cb, q)]) for q, ca, cb in sys_.pairs()
-    )
+    pairs = [(index[(ca, q)], index[(cb, q)]) for q, ca, cb in sys_.pairs()]
     assert lp.objective == tuple(
-        sum(1 for i, j in lp.pairs if atom[i] != atom[j]) for atom in lp.atoms
+        sum(1 for i, j in pairs if atom[i] != atom[j]) for atom in lp.atoms
     )
     assert all(type(c) is int for c in lp.objective)
 
@@ -399,7 +435,6 @@ def check_support_lp(sys_):
     live_rows = [row for row in full.rows if row.rhs != 0]
     # the atoms, rows and costs the simplex sees, in the same order
     assert sup.variables == full.variables
-    assert sup.pairs == full.pairs
     assert [(sup.rows[r].label, sup.atoms[a]) for r, a in sup.start] == [
         (full.rows[r].label, full.atoms[a]) for r, a in full.start
     ]
@@ -476,6 +511,14 @@ def test_solver_failure_is_an_internal_error(monkeypatch):
         raise SimplexError("pivot limit exceeded")
 
     monkeypatch.setattr(cbd.simplex, "solve_min", fail)
+    with pytest.raises(InternalError, match="pivot limit exceeded"):
+        system_delta(order_effect_system())
+
+
+def test_pivot_limit_is_an_internal_error(monkeypatch):
+    # the solver's own limit, not a mocked failure: with a limit of 0 the
+    # first pivot installing the start exceeds it
+    monkeypatch.setattr(cbd.simplex, "MAX_PIVOTS", 0)
     with pytest.raises(InternalError, match="pivot limit exceeded"):
         system_delta(order_effect_system())
 

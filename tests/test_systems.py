@@ -152,6 +152,14 @@ def test_labels_must_be_strings(registry, context):
 def test_outcome_set_needs_two_values():
     with pytest.raises(DomainMismatch):
         validate_system({"q1": ("+1",)}, [("c1", ("q1",), {(P,): 1})])
+    # two labels, but one outcome listed twice
+    with pytest.raises(DomainMismatch, match="duplicate outcomes"):
+        validate_system({"q1": (P, P)}, [("c1", ("q1",), {(P,): 1})])
+
+
+def test_context_needs_a_content():
+    with pytest.raises(DomainMismatch, match="'c1' lists no contents"):
+        validate_system(pm_registry("q1"), [("c1", (), {(): 1})])
 
 
 def test_float_probability_rejected():
