@@ -20,6 +20,7 @@ from .epistemic import enumerate_variants, liar_system, uniform_mixture
 from .errors import CbdError, NotPlusMinusOne
 from .oracle import DEFAULT_BASIS_LIMIT, TooManyBases, enumerate_min
 from .serialization import (
+    dumps_indented,
     format_report_text,
     format_value,
     parse_system,
@@ -85,9 +86,7 @@ def cmd_analyze(args) -> int:
     system = parse_system(args.file)
     report = analyze(system, atom_cap=args.atom_cap)
     if args.json:
-        import json
-
-        print(json.dumps(report_to_dict(report, include_witness=args.witness), indent=2))
+        print(dumps_indented(report_to_dict(report, include_witness=args.witness)))
     else:
         print(format_report_text(report, include_witness=args.witness))
     return EXIT_CONTEXTUAL if report.contextual else EXIT_OK

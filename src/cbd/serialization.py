@@ -13,6 +13,7 @@ exact "num/den" string (lossless round-trip) and a float for reading.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import IO, Iterator
@@ -42,6 +43,94 @@ def format_value(x: Fraction) -> str:
 
 def rational_json(x: Fraction) -> dict:
     return {"exact": format_exact(x), "decimal": float(x)}
+
+
+# ---------------------------------------------------------------------------
+# indented JSON
+
+_quote = json.encoder.encode_basestring_ascii  # the C escaper json.dumps uses
+
+
+def _scalar(obj) -> str:
+    """One JSON scalar as json.dumps writes it; any other type is refused."""
+    t = type(obj)
+    if t is str:
+        return _quote(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if t is float:
+        if obj != obj:
+            return "NaN"
+        if obj == math.inf:
+            return "Infinity"
+        if obj == -math.inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if obj is None:
+        return "null"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
+def _emit(obj, append, newline: str) -> None:
+    """Append obj's text; newline is the line break and indent obj starts at.
+
+    A module-level function rather than a closure over append: a closure
+    that calls itself is a reference cycle, which keeps each output list
+    alive until the garbage collector runs.
+    """
+    t = type(obj)
+    if t is dict:
+        if not obj:
+            append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            tv = type(value)
+            if tv is dict or tv is list or tv is tuple:
+                append(sep + _quote(key) + ": ")
+                _emit(value, append, inner)
+            else:
+                append(sep + _quote(key) + ": " + _scalar(value))
+            sep = "," + inner
+        append(newline + "}")
+    elif t is list or t is tuple:
+        if not obj:
+            append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            tv = type(value)
+            if tv is dict or tv is list or tv is tuple:
+                append(sep)
+                _emit(value, append, inner)
+            else:
+                append(sep + _scalar(value))
+            sep = "," + inner
+        append(newline + "]")
+    else:
+        append(_scalar(obj))
+
+
+def dumps_indented(doc) -> str:
+    """json.dumps(doc, indent=2), byte for byte.
+
+    Python's json module runs its pure-Python encoder whenever indent is
+    set; this writer escapes strings with the same C function and takes
+    about a third of that time.  Values must be dict (with str keys), list,
+    tuple, str, int, float, bool or None, by exact type; anything else
+    raises TypeError.
+    """
+    out: list[str] = []
+    _emit(doc, out.append, "\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +244,10 @@ def system_to_dict(system: System) -> dict:
 
 
 def write_system(system: System, fh: IO[str]) -> None:
-    json.dump(system_to_dict(system), fh, indent=2)
-    fh.write("\n")
+    """Write system as a system file: the text of
+    json.dumps(system_to_dict(system), indent=2), made by dumps_indented,
+    and a final newline, in one write."""
+    fh.write(dumps_indented(system_to_dict(system)) + "\n")
 
 
 # ---------------------------------------------------------------------------

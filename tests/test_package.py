@@ -180,3 +180,22 @@ def test_zero_built_once():
         for scope in _scopes_of(tree, is_fraction_zero)
     }
     assert builders == {"systems.py:<module>", "oracle.py:<module>"}
+
+
+def test_indented_json_written_in_one_function():
+    # one indented writer: json.dump(s) with indent= runs the pure-Python
+    # encoder, so every indented document goes through dumps_indented
+    def is_indented_json_call(node):
+        return (
+            isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+            in ("dump", "dumps")
+            and any(kw.arg == "indent" for kw in node.keywords)
+        )
+
+    callers = {
+        f"{name}:{scope}"
+        for name, tree in _package_trees()
+        for scope in _scopes_of(tree, is_indented_json_call)
+    }
+    assert callers == set()

@@ -1,5 +1,8 @@
+import copy
+import gc
 import io
 import json
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -24,6 +27,7 @@ from cbd import (
     write_system,
 )
 from cbd.serialization import (
+    dumps_indented,
     format_exact,
     format_report_text,
     format_value,
@@ -37,6 +41,7 @@ from helpers import (
     long_denominator_system,
     order_effect_system,
     pm_registry,
+    rand_deterministic,
     rand_system,
 )
 
@@ -366,6 +371,47 @@ def test_schema_rejects_malformed_documents():
             jsonschema.validate(doc, schema)
 
 
+REPORT_SCHEMA_PATH = SCHEMA_PATH.with_name("report.schema.json")
+
+
+def load_report_schema():
+    return json.loads(REPORT_SCHEMA_PATH.read_text(encoding="utf-8"))
+
+
+def test_reports_validate_against_schema():
+    schema = load_report_schema()
+    rng = random.Random(79)
+    systems = [rand_system(rng) for _ in range(8)]
+    systems += [rand_deterministic(rng) for _ in range(8)]
+    systems += [order_effect_system(), long_denominator_system()]
+    reports = [analyze(s) for s in systems]
+    assert {r.deterministic for r in reports} == {True, False}
+    for report in reports:
+        for witness in (False, True):
+            doc = report_to_dict(report, include_witness=witness)
+            assert ("witness" in doc) is witness
+            jsonschema.validate(doc, schema)
+
+
+def test_report_schema_rejects_malformed_reports():
+    schema = load_report_schema()
+    good = report_to_dict(analyze(order_effect_system()), include_witness=True)
+    jsonschema.validate(good, schema)
+
+    missing = copy.deepcopy(good)
+    del missing["system_delta"]
+    numeric_exact = copy.deepcopy(good)
+    numeric_exact["cnt"]["exact"] = 0.5
+    stray = copy.deepcopy(good)
+    stray["plot"] = True
+    bare_witness = copy.deepcopy(good)
+    del bare_witness["witness"]["atoms"]
+
+    for doc in (missing, numeric_exact, stray, bare_witness):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, schema)
+
+
 def test_format_value():
     assert format_value(F(1, 2)) == "1/2 (0.5)"
     assert format_value(F(0)) == "0"
@@ -466,3 +512,127 @@ def test_non_utf8_file_is_a_file_error(tmp_path):
     with pytest.raises(SystemFileError) as exc:
         parse_system(str(path))
     assert str(exc.value).startswith(f"{path}: not UTF-8")
+
+
+# ---------------------------------------------------------------------------
+# dumps_indented: json.dumps(doc, indent=2), byte for byte
+
+
+def _assert_indented_like_json(doc):
+    assert dumps_indented(doc) == json.dumps(doc, indent=2)
+
+
+def test_reports_and_system_files_match_json_dumps():
+    systems = []
+    for n in range(2, 7):
+        spec = liar_system(n)
+        systems.append(uniform_mixture(spec, enumerate_variants(spec)))
+    rng = random.Random(11)
+    systems += [rand_system(rng, 6, 6, 3, 0.3, 4096) for _ in range(40)]
+    systems += [rand_deterministic(rng) for _ in range(10)]
+    systems += [order_effect_system(), long_denominator_system()]
+    for system in systems:
+        buf = io.StringIO()
+        write_system(system, buf)
+        assert buf.getvalue() == json.dumps(system_to_dict(system), indent=2) + "\n"
+        report = analyze(system)
+        _assert_indented_like_json(report_to_dict(report))
+        _assert_indented_like_json(report_to_dict(report, include_witness=True))
+
+
+def _random_text(rng):
+    pool = [
+        lambda: chr(rng.randrange(0x20)),  # control characters
+        lambda: chr(rng.randrange(0x20, 0x7F)),
+        lambda: rng.choice('"\\/'),
+        lambda: chr(rng.randrange(0x80, 0x110000)),  # non-ASCII
+        lambda: chr(rng.randrange(0xD800, 0xE000)),  # lone surrogates
+    ]
+    return "".join(rng.choice(pool)() for _ in range(rng.randrange(8)))
+
+
+def _random_document(rng, depth=0):
+    kind = rng.randrange(9 if depth < 4 else 5)
+    if kind == 0:
+        return _random_text(rng)
+    if kind == 1:
+        return rng.randint(-(10**30), 10**30)
+    if kind == 2:
+        special = [-0.0, math.nan, math.inf, -math.inf]
+        ordinary = [rng.random(), rng.uniform(-1e20, 1e20), 10.0 ** rng.randint(-30, 30)]
+        return rng.choice(special + ordinary)
+    if kind == 3:
+        return rng.choice([True, False])
+    if kind == 4:
+        return None
+    items = [_random_document(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 5:
+        return items
+    if kind == 6:
+        return tuple(items)
+    return {_random_text(rng): item for item in items}
+
+
+def test_dumps_indented_matches_json_on_random_documents():
+    rng = random.Random(83)
+    for _ in range(500):
+        _assert_indented_like_json(_random_document(rng))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        (),
+        "",
+        {"a": {}, "b": [], "c": ()},
+        [[], {}, [[]], [{}], ({},)],
+        (1, (2, ()), [3.5]),
+        "caf\u00e9 \u2713 \U0001d11e \u2028",
+        "\x00\x01\n\t\x1f\x7f",
+        '"quoted" \\ back/slash',
+        "lone \ud800 and \udfff",
+        {"\u00e9\ud83d": "key", "": None, "\\": ['"']},
+        -0.0,
+        0.0,
+        1e-07,
+        1e16,
+        1e22,
+        123456789.125,
+        math.nan,
+        math.inf,
+        -math.inf,
+        [math.nan, math.inf, -math.inf, -0.0],
+        True,
+        False,
+        None,
+        [True, False, None, 0, -1, 10**40],
+        {"t": True, "f": False, "n": None, "i": -7},
+    ],
+)
+def test_dumps_indented_edge_cases(doc):
+    _assert_indented_like_json(doc)
+
+
+@pytest.mark.parametrize(
+    "doc", [F(1, 2), {1: "a"}, {"a": {1, 2}}, [b"bytes"], [object()]]
+)
+def test_dumps_indented_refuses_other_types(doc):
+    with pytest.raises(TypeError):
+        dumps_indented(doc)
+
+
+def test_dumps_indented_leaves_no_garbage():
+    # a writer that refers to itself, such as a closure that calls itself,
+    # is a reference cycle that keeps each output list alive until the
+    # collector runs
+    doc = report_to_dict(analyze(order_effect_system()), include_witness=True)
+    gc.collect()
+    gc.disable()
+    try:
+        dumps_indented(doc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
