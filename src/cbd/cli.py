@@ -17,7 +17,7 @@ from .analysis import analyze
 from .coupling import build_coupling_lp, check_atom_cap, delta_pairs, dense_rows
 from .cyclic import cyclic_criterion, detect_cyclic
 from .epistemic import enumerate_variants, liar_system, uniform_mixture
-from .errors import CbdError, NotPlusMinusOne
+from .errors import CbdError, InternalError, NotPlusMinusOne
 from .oracle import DEFAULT_BASIS_LIMIT, TooManyBases, enumerate_min
 from .serialization import (
     dumps_indented,
@@ -166,7 +166,8 @@ def cmd_oracle(args) -> int:
     except TooManyBases as exc:
         raise CbdError(f"system too large for the brute-force oracle: {exc}")
     if best is None:
-        raise CbdError("no feasible basis found (not a valid system?)")
+        # a validated system's full LP holds the product coupling
+        raise InternalError("no feasible basis found for a valid system: a bug")
     print(f"atoms: {n}")
     print(f"bases examined: {n_bases}")
     print(f"system_delta = {format_value(best)}")

@@ -158,7 +158,8 @@ class LPInstance:
     contents' outcomes, contents sorted), then the total-mass row; a row's
     label lists its cell's outcomes in the context's own contents order.  The
     objective counts, per atom, how many content-sharing pairs
-    (System.pairs()) it assigns different outcomes.
+    (System.pairs()) it assigns different outcomes; it is read off the
+    atoms, which list their outcomes in variables order.
 
     start: a feasible starting basis as (row index, atom index) pairs.  Its
     rows are independent and imply every other positive row, and its basis
@@ -192,7 +193,9 @@ def build_coupling_lp(
     One nonnegative unknown per atom (an outcome assignment to every variable
     of the system), one equality per (context, outcome tuple) cell including
     zero-probability cells, plus total mass 1.  A context's rows follow its
-    cell list, the order in which its cells vary over the atoms.  Raises
+    cell list, the order in which its cells vary over the atoms.  An atom's
+    cost is read off the atom: the number of System.pairs() whose two
+    variables it gives different outcomes.  Raises
     CapExceeded before materializing anything larger than the cap; the cap
     is checked against the full atom count in either mode.
 
@@ -216,7 +219,6 @@ def build_coupling_lp(
     # contents within each context, so each list is in sorted-content product
     # order.  Each cell keeps its row label, in blk.contents order, and its
     # probability.
-    orders: list[list[str]] = []
     lists: list[list[tuple[str, ...]]] = []
     entries: list[list[tuple[str, Fraction]]] = []
     for blk in system.blocks:
@@ -230,7 +232,6 @@ def build_coupling_lp(
             if p or not support:
                 cells.append(cell)
                 labelled.append((f"{blk.context}[{','.join(as_block)}]", p))
-        orders.append(contents)
         lists.append(cells)
         entries.append(labelled)
     # each context's cells extend every atom of the contexts before it, in
@@ -273,38 +274,19 @@ def build_coupling_lp(
     rows.append(LPRow(label="mass", cols=tuple(range(n)), rhs=Fraction(1)))
 
     # The objective counts, per atom, the pairs whose two outcomes differ.
-    # Over the atoms, a variable's outcomes repeat with its context's period
-    # (see _outcome_runs).  A pair's first context comes before its second
-    # (blocks and each content's contexts are both sorted), so the first's
-    # period is a whole number of the second's, and the pair's pattern of
-    # splits over it repeats over the atoms.  A variable's place in its
-    # context's cells is its content's place in the sorted contents.
-    at = {blk.context: k for k, blk in enumerate(system.blocks)}
-    splits = [[0] * n]
+    # An atom lists its outcomes in variables order.
+    column = dict(zip(variables, zip(*atoms)))
+    objective = [0] * n
     for q, ca, cb in system.pairs():
-        a, b = at[ca], at[cb]
-        xs = _outcome_runs(lists[a], orders[a].index(q), strides[a])
-        ys = _outcome_runs(lists[b], orders[b].index(q), strides[b])
-        split = list(map(operator.ne, xs, ys * (len(xs) // len(ys))))
-        splits.append(split * (n // len(split)))
+        split = map(operator.ne, column[(ca, q)], column[(cb, q)])
+        objective = list(map(operator.add, objective, split))
     return LPInstance(
         variables=variables,
         atoms=atoms,
         rows=tuple(rows),
-        objective=tuple(map(sum, zip(*splits))),
+        objective=tuple(objective),
         start=_north_west_corner(positive, strides, len(rows) - 1),
     )
-
-
-def _outcome_runs(
-    cells: Sequence[tuple[str, ...]], place: int, stride: int
-) -> list[str]:
-    """One period of a variable's outcomes over the atoms: the outcome at
-    place in each of its context's cells, stride times each."""
-    out = []
-    for cell in cells:
-        out += [cell[place]] * stride
-    return out
 
 
 def _north_west_corner(

@@ -309,13 +309,25 @@ def validate_system(
     `blocks` is an iterable of (context_id, contents, table) triples; table
     values may be anything to_fraction() accepts.  Raises a CbdError subclass
     naming the offending context or content on any violation.
+
+    The label rule: content ids, outcome labels and context ids are
+    non-empty strings, and an outcome set or a context's contents is a
+    sequence of them, never one bare string.
     """
     registry: dict[str, tuple[str, ...]] = {}
     for content, values in outcome_sets.items():
-        vals = tuple(values)
-        if not isinstance(content, str) or not all(isinstance(o, str) for o in vals):
+        if isinstance(values, str):
             raise DomainMismatch(
-                f"content {content!r}: content ids and outcome labels must be strings"
+                f"content {content!r}: outcome set {values!r} is one string, "
+                f"not a sequence of labels"
+            )
+        vals = tuple(values)
+        if not (isinstance(content, str) and content) or not all(
+            isinstance(o, str) and o for o in vals
+        ):
+            raise DomainMismatch(
+                f"content {content!r}: content ids and outcome labels must be "
+                f"non-empty strings"
             )
         if len(vals) < 2:
             raise DomainMismatch(
@@ -329,8 +341,13 @@ def validate_system(
     seen_contexts: set[str] = set()
     out_blocks: list[ContextBlock] = []
     for context, contents, table in blocks:
-        if not isinstance(context, str):
-            raise DomainMismatch(f"context id {context!r} is not a string")
+        if not (isinstance(context, str) and context):
+            raise DomainMismatch(f"context id {context!r} is not a non-empty string")
+        if isinstance(contents, str):
+            raise DomainMismatch(
+                f"context {context!r}: contents {contents!r} is one string, "
+                f"not a sequence of content ids"
+            )
         contents = tuple(contents)
         check_context(context, contents, registry, seen_contexts)
         if not contents:

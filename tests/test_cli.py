@@ -310,6 +310,20 @@ def test_oracle_refuses_before_building_the_lp(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+def test_oracle_without_a_feasible_basis_is_an_internal_error(
+    tmp_path, capsys, monkeypatch
+):
+    # a validated system's full LP always holds the product coupling, so only
+    # a bug can leave the oracle without a feasible basis
+    path = write_file(tmp_path, order_effect_system())
+    monkeypatch.setattr(cbd.cli, "enumerate_min", lambda *args: (None, None, 0))
+    code, out, err = run_cli(capsys, "oracle", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "a bug" in err
+
+
 def test_liar_count_beyond_the_digit_limit_names_the_cap(capsys, monkeypatch):
     monkeypatch.delenv("CBD_ATOM_CAP", raising=False)
     code, out, err = run_cli(capsys, "liar", "8000")

@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 
 from cbd import (
+    DomainMismatch,
     InvalidProbability,
     ProbabilitySumMismatch,
     SystemFileError,
@@ -371,6 +372,19 @@ def test_schema_rejects_malformed_documents():
             jsonschema.validate(doc, schema)
 
 
+def test_empty_labels_in_a_file_are_refused_as_the_schema_refuses_them():
+    doc = {
+        "contents": [{"id": "", "values": ["", "b"]}],
+        "contexts": [
+            {"id": "", "contents": [""], "distribution": [{"outcomes": [""], "p": "1"}]}
+        ],
+    }
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, load_schema())
+    with pytest.raises(DomainMismatch, match="non-empty"):
+        parse_system_data(doc)
+
+
 REPORT_SCHEMA_PATH = SCHEMA_PATH.with_name("report.schema.json")
 
 
@@ -406,8 +420,10 @@ def test_report_schema_rejects_malformed_reports():
     stray["plot"] = True
     bare_witness = copy.deepcopy(good)
     del bare_witness["witness"]["atoms"]
+    empty_context = copy.deepcopy(good)
+    empty_context["connections"][0]["pairs"][0]["context_a"] = ""
 
-    for doc in (missing, numeric_exact, stray, bare_witness):
+    for doc in (missing, numeric_exact, stray, bare_witness, empty_context):
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(doc, schema)
 

@@ -149,6 +149,35 @@ def test_labels_must_be_strings(registry, context):
         validate_system(registry, [(context, (q,), {(o,): F(1, 2) for o in outs})])
 
 
+@pytest.mark.parametrize(
+    "registry, context, contents, match",
+    [
+        pytest.param({"": ("a", "b")}, "c", ("",), "content ''", id="content-id"),
+        pytest.param({"q": ("", "b")}, "c", ("q",), "content 'q'", id="outcome-label"),
+        pytest.param({"q": ("a", "b")}, "", ("q",), "context id ''", id="context-id"),
+    ],
+)
+def test_labels_must_be_non_empty(registry, context, contents, match):
+    # the file schema gives every id and label minLength 1, so a system that
+    # passed with an empty one would write a file its own schema refuses
+    (q, outs), = registry.items()
+    table = {(outs[1],): F(1)}
+    with pytest.raises(DomainMismatch, match=f"{match}.*non-empty"):
+        validate_system(registry, [(context, contents, table)])
+
+
+def test_outcome_set_must_not_be_one_string():
+    # tuple('+1') would be the outcomes ('+', '1')
+    with pytest.raises(DomainMismatch, match="content 'q': outcome set '\\+1'"):
+        validate_system({"q": "+1"}, [("c", ("q",), {("+",): F(1)})])
+
+
+def test_context_contents_must_not_be_one_string():
+    # tuple('q') would be the contents ('q',)
+    with pytest.raises(DomainMismatch, match="context 'c': contents 'q'"):
+        validate_system(pm_registry("q"), [("c", "q", {(P,): F(1)})])
+
+
 def test_outcome_set_needs_two_values():
     with pytest.raises(DomainMismatch):
         validate_system({"q1": ("+1",)}, [("c1", ("q1",), {(P,): 1})])
