@@ -1,32 +1,24 @@
-"""Exact two-phase simplex over the rationals, on an integer tableau.
+"""Exact simplex over the rationals, on an integer tableau, from a given start.
 
 Minimizes a linear objective subject to equality constraints and
 nonnegativity.  The optimum is the true rational optimum, not an
-approximation, yet no pivot touches a Fraction: a constraint row or the
-cost vector that holds only ints passes through as it is, any other is
-scaled to integers over the lcm of its denominators by systems.to_form, as
-is the right-hand-side column, and the tableau is kept integral with one
-common positive denominator d (the integer-preserving pivots of Edmonds and
-Bareiss, Math. Comp. 22, 1968).
+approximation, yet no pivot touches a Fraction: the constraint rows and the
+costs must be ints, the right-hand-side column is scaled to integers over the
+lcm of its denominators by systems.to_form, and the tableau is kept integral
+with one common positive denominator d (the integer-preserving pivots of
+Edmonds and Bareiss, Math. Comp. 22, 1968).
 A tableau entry T[i][j] stands for the rational T[i][j] / d.  Pivoting on
 (r, s) with p = T[r][s] leaves row r as it is and turns every other row into
 (p*a - f*b) // d, an exact division, after which d = p; with p = d = 1 that
 is the row subtraction a - f*b.
 
-The starting basis comes from one of two places.  Without a start, phase 1
-minimizes the sum of one artificial variable per row; a positive minimum
-means the LP is infeasible, and SimplexError is raised.  Artificials still
-basic at zero afterwards are driven out or, on a redundant row, dropped with
-their row.  With a start (one column per row, so the rows must be
-independent), its columns are pivoted in row by row, in order; it must be
-nonsingular in that order and its basic solution nonnegative, or
-SimplexError is raised.  Phase 1 and the drive-out are then skipped, as
-they are for an LP with no rows.  The coupling LP supplies such a start
-(its north-west-corner basis, see coupling.build_coupling_lp), on whose unit
-lower-triangular basis every install pivot is 1: on its 0/1 int rows each
-install pivot updates the other rows by plain subtraction.  Phase 2 is the
-same either way, and the solution is read off its final basis: the optimum
-and the nonzero basic values, by column.
+There is one path: the caller's start basis, one column per row (so the rows
+must be independent), is pivoted in row by row, in order; it must be
+nonsingular in that order and its basic solution nonnegative.  The coupling
+LP's north-west-corner start (coupling.build_coupling_lp) has a unit
+lower-triangular basis, so every install pivot is a plain row subtraction.
+Phase 2 runs from that basis; the solution is read off its final basis.  The
+tests' two-phase referee (tests/referee_simplex.py) adds phase 1 to it.
 
 Entering takes the most negative reduced cost (Dantzig's rule).  After
 DEGENERATE_RUN consecutive degenerate pivots it switches to Bland's rule
@@ -51,8 +43,9 @@ MAX_PIVOTS = 1_000_000
 
 
 class SimplexError(RuntimeError):
-    """Failure to solve: an infeasible LP, an unbounded objective, a
-    pivot-limit overrun, or a start basis that is singular or infeasible."""
+    """Failure to solve: a row or cost that is not an int, a negative rhs, a
+    start basis that is singular or infeasible, an unbounded objective, or a
+    pivot-limit overrun."""
 
 
 class _Tableau:
@@ -71,8 +64,8 @@ class _Tableau:
         prow = rows[r]
         p = prow[s]
         if p < 0:
-            # only when driving out a leftover artificial, whose rhs is 0, or
-            # when installing a start basis, whose rhs is checked afterwards
+            # only when installing a start basis, whose rhs is checked
+            # afterwards, or when the referee drives out an artificial
             prow = rows[r] = [-a for a in prow]
             p = -p
         d = self.d
@@ -131,111 +124,76 @@ class _Tableau:
             self.pivot(leave, enter)
 
 
-def _integer_form(values):
-    """to_form(values), with an int sequence passed through as (1, values)."""
-    if set(map(type, values)) <= {int}:
-        return 1, values
-    return to_form(values)
+def _check_ints(values, what):
+    if not set(map(type, values)) <= {int}:
+        raise SimplexError(f"{what} must hold ints only")
 
 
-def _phase_one(tab, n):
-    """Pivot tab, whose basis is all artificial, to a feasible basis of the
-    n original columns; raise SimplexError when there is none."""
-    # Phase 1: minimize the sum of one artificial variable per row.  The
-    # artificial columns are not stored: they never re-enter (forcing them
-    # to stay at zero once nonbasic cannot hide feasibility, since any
-    # all-original feasible point has every artificial at zero already), and
-    # no other column's update reads them.
-    tab.rows.append([-sum(col) for col in zip(*tab.rows)])
-    tab.iterate(n)
-    if tab.rows.pop()[-1] != 0:
-        raise SimplexError("infeasible: no point meets every row")
-
-    # Drive leftover artificials out of the basis; rows that cannot pivot on
-    # any original column are redundant and get dropped.
-    drop = []
-    for i in range(len(tab.rows)):
-        if tab.basis[i] >= n:
-            col = next((j for j in range(n) if tab.rows[i][j] != 0), -1)
-            if col < 0:
-                drop.append(i)
-            else:
-                tab.pivot(i, col)
-    for i in reversed(drop):
-        del tab.rows[i]
-        del tab.basis[i]
+def _tableau(rows, rhs, n):
+    """The tableau of int rows over n columns with a nonnegative rhs, and
+    the scale of its rhs column: solving for x * rhs_scale instead of x keeps
+    every minor the pivots produce as small as the coefficients themselves.
+    Basis index n + i stands for row i's artificial, until a pivot replaces
+    it."""
+    for row in rows:
+        _check_ints(row, "a row")
+    if any(b < 0 for b in rhs):
+        raise SimplexError("the rhs must be nonnegative")
+    rhs_scale, int_rhs = to_form(rhs)
+    table = [[*row, b] for row, b in zip(rows, int_rhs)]
+    return _Tableau(table, list(range(n, n + len(rows)))), rhs_scale
 
 
-def solve_min(costs, rows, rhs, start=None):
-    """Minimize costs . x subject to rows . x == rhs, x >= 0.
-
-    costs: sequence of n exact numbers (ints or Fractions).
-    rows:  m sequences of n exact numbers.  Only a sequence holding a
-           non-int is scaled to integers; an int one is read as it is.
-    rhs:   m exact numbers.
-    start: optional starting basis, m column indices: start[i] is made basic
-           in row i.  Without it, phase 1 finds a feasible basis.
-
-    Returns (optimum, weights): the exact optimum as a Fraction and one
-    optimal basic feasible solution as {column: Fraction}, its nonzero basic
-    values in ascending column order.  Raises SimplexError on an infeasible
-    LP (found by phase 1), on an unbounded objective (impossible when the
-    feasible set is bounded, as for every instance built by this package)
-    and on a start that is not m columns, hits a zero pivot, or gives a
-    negative basic value.
-    """
-    m = len(rows)
-    n = len(costs)
-    if start is not None and len(start) != m:
+def _install(tab, start, n):
+    """Pivot start[i] in as row i's basic column, row by row."""
+    m = len(tab.rows)
+    if len(start) != m:
         raise SimplexError(f"start basis has {len(start)} columns for {m} rows")
+    for i, j in enumerate(start):
+        if not 0 <= j < n or tab.rows[i][j] == 0:
+            raise SimplexError(f"start basis is singular at row {i}")
+        tab.pivot(i, j)
+    if any(row[-1] < 0 for row in tab.rows):
+        raise SimplexError("start basis is infeasible")
 
-    # Each row (with its rhs) is scaled by the least common denominator of
-    # its coefficients, and the rhs column then by the least common
-    # denominator of the rhs values: solving for x * rhs_scale instead of x
-    # keeps the coefficient block, and so every minor the pivots produce,
-    # as small as the coefficients themselves.
-    table = []
-    scaled_rhs = []
-    for row, b in zip(rows, rhs):
-        row_scale, scaled = _integer_form(row)
-        if row_scale != 1:
-            b *= row_scale
-        if b < 0:
-            scaled = [-a for a in scaled]
-            b = -b
-        table.append(list(scaled))
-        scaled_rhs.append(b)
-    rhs_scale, int_rhs = to_form(scaled_rhs)
-    for row, b in zip(table, int_rhs):
-        row.append(b)
 
-    # Basis index n + i stands for row i's artificial, until a pivot
-    # replaces it.
-    tab = _Tableau(table, list(range(n, n + m)))
-    if start is not None:
-        for i, j in enumerate(start):
-            if not 0 <= j < n or tab.rows[i][j] == 0:
-                raise SimplexError(f"start basis is singular at row {i}")
-            tab.pivot(i, j)
-        if any(row[-1] < 0 for row in tab.rows):
-            raise SimplexError("start basis is infeasible")
-    elif m:  # with no rows, the empty basis is already feasible
-        _phase_one(tab, n)
-
-    # Phase 2: the real objective, scaled to integers, over the feasible
-    # basis found above.  Its z-row carries the same denominator d.
-    cost_scale, icosts = _integer_form(costs)
-    zrow = [tab.d * c for c in icosts] + [0]
+def _phase_two(tab, costs, rhs_scale):
+    """Minimize the int costs from tab's feasible basis; return the optimum
+    and the nonzero basic values, by column, in ascending order."""
+    # the z-row carries the tableau's denominator d
+    zrow = [tab.d * c for c in costs] + [0]
     for i, j in enumerate(tab.basis):
-        cb = icosts[j]
+        cb = costs[j]
         if cb:
             zrow = [z - cb * a for z, a in zip(zrow, tab.rows[i])]
     tab.rows.append(zrow)
-    tab.iterate(n)
+    tab.iterate(len(costs))
 
     den = tab.d * rhs_scale
     # zip stops at the last basis entry, before the z-row
     values = sorted((j, row[-1]) for j, row in zip(tab.basis, tab.rows))
     weights = {j: Fraction(v, den) for j, v in values if v}
-    optimum = Fraction(-tab.rows[-1][-1], den * cost_scale)
-    return optimum, weights
+    return Fraction(-tab.rows[-1][-1], den), weights
+
+
+def solve_min(costs, rows, rhs, start):
+    """Minimize costs . x subject to rows . x == rhs, x >= 0.
+
+    costs: n ints.
+    rows:  m sequences of n ints.
+    rhs:   m nonnegative exact numbers (ints or Fractions).
+    start: the starting basis, m column indices: start[i] is made basic in
+           row i.
+
+    Returns (optimum, weights): the exact optimum as a Fraction and one
+    optimal basic feasible solution as {column: Fraction}, its nonzero basic
+    values in ascending column order.  Raises SimplexError on a row or cost
+    that is not an int, on a negative rhs, on a start that is not m columns,
+    hits a zero pivot, or gives a negative basic value, and on an unbounded
+    objective (impossible when the feasible set is bounded, as for every
+    instance built by this package).
+    """
+    _check_ints(costs, "the costs")
+    tab, rhs_scale = _tableau(rows, rhs, len(costs))
+    _install(tab, start, len(costs))
+    return _phase_two(tab, costs, rhs_scale)

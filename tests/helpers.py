@@ -12,7 +12,6 @@ import random
 from fractions import Fraction
 
 import cbd.analysis
-import cbd.simplex
 from cbd import (
     System,
     build_coupling_lp,
@@ -23,6 +22,8 @@ from cbd import (
 )
 from cbd.coupling import LPSolution, dense_rows
 from cbd.oracle import enumerate_min
+
+import referee_simplex
 
 PM = ("+1", "-1")
 P, M = "+1", "-1"
@@ -335,9 +336,9 @@ def lp_dense(lp):
 
 
 def two_phase_optimum(lp):
-    """The optimum of a full or support LP by solve_min without a start,
-    through phase 1."""
-    optimum, _ = cbd.simplex.solve_min(
+    """The optimum of a full or support LP by the two-phase referee, without
+    a start, through phase 1."""
+    optimum, _ = referee_simplex.solve_min(
         list(lp.objective), dense_rows(lp, lp.rows), [row.rhs for row in lp.rows]
     )
     return optimum

@@ -199,3 +199,17 @@ def test_indented_json_written_in_one_function():
         for scope in _scopes_of(tree, is_indented_json_call)
     }
     assert callers == set()
+
+
+def test_solve_min_requires_a_start():
+    # one solver path: solve_min always installs its caller's start, and
+    # phase 1 lives in the tests' two-phase referee only
+    tree = dict(_package_trees())["simplex.py"]
+    func = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "solve_min"
+    )
+    assert [arg.arg for arg in func.args.args] == ["costs", "rows", "rhs", "start"]
+    assert func.args.defaults == [] and func.args.kwonlyargs == []
+    assert func.args.vararg is None and func.args.kwarg is None

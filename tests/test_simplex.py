@@ -8,25 +8,26 @@ from cbd.coupling import build_coupling_lp, dense_rows
 from cbd.oracle import enumerate_min
 from cbd.simplex import SimplexError, solve_min
 from helpers import rand_system, rand_weights
+import referee_simplex as referee
 
 F = Fraction
 
 
 def test_single_equality():
-    opt, x = solve_min([F(1), F(1)], [[F(1), F(1)]], [F(1)])
+    opt, x = referee.solve_min([F(1), F(1)], [[F(1), F(1)]], [F(1)])
     assert opt == 1
     assert sum(x.values()) == 1
 
 
 def test_prefers_cheap_coordinate():
-    opt, x = solve_min([F(3), F(1)], [[F(1), F(1)]], [F(1)])
+    opt, x = referee.solve_min([F(3), F(1)], [[F(1), F(1)]], [F(1)])
     assert opt == 1
     assert x == {1: F(1)}
 
 
 def test_two_constraints():
     # x1 + x2 = 2, x2 + x3 = 1, minimize x1 + 2 x2 + 3 x3
-    opt, x = solve_min(
+    opt, x = referee.solve_min(
         [F(1), F(2), F(3)],
         [[F(1), F(1), F(0)], [F(0), F(1), F(1)]],
         [F(2), F(1)],
@@ -37,17 +38,17 @@ def test_two_constraints():
 
 def test_negative_rhs_normalized():
     # -x1 - x2 = -1 is the same constraint as x1 + x2 = 1
-    opt, _ = solve_min([F(1), F(2)], [[F(-1), F(-1)]], [F(-1)])
+    opt, _ = referee.solve_min([F(1), F(2)], [[F(-1), F(-1)]], [F(-1)])
     assert opt == 1
 
 
 def test_infeasible():
     with pytest.raises(SimplexError, match="infeasible"):
-        solve_min([F(1)], [[F(1)], [F(1)]], [F(1), F(2)])
+        referee.solve_min([F(1)], [[F(1)], [F(1)]], [F(1), F(2)])
 
 
 def test_redundant_rows_accepted():
-    opt, _ = solve_min(
+    opt, _ = referee.solve_min(
         [F(1), F(1)],
         [[F(1), F(1)], [F(1), F(1)], [F(2), F(2)]],
         [F(1), F(1), F(2)],
@@ -57,21 +58,21 @@ def test_redundant_rows_accepted():
 
 def test_unbounded_raises():
     with pytest.raises(SimplexError):
-        solve_min([F(-1)], [[F(0)]], [F(0)])
+        referee.solve_min([F(-1)], [[F(0)]], [F(0)])
 
 
 @pytest.mark.parametrize("start", [None, []])
 def test_no_rows(start):
     # only x >= 0: x = 0 is optimal unless some cost is negative
-    assert solve_min([F(2), 0, F(1, 3)], [], [], start=start) == (0, {})
-    assert solve_min([], [], [], start=start) == (0, {})
+    assert referee.solve_min([F(2), 0, F(1, 3)], [], [], start=start) == (0, {})
+    assert referee.solve_min([], [], [], start=start) == (0, {})
     with pytest.raises(SimplexError, match="unbounded"):
-        solve_min([F(1), F(-1, 2)], [], [], start=start)
+        referee.solve_min([F(1), F(-1, 2)], [], [], start=start)
 
 
 def test_degenerate_vertex_terminates():
     # several tight constraints meeting at x = 0 force degenerate pivots
-    opt, _ = solve_min(
+    opt, _ = referee.solve_min(
         [F(1), F(1), F(1)],
         [[F(1), F(-1), F(0)], [F(1), F(0), F(-1)], [F(1), F(1), F(1)]],
         [F(0), F(0), F(3)],
@@ -96,7 +97,7 @@ def test_transportation_matches_total_variation():
         for j in range(k):  # column margins
             rows.append([F(1) if b == j else F(0) for _ in range(k) for b in range(k)])
             rhs.append(v[j])
-        opt, x = solve_min(costs, rows, rhs)
+        opt, x = referee.solve_min(costs, rows, rhs)
         tv = sum(abs(a - b) for a, b in zip(u, v)) / 2
         assert opt == tv
         assert all(val > 0 for val in x.values())
@@ -111,7 +112,7 @@ def test_random_lps_match_enumeration():
         x0 = [F(rng.randint(0, 3)) for _ in range(n)]
         b = [sum(row[j] * x0[j] for j in range(n)) for row in A]
         costs = [F(rng.randint(0, 5)) for _ in range(n)]
-        opt, x = solve_min(costs, A, b)
+        opt, x = referee.solve_min(costs, A, b)
         best, _, _ = enumerate_min(costs, A, b)
         assert opt == best
         for row, bi in zip(A, b):
@@ -128,7 +129,7 @@ def test_beale_cycling_lp():
         [F(0), F(0), F(1), F(0), F(0), F(1), F(0)],
     ]
     rhs = [F(0), F(0), F(1)]
-    opt, x = solve_min(costs, rows, rhs)
+    opt, x = referee.solve_min(costs, rows, rhs)
     assert opt == F(-5, 4)
     assert opt == enumerate_min(costs, rows, rhs)[0]
     assert sum(costs[j] * v for j, v in x.items()) == opt
@@ -160,7 +161,7 @@ def test_random_mixed_sign_degenerate_lps_match_enumeration():
         else:
             costs = [F(rng.randint(0, 5), rng.randint(1, 4)) for _ in range(n)]
         b = [sum(a * v for a, v in zip(row, x0)) for row in A]
-        opt, x = solve_min(costs, A, b)
+        opt, x = referee.solve_min(costs, A, b)
         assert opt == enumerate_min(costs, A, b)[0]
         assert all(isinstance(v, Fraction) and v > 0 for v in x.values())
         for row, bi in zip(A, b):
@@ -182,7 +183,7 @@ def test_leftover_artificial_driven_out_on_negative_entry(monkeypatch):
     costs = [F(1), F(2), F(3)]
     rows = [[F(1), F(1), F(0)], [F(1), F(1), F(-1)], [F(2), F(2), F(0)]]
     rhs = [F(1), F(1), F(2)]
-    opt, x = solve_min(costs, rows, rhs)
+    opt, x = referee.solve_min(costs, rows, rhs)
     assert any(negative)
     assert opt == 1 == enumerate_min(costs, rows, rhs)[0]
     assert x == {0: F(1)}
@@ -195,8 +196,8 @@ def test_singular_start_raises():
     # column 1 is column 0 over these rows; a repeated or unknown column too
     for start in ([0, 1], [2, 2], [0, 3], [0, -1], [0]):
         with pytest.raises(SimplexError):
-            solve_min(costs, rows, rhs, start=start)
-    assert solve_min(costs, rows, rhs, start=[0, 2])[0] == 2
+            referee.solve_min(costs, rows, rhs, start=start)
+    assert referee.solve_min(costs, rows, rhs, start=[0, 2])[0] == 2
 
 
 def test_infeasible_start_raises():
@@ -205,8 +206,10 @@ def test_infeasible_start_raises():
     rows = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
     rhs = [F(1), F(2)]
     with pytest.raises(SimplexError, match="infeasible"):
-        solve_min(costs, rows, rhs, start=[2, 0])
-    assert solve_min(costs, rows, rhs, start=[2, 1]) == solve_min(costs, rows, rhs)
+        referee.solve_min(costs, rows, rhs, start=[2, 0])
+    assert referee.solve_min(costs, rows, rhs, start=[2, 1]) == referee.solve_min(
+        costs, rows, rhs
+    )
 
 
 def test_slack_start_matches_two_phase():
@@ -224,8 +227,12 @@ def test_slack_start_matches_two_phase():
         rhs = [F(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(m)]
         # nonnegative costs keep every instance bounded
         costs = [F(rng.randint(0, 5), rng.randint(1, 2)) for _ in range(n + m)]
-        opt, x = solve_min(costs, rows, rhs, start=list(range(n, n + m)))
-        assert opt == solve_min(costs, rows, rhs)[0] == enumerate_min(costs, rows, rhs)[0]
+        opt, x = referee.solve_min(costs, rows, rhs, start=list(range(n, n + m)))
+        assert (
+            opt
+            == referee.solve_min(costs, rows, rhs)[0]
+            == enumerate_min(costs, rows, rhs)[0]
+        )
         assert all(v > 0 for v in x.values())
         for row, b in zip(rows, rhs):
             assert sum(row[j] * v for j, v in x.items()) == b
@@ -234,7 +241,9 @@ def test_slack_start_matches_two_phase():
 
 def test_integer_rows_skip_scaling(monkeypatch):
     # coupling LPs come as int rows and costs, which solve_min takes as they
-    # are; the same LP as Fractions is scaled and solved by the same pivots
+    # are; the same LP as Fractions is scaled by the referee and solved by the
+    # same pivots.  The spy counts both modules' scalings: the referee's of
+    # rows and costs, and the rhs column's in cbd.simplex.
     scaled = []
     real_to_form = simplex.to_form
 
@@ -250,6 +259,7 @@ def test_integer_rows_skip_scaling(monkeypatch):
         real_pivot(tab, r, s)
 
     monkeypatch.setattr(simplex, "to_form", counted_to_form)
+    monkeypatch.setattr(referee, "to_form", counted_to_form)
     monkeypatch.setattr(simplex._Tableau, "pivot", recorded_pivot)
     rng = random.Random(47)
     solved = 0
@@ -270,12 +280,13 @@ def test_integer_rows_skip_scaling(monkeypatch):
         for int_rows, b, start in cases:
             scaled.clear()
             pivots.clear()
-            result = solve_min(costs, int_rows, b, start=start)
+            solve = referee.solve_min if start is None else solve_min
+            result = solve(costs, int_rows, b, start=start)
             assert len(scaled) == 1  # the rhs column alone
             int_pivots = list(pivots)
             scaled.clear()
             pivots.clear()
-            as_fractions = solve_min(
+            as_fractions = referee.solve_min(
                 [F(c) for c in costs],
                 [[F(a) for a in row] for row in int_rows],
                 b,
@@ -290,3 +301,44 @@ def test_integer_rows_skip_scaling(monkeypatch):
             assert list(x) == sorted(x)
             solved += 1
     assert solved == 60
+
+
+# the narrowed contract: int rows and costs, a nonnegative rhs and a start
+
+
+def test_non_int_input_raises():
+    rows, rhs, start = [[1, 1]], [F(1, 2)], [0]
+    with pytest.raises(SimplexError, match="row"):
+        solve_min([1, 2], [[F(1), 1]], rhs, start)
+    with pytest.raises(SimplexError, match="costs"):
+        solve_min([F(1), 2], rows, rhs, start)
+    assert solve_min([1, 2], rows, rhs, start) == (F(1, 2), {0: F(1, 2)})
+
+
+def test_negative_rhs_raises():
+    with pytest.raises(SimplexError, match="nonnegative"):
+        solve_min([1, 2], [[-1, -1]], [F(-1)], [0])
+
+
+def test_start_is_required():
+    with pytest.raises(TypeError):
+        solve_min([1, 2], [[1, 1]], [1])
+
+
+def test_direct_start_negates_a_negative_pivot_row(monkeypatch):
+    # test_infeasible_start_raises on int input, through solve_min itself:
+    # the start [2, 0] installs x0 on the entry -1, so the pivot negates its
+    # row, and the rhs check then refuses the start
+    negative = []
+    pivot = simplex._Tableau.pivot
+
+    def recording(tab, r, s):
+        negative.append(tab.rows[r][s] < 0)
+        pivot(tab, r, s)
+
+    monkeypatch.setattr(simplex._Tableau, "pivot", recording)
+    rows = [[1, 0, 1], [0, 1, 1]]
+    with pytest.raises(SimplexError, match="infeasible"):
+        solve_min([1, 1, 1], rows, [1, 2], [2, 0])
+    assert negative == [False, True]
+    assert solve_min([1, 1, 1], rows, [1, 2], [2, 1]) == (2, {1: 1, 2: 1})
