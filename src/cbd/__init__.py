@@ -45,6 +45,7 @@ from .errors import (
     CapExceeded,
     CbdError,
     DomainMismatch,
+    DuplicateCell,
     DuplicateContentInContext,
     DuplicateContext,
     EmptySystem,

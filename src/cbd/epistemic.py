@@ -158,17 +158,19 @@ def enumerate_variants(
 ) -> Sequence[DeterministicVariant]:
     """All deterministic variants satisfying every context's constraint.
 
-    A context id defined twice, a content listed twice in one context and
-    a content missing from spec.outcomes are refused first, with the errors
-    validate_system raises for them.  The assignment space (product of all
-    variables' outcome set sizes) must stay within the cap; raises
-    CapExceeded otherwise and EmptyVariantSet when some context admits no
-    tuple at all.  Contexts are independent (variables are per-context), so
-    the variants are exactly the product of the per-context admissible
-    tuples.  The result is a read-only sequence over that product (a
-    VariantProduct): its length is the product of the per-context tuple
-    counts, and indexing or iterating builds each variant on demand, in
-    canonical order (itertools.product over the contexts sorted by id).
+    A context that breaks a rule of systems.check_context (an id that is not
+    a non-empty string or is defined twice; contents that are empty, one
+    bare string, list a content twice or name one missing from
+    spec.outcomes) is refused first, with the error validate_system raises.
+    The assignment space (product of all variables' outcome set sizes) must
+    stay within the cap; raises CapExceeded otherwise and EmptyVariantSet
+    when some context admits no tuple at all.  Contexts are independent
+    (variables are per-context), so the variants are exactly the product of
+    the per-context admissible tuples.  The result is a read-only sequence
+    over that product (a VariantProduct): its length is the product of the
+    per-context tuple counts, and indexing or iterating builds each variant
+    on demand, in canonical order (itertools.product over the contexts
+    sorted by id).
     """
     seen: set[str] = set()
     for ctx in spec.contexts:

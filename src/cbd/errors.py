@@ -110,3 +110,8 @@ class EmptyVariantSet(CbdError):
 
 class SystemFileError(CbdError):
     """A system file cannot be parsed: bad JSON or bad structure."""
+
+
+class DuplicateCell(DomainMismatch, SystemFileError):
+    """A context lists one outcome tuple twice.  A file whose distribution
+    does so is malformed, so this is a SystemFileError as well."""

@@ -1,10 +1,15 @@
 """System files and report rendering.
 
-A system file is JSON: a contents registry and per-context distributions,
-with probabilities as exact strings ("3/4" or "0.75").  JSON numbers are
-accepted too and parsed from their literal text, so "0.1" means exactly
-1/10 rather than the nearest binary float.  Omitted outcome tuples have
-probability zero.  The formal schema lives in schema/system.schema.json.
+A system file is JSON that validates against schema/system.schema.json: a
+contents registry and per-context distributions, each object with exactly
+the schema's keys.  A probability is an exact string in ASCII digits ("3/4"
+or "0.75", systems.P_PATTERN) or a JSON number, read from its literal text,
+so 0.1 means exactly 1/10 rather than the nearest binary float.  Omitted
+outcome tuples have probability zero.  parse_system_data reads the decoded
+JSON in one pass; the rules a schema cannot state (sums and the exact [0, 1]
+range, ids and cells listed twice, unknown contents, outcomes outside their
+set, arity, the MAX_DIGITS limits) it checks through the systems.py
+functions that validate_system calls.
 
 Reports render as plain text or as JSON carrying every rational twice: the
 exact "num/den" string (lossless round-trip) and a float for reading.
@@ -20,7 +25,9 @@ from typing import IO, Iterator
 
 from .analysis import AnalysisReport, PairDelta
 from .errors import SystemFileError
-from .systems import System, int_text, validate_system
+from .systems import (
+    P_GRAMMAR, System, build_system, context_block, int_text, outcome_set,
+)
 
 
 def format_exact(x: Fraction) -> str:
@@ -137,68 +144,82 @@ def dumps_indented(doc) -> str:
 # system files
 
 
+# Each object in a system file: its keys, exactly its "required" and its
+# "properties" in schema/system.schema.json, each with its JSON type.
+SYSTEM_KEYS = {"contents": "[...]", "contexts": "[...]"}
+CONTENT_KEYS = {"id": "str", "values": "[str]"}
+CONTEXT_KEYS = {"id": "str", "contents": "[str]", "distribution": "[...]"}
+CELL_KEYS = {"outcomes": "[str]", "p": "str or number"}
+
+
+class _Number(str):
+    """A JSON number's literal text: a str to to_fraction, which reads it
+    exactly, but not a JSON string, so the grammar of "p" strings passes it by."""
+
+
+def _shape_error(obj, keys: dict, where: str, source: str) -> SystemFileError:
+    """The error for obj, not a JSON object with exactly these keys and types."""
+    if isinstance(obj, dict):
+        unknown = [f"has unknown key {key!r}" for key in obj if key not in keys]
+        missing = [f"lacks key {key!r}" for key in keys if key not in obj]
+        if unknown or missing:
+            return SystemFileError(f"{source}: {where} {(unknown + missing)[0]}")
+    shape = ", ".join(f"{key!r}: {kind}" for key, kind in keys.items())
+    return SystemFileError(f"{source}: {where} must be {{{shape}}}")
+
+
+_STR = frozenset({str})
+
+
+def _strings(value) -> bool:
+    """Whether value is a JSON array of JSON strings (a _Number is not one)."""
+    return isinstance(value, list) and set(map(type, value)) <= _STR
+
+
 def parse_system_data(data, source: str = "<data>") -> System:
-    """Build a validated System from already-decoded JSON data."""
-    if not isinstance(data, dict):
-        raise SystemFileError(f"{source}: top level must be an object")
-    for key in ("contents", "contexts"):
-        if key not in data or not isinstance(data[key], list):
-            raise SystemFileError(f"{source}: missing or non-array {key!r}")
-    outcome_sets = {}
+    """Build a validated System from decoded JSON data, in one pass: the data
+    must validate against schema/system.schema.json (copied by the key sets
+    above and systems.P_PATTERN), or SystemFileError names the source and the
+    element; the rules a schema cannot state are validate_system's."""
+    if not isinstance(data, dict) or data.keys() != SYSTEM_KEYS.keys() or not (
+        isinstance(data["contents"], list) and isinstance(data["contexts"], list)
+    ):
+        raise _shape_error(data, SYSTEM_KEYS, "top level", source)
+    registry: dict[str, tuple[str, ...]] = {}
     for i, entry in enumerate(data["contents"]):
-        if (
-            not isinstance(entry, dict)
-            or not isinstance(entry.get("id"), str)
-            or not isinstance(entry.get("values"), list)
-            or not all(isinstance(v, str) for v in entry["values"])
+        if not isinstance(entry, dict) or entry.keys() != CONTENT_KEYS.keys() or (
+            type(entry["id"]) is not str or not _strings(entry["values"])
         ):
-            raise SystemFileError(
-                f"{source}: contents[{i}] must be {{'id': str, 'values': [str]}}"
-            )
-        if entry["id"] in outcome_sets:
-            raise SystemFileError(
-                f"{source}: content {entry['id']!r} declared twice"
-            )
-        outcome_sets[entry["id"]] = tuple(entry["values"])
-    blocks = []
+            raise _shape_error(entry, CONTENT_KEYS, f"contents[{i}]", source)
+        q = entry["id"]
+        if q in registry:
+            raise SystemFileError(f"{source}: content {q!r} declared twice")
+        registry[q] = outcome_set(q, entry["values"])
+    seen, parsed, blocks = set(), {}, []
     for i, entry in enumerate(data["contexts"]):
-        if (
-            not isinstance(entry, dict)
-            or not isinstance(entry.get("id"), str)
-            or not isinstance(entry.get("contents"), list)
-            or not all(isinstance(q, str) for q in entry["contents"])
-            or not isinstance(entry.get("distribution"), list)
+        if not isinstance(entry, dict) or entry.keys() != CONTEXT_KEYS.keys() or (
+            type(entry["id"]) is not str or not _strings(entry["contents"])
+            or not isinstance(entry["distribution"], list)
         ):
-            raise SystemFileError(
-                f"{source}: contexts[{i}] must be "
-                f"{{'id': str, 'contents': [str], 'distribution': [...]}}"
-            )
-        table = {}
+            raise _shape_error(entry, CONTEXT_KEYS, f"contexts[{i}]", source)
+        context = entry["id"]
+        cells = []
         for j, cell in enumerate(entry["distribution"]):
-            if (
-                not isinstance(cell, dict)
-                or not isinstance(cell.get("outcomes"), list)
-                or not all(isinstance(o, str) for o in cell["outcomes"])
-                or "p" not in cell
+            if not isinstance(cell, dict) or cell.keys() != CELL_KEYS.keys() or (
+                not _strings(cell["outcomes"])
             ):
-                raise SystemFileError(
-                    f"{source}: context {entry['id']!r} distribution[{j}] must "
-                    f"be {{'outcomes': [str], 'p': ...}}"
-                )
-            key = tuple(cell["outcomes"])
-            if key in table:
-                raise SystemFileError(
-                    f"{source}: context {entry['id']!r} lists outcomes "
-                    f"{list(key)} twice"
-                )
-            table[key] = cell["p"]
-        blocks.append((entry["id"], tuple(entry["contents"]), table))
-    return validate_system(outcome_sets, blocks)
+                where = f"context {context!r} distribution[{j}]"
+                raise _shape_error(cell, CELL_KEYS, where, source)
+            cells.append((tuple(cell["outcomes"]), cell["p"]))
+        blocks.append(context_block(
+            context, entry["contents"], cells, registry, seen, parsed, P_GRAMMAR
+        ))
+    return build_system(registry, blocks)
 
 
 def parse_system_text(text: str, source: str = "<string>") -> System:
     try:
-        data = json.loads(text, parse_float=str)
+        data = json.loads(text, parse_float=_Number)
     except json.JSONDecodeError as exc:
         raise SystemFileError(
             f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}"

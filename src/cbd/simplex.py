@@ -43,9 +43,10 @@ MAX_PIVOTS = 1_000_000
 
 
 class SimplexError(RuntimeError):
-    """Failure to solve: a row or cost that is not an int, a negative rhs, a
-    start basis that is singular or infeasible, an unbounded objective, or a
-    pivot-limit overrun."""
+    """Failure to solve: a row or cost that is not an int, a row whose length
+    is not the number of costs, a negative rhs, a start basis that is
+    singular or infeasible, an unbounded objective, or a pivot-limit
+    overrun."""
 
 
 class _Tableau:
@@ -137,6 +138,8 @@ def _tableau(rows, rhs, n):
     it."""
     for row in rows:
         _check_ints(row, "a row")
+        if len(row) != n:
+            raise SimplexError(f"a row has {len(row)} entries for {n} columns")
     if any(b < 0 for b in rhs):
         raise SimplexError("the rhs must be nonnegative")
     rhs_scale, int_rhs = to_form(rhs)
@@ -188,10 +191,10 @@ def solve_min(costs, rows, rhs, start):
     Returns (optimum, weights): the exact optimum as a Fraction and one
     optimal basic feasible solution as {column: Fraction}, its nonzero basic
     values in ascending column order.  Raises SimplexError on a row or cost
-    that is not an int, on a negative rhs, on a start that is not m columns,
-    hits a zero pivot, or gives a negative basic value, and on an unbounded
-    objective (impossible when the feasible set is bounded, as for every
-    instance built by this package).
+    that is not an int, on a row of other than n entries, on a negative rhs,
+    on a start that is not m columns, hits a zero pivot, or gives a negative
+    basic value, and on an unbounded objective (impossible when the feasible
+    set is bounded, as for every instance built by this package).
     """
     _check_ints(costs, "the costs")
     tab, rhs_scale = _tableau(rows, rhs, len(costs))

@@ -11,7 +11,10 @@ All probabilities are exact rationals (fractions.Fraction), so every verdict
 downstream is a matter of exact arithmetic rather than tolerance.  Three
 rules on exact values live here only: exact_number, the gate every number
 passes (probabilities and mixture weights); to_form, the integer encoding
-over a common denominator; and check_cell, the outcome-tuple check.
+over a common denominator; and check_cell, the outcome-tuple check.  The
+rules on a system live here too, once each: validate_system and the system
+file parser both build a System through outcome_set, context_block and
+build_system.
 
 A System indexes its marginals once, on first use.  One pass over each
 context table sums integer numerators over the lcm of the table's
@@ -35,6 +38,7 @@ from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DomainMismatch,
+    DuplicateCell,
     DuplicateContentInContext,
     DuplicateContext,
     EmptySystem,
@@ -64,6 +68,11 @@ ZERO = Fraction(0)
 MAX_DIGITS = 4300
 _DIGIT_BOUND = 10**MAX_DIGITS
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)$")
+
+# A "p" string in a system file, as schema/system.schema.json's "pattern"
+# states it; to_fraction, the Python API's gate, also reads signs and exponents.
+P_PATTERN = r"^\s*([0-9]+(/[1-9][0-9]*)?|[0-9]*\.[0-9]+)\s*$"
+P_GRAMMAR = re.compile(P_PATTERN)
 
 
 def int_text(n: int) -> str:
@@ -249,15 +258,38 @@ class System:
         ]
 
 
-def check_context(
-    context: str,
-    contents: tuple[str, ...],
-    registry: Mapping[str, Sequence[str]],
-    seen: set[str],
-) -> None:
-    """Refuse a context id already in seen (then add it), a content listed
-    twice in the context, an unhashable content (the registry's ids are
-    strings) and a content missing from the registry."""
+def outcome_set(content, values) -> tuple[str, ...]:
+    """A content's outcome set as a tuple, by the label rule: the content id
+    and each outcome label are non-empty strings, and the set is a sequence
+    of at least two distinct labels, never one bare string."""
+    vals = tuple(values)
+    labels = (content, *vals)
+    # str.__instancecheck__(x) is isinstance(x, str), as a function map takes
+    if isinstance(values, str) or "" in labels or not all(
+        map(str.__instancecheck__, labels)
+    ):
+        raise DomainMismatch(
+            f"content {content!r}: outcome set {values!r}: ids and labels must "
+            f"be non-empty strings, and an outcome set a sequence of them"
+        )
+    if len(vals) < 2 or len(set(vals)) != len(vals):
+        raise DomainMismatch(
+            f"content {content!r} needs at least 2 outcomes, with no duplicate outcomes"
+        )
+    return vals
+
+
+def check_context(context, contents, registry: Mapping, seen: set) -> tuple[str, ...]:
+    """A context's contents as a tuple, by the label rule: the context id is
+    a non-empty string not yet in seen (then it is added), and contents is a
+    non-empty sequence, never one bare string, of distinct registry ids."""
+    if not (isinstance(context, str) and context):
+        raise DomainMismatch(f"context id {context!r} is not a non-empty string")
+    if isinstance(contents, str):
+        raise DomainMismatch(f"context {context!r}: contents {contents!r} is a string")
+    contents = tuple(contents)
+    if not contents:
+        raise DomainMismatch(f"context {context!r} lists no contents")
     if context in seen:
         raise DuplicateContext(f"context {context!r} defined twice")
     seen.add(context)
@@ -276,6 +308,7 @@ def check_context(
             raise UnknownContent(
                 f"context {context!r} references unknown content {q!r}"
             )
+    return contents
 
 
 def check_cell(context: str, contents: tuple, cell: tuple, registry: Mapping) -> None:
@@ -300,85 +333,55 @@ def check_plus_minus_one(what: str, outcomes: Collection[str]) -> None:
         raise NotPlusMinusOne(f"{what} needs the '+1'/'-1' outcome labels")
 
 
+def context_block(context, contents, cells, registry, seen, parsed, grammar=None):
+    """One context's ContextBlock: check_context, then per (outcome tuple,
+    probability) in cells, check_cell, no tuple listed twice and to_fraction,
+    once per distinct str (not a subclass) into the memo parsed, after a full
+    match of the compiled regex grammar if given; nonzero cells sum to 1."""
+    contents = check_context(context, contents, registry, seen)
+    support, listed = {}, set()  # listed holds the zero cells too
+    for cell, raw in cells:
+        check_cell(context, contents, cell, registry)
+        if cell in listed:
+            raise DuplicateCell(f"context {context!r}: cell {cell} listed twice")
+        listed.add(cell)
+        if type(raw) is not str:
+            p = to_fraction(raw)
+        elif (p := parsed.get(raw)) is None:
+            if grammar and not grammar.fullmatch(raw):
+                what = f"context {context!r}: probability {raw!r}"
+                raise InvalidProbability(f"{what} is not an ASCII 'num/den' or decimal")
+            p = parsed[raw] = to_fraction(raw)
+        if p:
+            support[cell] = p
+    den, nums = to_form(support.values())
+    if sum(nums) != den:
+        raise ProbabilitySumMismatch(context, Fraction(sum(nums), den))
+    return ContextBlock(context, contents, support)
+
+
+def build_system(registry: dict, blocks: list[ContextBlock]) -> System:
+    """The System of checked blocks, sorted by context id."""
+    if not blocks:
+        raise EmptySystem("a system needs at least one context")
+    return System(registry, tuple(sorted(blocks, key=lambda blk: blk.context)))
+
+
 def validate_system(
     outcome_sets: Mapping[str, Sequence[str]],
     blocks: Iterable[tuple[str, Sequence[str], Mapping[tuple[str, ...], object]]],
 ) -> System:
-    """Validate raw system data and return a canonical System.
-
-    `blocks` is an iterable of (context_id, contents, table) triples; table
-    values may be anything to_fraction() accepts.  Raises a CbdError subclass
-    naming the offending context or content on any violation.
-
-    The label rule: content ids, outcome labels and context ids are
-    non-empty strings, and an outcome set or a context's contents is a
-    sequence of them, never one bare string.
-    """
-    registry: dict[str, tuple[str, ...]] = {}
-    for content, values in outcome_sets.items():
-        if isinstance(values, str):
-            raise DomainMismatch(
-                f"content {content!r}: outcome set {values!r} is one string, "
-                f"not a sequence of labels"
-            )
-        vals = tuple(values)
-        if not (isinstance(content, str) and content) or not all(
-            isinstance(o, str) and o for o in vals
-        ):
-            raise DomainMismatch(
-                f"content {content!r}: content ids and outcome labels must be "
-                f"non-empty strings"
-            )
-        if len(vals) < 2:
-            raise DomainMismatch(
-                f"content {content!r} needs at least 2 outcomes, got {len(vals)}"
-            )
-        if len(set(vals)) != len(vals):
-            raise DomainMismatch(f"content {content!r} lists duplicate outcomes")
-        registry[content] = vals
-
-    parsed: dict[str, Fraction] = {}  # each distinct string parsed once
-    seen_contexts: set[str] = set()
-    out_blocks: list[ContextBlock] = []
-    for context, contents, table in blocks:
-        if not (isinstance(context, str) and context):
-            raise DomainMismatch(f"context id {context!r} is not a non-empty string")
-        if isinstance(contents, str):
-            raise DomainMismatch(
-                f"context {context!r}: contents {contents!r} is one string, "
-                f"not a sequence of content ids"
-            )
-        contents = tuple(contents)
-        check_context(context, contents, registry, seen_contexts)
-        if not contents:
-            raise DomainMismatch(f"context {context!r} lists no contents")
-        support: dict[tuple[str, ...], Fraction] = {}
-        listed: set[tuple[str, ...]] = set()  # zero cells included
-        for cell, raw in table.items():
-            cell = tuple(cell)
-            check_cell(context, contents, cell, registry)
-            if cell in listed:
-                raise DomainMismatch(
-                    f"context {context!r}: outcome tuple {cell} listed twice"
-                )
-            listed.add(cell)
-            if type(raw) is str:
-                p = parsed.get(raw)
-                if p is None:
-                    p = parsed[raw] = to_fraction(raw)
-            else:
-                p = to_fraction(raw)
-            if p != 0:
-                support[cell] = p
-        den, nums = to_form(support.values())
-        if sum(nums) != den:
-            raise ProbabilitySumMismatch(context, Fraction(sum(nums), den))
-        out_blocks.append(ContextBlock(context, contents, support))
-
-    if not out_blocks:
-        raise EmptySystem("a system needs at least one context")
-    out_blocks.sort(key=lambda blk: blk.context)
-    return System(outcomes=registry, blocks=tuple(out_blocks))
+    """Validate raw system data and return a canonical System: outcome_set
+    checks each content, and context_block each (context_id, contents, table)
+    of blocks, as in a system file's parser; table values may be anything
+    to_fraction() accepts.  A CbdError names the offending context or content."""
+    registry = {q: outcome_set(q, values) for q, values in outcome_sets.items()}
+    seen, parsed = set(), {}
+    return build_system(registry, [
+        context_block(context, contents, [(tuple(c), p) for c, p in table.items()],
+                      registry, seen, parsed)
+        for context, contents, table in blocks
+    ])
 
 
 @dataclass(frozen=True)

@@ -73,14 +73,15 @@ def _calls_in_scope(tree, func_name):
 
 
 def test_probabilities_parsed_in_one_function():
-    # validate_system parses each distinct probability string once; a call
-    # to to_fraction anywhere else in the package would bypass that memo
+    # context_block, which validate_system and the file parser both call,
+    # parses each distinct probability string once; a call to to_fraction
+    # anywhere else in the package would bypass that memo
     callers = {
         f"{name}:{scope}"
         for name, tree in _package_trees()
         for scope in _calls_in_scope(tree, "to_fraction")
     }
-    assert callers == {"systems.py:validate_system"}
+    assert callers == {"systems.py:context_block"}
 
 
 def test_marginal_built_in_one_function():

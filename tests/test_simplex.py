@@ -315,6 +315,17 @@ def test_non_int_input_raises():
     assert solve_min([1, 2], rows, rhs, start) == (F(1, 2), {0: F(1, 2)})
 
 
+def test_row_width_must_match_the_costs():
+    # a short row would read as zeros in the missing columns, and a column
+    # no row has could take weight
+    with pytest.raises(SimplexError, match="1 entries for 2 columns"):
+        solve_min([1, 1], [[1]], [1], [0])
+    with pytest.raises(SimplexError, match="1 entries for 2 columns"):
+        solve_min([0, -1], [[1]], [1], [0])
+    with pytest.raises(SimplexError, match="3 entries for 2 columns"):
+        solve_min([1, 1], [[1, 1, 1]], [1], [0])
+
+
 def test_negative_rhs_raises():
     with pytest.raises(SimplexError, match="nonnegative"):
         solve_min([1, 2], [[-1, -1]], [F(-1)], [0])
