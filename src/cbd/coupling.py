@@ -164,6 +164,12 @@ class LPInstance:
     start: a feasible starting basis as (row index, atom index) pairs.  Its
     rows are independent and imply every other positive row, and its basis
     matrix, in this order, is unit lower-triangular.
+
+    layout: each row's cell as (stride, count, position), the form
+    simplex.solve_min takes: count is the number of its context's cells in
+    this LP and stride the product of the counts of the contexts after it,
+    so the row's atoms are the j with (j // stride) % count == position.
+    The mass row is (n_atoms, 1, 0).
     """
 
     variables: tuple[tuple[str, str], ...]
@@ -171,6 +177,7 @@ class LPInstance:
     rows: tuple[LPRow, ...]
     objective: tuple[int, ...]
     start: tuple[tuple[int, int], ...]
+    layout: tuple[tuple[int, int, int], ...]
 
     @property
     def n_atoms(self) -> int:
@@ -251,6 +258,7 @@ def build_coupling_lp(
     # position, probability, row index).
     n = len(atoms)
     rows: list[LPRow] = []
+    layout: list[tuple[int, int, int]] = []
     positive: list[list[tuple[int, Fraction, int]]] = []
     strides = []
     stride = n
@@ -262,6 +270,7 @@ def build_coupling_lp(
         for d, (label, p) in enumerate(labelled):
             if p:
                 spots.append((d, p, len(rows)))
+            layout.append((stride, len(labelled), d))
             lo = d * stride
             if stride == 1:
                 cols = range(lo, n, period)
@@ -272,6 +281,7 @@ def build_coupling_lp(
             rows.append(LPRow(label=label, cols=tuple(cols), rhs=p))
         positive.append(spots)
     rows.append(LPRow(label="mass", cols=tuple(range(n)), rhs=Fraction(1)))
+    layout.append((n, 1, 0))
 
     # The objective counts, per atom, the pairs whose two outcomes differ.
     # An atom lists its outcomes in variables order.
@@ -286,6 +296,7 @@ def build_coupling_lp(
         rows=tuple(rows),
         objective=tuple(objective),
         start=_north_west_corner(positive, strides, len(rows) - 1),
+        layout=tuple(layout),
     )
 
 
@@ -346,24 +357,23 @@ def dense_rows(lp: LPInstance, rows: Sequence[LPRow]) -> list[list[int]]:
 def solve_lp(lp: LPInstance) -> LPSolution:
     """Solve a support LP (build_coupling_lp with support=True) exactly.
 
-    The tableau holds only the start's rows, as the start implies the others,
-    and the simplex runs phase 2 from the start's basis.  A full LP with a
-    zero cell is refused: the rows that force its zero-cell atoms to weight
-    zero would be left out, and those atoms could enter the basis.  The
-    solution is solve_min's (optimum, weights) as it is: the weights are the
-    nonzero values of an optimal basic feasible solution of the support LP,
-    by atom index in ascending order.
+    The simplex takes only the start's rows, as the start implies the others,
+    each as its cell in lp.layout, and runs phase 2 from the start's basis.
+    A full LP with a zero cell is refused: the rows that force its zero-cell
+    atoms to weight zero would be left out, and those atoms could enter the
+    basis.  The solution is solve_min's (optimum, weights) as it is: the
+    weights are the nonzero values of an optimal basic feasible solution of
+    the support LP, by atom index in ascending order.
     """
     if not lp.start:
         raise ValueError("solve_lp needs an LP with a start basis, got none")
     zero = next((row.label for row in lp.rows if not row.rhs), None)
     if zero is not None:
         raise ValueError(f"solve_lp takes a support LP, but row {zero} has rhs 0")
-    rows = [lp.rows[r] for r, _ in lp.start]
     optimum, weights = simplex.solve_min(
         lp.objective,
-        dense_rows(lp, rows),
-        [row.rhs for row in rows],
+        [lp.layout[r] for r, _ in lp.start],
+        [lp.rows[r].rhs for r, _ in lp.start],
         start=[c for _, c in lp.start],
     )
     return LPSolution(optimum=optimum, weights=weights)

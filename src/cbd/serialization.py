@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import IO, Iterator
 
 from .analysis import AnalysisReport, PairDelta
-from .errors import SystemFileError
+from .errors import CbdError, SystemFileError
 from .systems import (
     P_GRAMMAR, System, build_system, context_block, int_text, outcome_set,
 )
@@ -157,15 +157,15 @@ class _Number(str):
     exactly, but not a JSON string, so the grammar of "p" strings passes it by."""
 
 
-def _shape_error(obj, keys: dict, where: str, source: str) -> SystemFileError:
+def _shape_error(obj, keys: dict, where: str) -> SystemFileError:
     """The error for obj, not a JSON object with exactly these keys and types."""
     if isinstance(obj, dict):
         unknown = [f"has unknown key {key!r}" for key in obj if key not in keys]
         missing = [f"lacks key {key!r}" for key in keys if key not in obj]
         if unknown or missing:
-            return SystemFileError(f"{source}: {where} {(unknown + missing)[0]}")
+            return SystemFileError(f"{where} {(unknown + missing)[0]}")
     shape = ", ".join(f"{key!r}: {kind}" for key, kind in keys.items())
-    return SystemFileError(f"{source}: {where} must be {{{shape}}}")
+    return SystemFileError(f"{where} must be {{{shape}}}")
 
 
 _STR = frozenset({str})
@@ -179,21 +179,30 @@ def _strings(value) -> bool:
 def parse_system_data(data, source: str = "<data>") -> System:
     """Build a validated System from decoded JSON data, in one pass: the data
     must validate against schema/system.schema.json (copied by the key sets
-    above and systems.P_PATTERN), or SystemFileError names the source and the
-    element; the rules a schema cannot state are validate_system's."""
+    above and systems.P_PATTERN), or SystemFileError names the element; the
+    rules a schema cannot state are validate_system's.  Every refusal names
+    the source first and keeps its class."""
+    try:
+        return _read_system(data)
+    except CbdError as exc:
+        exc.args = (f"{source}: {exc}",)
+        raise
+
+
+def _read_system(data) -> System:
     if not isinstance(data, dict) or data.keys() != SYSTEM_KEYS.keys() or not (
         isinstance(data["contents"], list) and isinstance(data["contexts"], list)
     ):
-        raise _shape_error(data, SYSTEM_KEYS, "top level", source)
+        raise _shape_error(data, SYSTEM_KEYS, "top level")
     registry: dict[str, tuple[str, ...]] = {}
     for i, entry in enumerate(data["contents"]):
         if not isinstance(entry, dict) or entry.keys() != CONTENT_KEYS.keys() or (
             type(entry["id"]) is not str or not _strings(entry["values"])
         ):
-            raise _shape_error(entry, CONTENT_KEYS, f"contents[{i}]", source)
+            raise _shape_error(entry, CONTENT_KEYS, f"contents[{i}]")
         q = entry["id"]
         if q in registry:
-            raise SystemFileError(f"{source}: content {q!r} declared twice")
+            raise SystemFileError(f"content {q!r} declared twice")
         registry[q] = outcome_set(q, entry["values"])
     seen, parsed, blocks = set(), {}, []
     for i, entry in enumerate(data["contexts"]):
@@ -201,7 +210,7 @@ def parse_system_data(data, source: str = "<data>") -> System:
             type(entry["id"]) is not str or not _strings(entry["contents"])
             or not isinstance(entry["distribution"], list)
         ):
-            raise _shape_error(entry, CONTEXT_KEYS, f"contexts[{i}]", source)
+            raise _shape_error(entry, CONTEXT_KEYS, f"contexts[{i}]")
         context = entry["id"]
         cells = []
         for j, cell in enumerate(entry["distribution"]):
@@ -209,7 +218,7 @@ def parse_system_data(data, source: str = "<data>") -> System:
                 not _strings(cell["outcomes"])
             ):
                 where = f"context {context!r} distribution[{j}]"
-                raise _shape_error(cell, CELL_KEYS, where, source)
+                raise _shape_error(cell, CELL_KEYS, where)
             cells.append((tuple(cell["outcomes"]), cell["p"]))
         blocks.append(context_block(
             context, entry["contents"], cells, registry, seen, parsed, P_GRAMMAR

@@ -1,24 +1,34 @@
-"""Exact simplex over the rationals, on an integer tableau, from a given start.
+"""Exact revised simplex over the rationals, on integers, from a given start.
 
-Minimizes a linear objective subject to equality constraints and
-nonnegativity.  The optimum is the true rational optimum, not an
-approximation, yet no pivot touches a Fraction: the constraint rows and the
-costs must be ints, the right-hand-side column is scaled to integers over the
-lcm of its denominators by systems.to_form, and the tableau is kept integral
-with one common positive denominator d (the integer-preserving pivots of
-Edmonds and Bareiss, Math. Comp. 22, 1968).
-A tableau entry T[i][j] stands for the rational T[i][j] / d.  Pivoting on
-(r, s) with p = T[r][s] leaves row r as it is and turns every other row into
-(p*a - f*b) // d, an exact division, after which d = p; with p = d = 1 that
-is the row subtraction a - f*b.
+Minimizes costs . x subject to rows . x == rhs and x >= 0.  Each row is a
+cell (stride, count, position): it sums the columns j with
+(j // stride) % count == position.  The coupling LP's rows are all cells
+(coupling.LPInstance.layout): an atom's index is a mixed-radix number with
+one digit per context, and the mass row is (n, 1, 0).
+
+The optimum is exact, yet no pivot touches a Fraction: the costs are ints
+and systems.to_form scales the rhs to integers.  No m x n tableau is kept.
+For the basis B the solver holds E = d*B^-1 (m x m) with the rhs column
+beta = E.b, and in phase 2 the z-row [-pi | -c_B.beta] with the duals
+pi = c_B.E, all integers over one denominator d > 0.  Together they stand
+for the dense tableau E.A with z-row d*c - pi.A.  A pivot on (r, s) with
+p = (E.A_s)[r] applies the integer-preserving update of Edmonds and Bareiss
+(Math. Comp. 22, 1968) to these rows alone, as in the revised simplex of
+Dantzig and Orchard-Hays (1954): row r stays, every other row turns into
+(p*a - f*b) // d, an exact division, and d becomes p; with p = d = 1 that
+is the row subtraction a - f*b.  The pivot rules read exactly the integers
+the dense tableau would hold, so they make its pivots
+(tests/referee_simplex.py keeps that tableau as the referee).
+
+Each iteration prices every column in one prefix-product pass over the
+digits, the iteration build_coupling_lp uses to list the atoms, and builds
+the entering column E.A_s from the rows whose cell holds s.
 
 There is one path: the caller's start basis, one column per row (so the rows
 must be independent), is pivoted in row by row, in order; it must be
 nonsingular in that order and its basic solution nonnegative.  The coupling
-LP's north-west-corner start (coupling.build_coupling_lp) has a unit
-lower-triangular basis, so every install pivot is a plain row subtraction.
-Phase 2 runs from that basis; the solution is read off its final basis.  The
-tests' two-phase referee (tests/referee_simplex.py) adds phase 1 to it.
+LP's north-west-corner start has a unit lower-triangular basis, so every
+install pivot is a plain row subtraction.  Phase 2 runs from that basis.
 
 Entering takes the most negative reduced cost (Dantzig's rule).  After
 DEGENERATE_RUN consecutive degenerate pivots it switches to Bland's rule
@@ -29,6 +39,8 @@ variable has the smallest index leaves.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from fractions import Fraction
 
 from .systems import to_form
@@ -43,30 +55,106 @@ MAX_PIVOTS = 1_000_000
 
 
 class SimplexError(RuntimeError):
-    """Failure to solve: a row or cost that is not an int, a row whose length
-    is not the number of costs, a negative rhs, a start basis that is
-    singular or infeasible, an unbounded objective, or a pivot-limit
-    overrun."""
+    """Failure to solve: a cost or row that is not an int, a row that is not
+    a cell of n columns, rows whose strides do not nest, a negative rhs, a
+    start basis that is singular or infeasible, an unbounded objective, or a
+    pivot-limit overrun."""
 
 
-class _Tableau:
-    """Integer tableau: constraint rows, an optional z-row (kept last in
-    rows while present), the basis and the common denominator d."""
+def _check_ints(values, what):
+    if not set(map(type, values)) <= {int}:
+        raise SimplexError(f"{what} must hold ints only")
 
-    def __init__(self, rows, basis):
-        self.rows = rows
-        self.basis = basis
+
+def _radix(rows, n):
+    """The digits of the columns' mixed radix, most significant first, as
+    (stride, count, cells): cells[position] lists the rows of that cell, and
+    a digit that no row reads has only empty cells.  The rows of one stride
+    must share their count, and each stride * count must divide the stride
+    above it (n above the first)."""
+    by_stride = {}
+    for k, row in enumerate(rows):
+        _check_ints(row, "a row")
+        if len(row) != 3:
+            raise SimplexError(f"a row must be (stride, count, position), got {row!r}")
+        stride, count, position = row
+        if not (stride > 0 and 0 <= position < count and n % (stride * count) == 0):
+            raise SimplexError(f"the row {tuple(row)} is no cell of {n} columns")
+        cells = by_stride.get(stride)
+        if cells is None:
+            cells = by_stride[stride] = [[] for _ in range(count)]
+        elif len(cells) != count:
+            raise SimplexError(
+                f"rows of stride {stride} have counts {len(cells)} and {count}"
+            )
+        cells[position].append(k)
+    digits = []
+    size = n
+    for stride in sorted(by_stride, reverse=True):
+        cells = by_stride[stride]
+        gap, rest = divmod(size, stride * len(cells))
+        if rest:
+            raise SimplexError(f"rows of stride {stride} do not nest in stride {size}")
+        if gap > 1:
+            digits.append((stride * len(cells), gap, [()] * gap))
+        digits.append((stride, len(cells), cells))
+        size = stride
+    if size > 1:
+        digits.append((1, size, [()] * size))
+    return digits
+
+
+class _Revised:
+    """[E | beta] by rows, the z-row [-pi | -c_B.beta] (kept last in rows
+    while present), the basis, the common denominator d and the radix."""
+
+    def __init__(self, digits, rhs, n):
+        m = len(rhs)
+        self.rows = [[int(i == k) for k in range(m)] + [b] for i, b in enumerate(rhs)]
+        self.basis = list(range(n, n + m))
+        self.digits = digits
         self.d = 1
         self.pivots = 0
 
-    def pivot(self, r, s):
-        """Make column s basic in row r, keeping every entry an integer."""
+    def column(self, s):
+        """E.A_s, over every row held: the sum of E's columns for the rows
+        whose cell column s is in."""
+        cover = [
+            k
+            for stride, count, cells in self.digits
+            for k in cells[s // stride % count]
+        ]
+        if not cover:
+            return [0] * len(self.rows)
+        if len(cover) == 1:
+            k = cover[0]
+            return [row[k] for row in self.rows]
+        pick = operator.itemgetter(*cover)
+        return [sum(pick(row)) for row in self.rows]
+
+    def prices(self, costs):
+        """The z-row over every column: d*c_j plus -pi summed over the rows
+        whose cell column j is in, one digit at a time."""
+        w = self.rows[-1]
+        u = [0]
+        for _, _, cells in self.digits:
+            v = [sum(map(w.__getitem__, ks)) for ks in cells]
+            u = list(itertools.starmap(operator.add, itertools.product(u, v)))
+        d = self.d
+        # d is 1 at about four pricing passes in five on the coupling LPs
+        if d == 1:
+            return list(map(operator.add, costs, u))
+        return [d * c + a for c, a in zip(costs, u)]
+
+    def pivot(self, r, s, col):
+        """Make column s basic in row r, keeping every entry an integer; col
+        is E.A_s over the rows held, the z-row's entry included."""
         rows = self.rows
         prow = rows[r]
-        p = prow[s]
+        p = col[r]
         if p < 0:
             # only when installing a start basis, whose rhs is checked
-            # afterwards, or when the referee drives out an artificial
+            # afterwards
             prow = rows[r] = [-a for a in prow]
             p = -p
         d = self.d
@@ -76,7 +164,7 @@ class _Tableau:
         for i, row in enumerate(rows):
             if i == r:
                 continue
-            f = row[s]
+            f = col[i]
             if f == 0:
                 if p != d:
                     rows[i] = [p * a // d for a in row]
@@ -90,27 +178,41 @@ class _Tableau:
         if self.pivots > MAX_PIVOTS:
             raise SimplexError("pivot limit exceeded")
 
-    def iterate(self, n_enter):
-        """Pivot until the z-row (rows[-1]) has no negative reduced cost
-        among columns 0..n_enter-1."""
+    def install(self, start, n):
+        """Pivot start[i] in as row i's basic column, row by row."""
+        m = len(self.rows)
+        if len(start) != m:
+            raise SimplexError(f"start basis has {len(start)} columns for {m} rows")
+        for i, j in enumerate(start):
+            col = self.column(j) if 0 <= j < n else None
+            if col is None or col[i] == 0:
+                raise SimplexError(f"start basis is singular at row {i}")
+            self.pivot(i, j, col)
+        if any(row[-1] < 0 for row in self.rows):
+            raise SimplexError("start basis is infeasible")
+
+    def iterate(self, costs):
+        """Pivot until no column has a negative reduced cost."""
         rows = self.rows
         basis = self.basis
         m = len(rows) - 1
         degenerate = 0
         while True:
-            zrow = rows[-1]
+            z = self.prices(costs)
             if degenerate < DEGENERATE_RUN:
-                least = min(zrow[:n_enter], default=0)
-                enter = zrow.index(least) if least < 0 else -1
+                least = min(z, default=0)
+                enter = z.index(least) if least < 0 else -1
             else:
-                enter = next((j for j in range(n_enter) if zrow[j] < 0), -1)
+                enter = next((j for j, zj in enumerate(z) if zj < 0), -1)
             if enter < 0:
                 return
-            # ratio test: T[i][-1] / T[i][enter] over rows with a positive
-            # entry, compared by cross-multiplication
+            col = self.column(enter)
+            col[-1] = z[enter]
+            # ratio test: beta[i] / col[i] over rows with a positive entry,
+            # compared by cross-multiplication
             leave = -1
             for i in range(m):
-                coeff = rows[i][enter]
+                coeff = col[i]
                 if coeff > 0:
                     if leave < 0:
                         leave, num, den = i, rows[i][-1], coeff
@@ -122,81 +224,53 @@ class _Tableau:
             if leave < 0:
                 raise SimplexError("unbounded objective")
             degenerate = degenerate + 1 if num == 0 else 0
-            self.pivot(leave, enter)
+            self.pivot(leave, enter, col)
 
+    def phase_two(self, costs, rhs_scale):
+        """Minimize the int costs from the installed basis; return the optimum
+        and the nonzero basic values, by column, in ascending order."""
+        zrow = [0] * (len(self.basis) + 1)
+        for j, row in zip(self.basis, self.rows):
+            cb = costs[j]
+            if cb:
+                zrow = [z - cb * a for z, a in zip(zrow, row)]
+        self.rows.append(zrow)
+        self.iterate(costs)
 
-def _check_ints(values, what):
-    if not set(map(type, values)) <= {int}:
-        raise SimplexError(f"{what} must hold ints only")
-
-
-def _tableau(rows, rhs, n):
-    """The tableau of int rows over n columns with a nonnegative rhs, and
-    the scale of its rhs column: solving for x * rhs_scale instead of x keeps
-    every minor the pivots produce as small as the coefficients themselves.
-    Basis index n + i stands for row i's artificial, until a pivot replaces
-    it."""
-    for row in rows:
-        _check_ints(row, "a row")
-        if len(row) != n:
-            raise SimplexError(f"a row has {len(row)} entries for {n} columns")
-    if any(b < 0 for b in rhs):
-        raise SimplexError("the rhs must be nonnegative")
-    rhs_scale, int_rhs = to_form(rhs)
-    table = [[*row, b] for row, b in zip(rows, int_rhs)]
-    return _Tableau(table, list(range(n, n + len(rows)))), rhs_scale
-
-
-def _install(tab, start, n):
-    """Pivot start[i] in as row i's basic column, row by row."""
-    m = len(tab.rows)
-    if len(start) != m:
-        raise SimplexError(f"start basis has {len(start)} columns for {m} rows")
-    for i, j in enumerate(start):
-        if not 0 <= j < n or tab.rows[i][j] == 0:
-            raise SimplexError(f"start basis is singular at row {i}")
-        tab.pivot(i, j)
-    if any(row[-1] < 0 for row in tab.rows):
-        raise SimplexError("start basis is infeasible")
-
-
-def _phase_two(tab, costs, rhs_scale):
-    """Minimize the int costs from tab's feasible basis; return the optimum
-    and the nonzero basic values, by column, in ascending order."""
-    # the z-row carries the tableau's denominator d
-    zrow = [tab.d * c for c in costs] + [0]
-    for i, j in enumerate(tab.basis):
-        cb = costs[j]
-        if cb:
-            zrow = [z - cb * a for z, a in zip(zrow, tab.rows[i])]
-    tab.rows.append(zrow)
-    tab.iterate(len(costs))
-
-    den = tab.d * rhs_scale
-    # zip stops at the last basis entry, before the z-row
-    values = sorted((j, row[-1]) for j, row in zip(tab.basis, tab.rows))
-    weights = {j: Fraction(v, den) for j, v in values if v}
-    return Fraction(-tab.rows[-1][-1], den), weights
+        den = self.d * rhs_scale
+        # zip stops at the last basis entry, before the z-row
+        values = sorted((j, row[-1]) for j, row in zip(self.basis, self.rows))
+        weights = {j: Fraction(v, den) for j, v in values if v}
+        return Fraction(-self.rows[-1][-1], den), weights
 
 
 def solve_min(costs, rows, rhs, start):
     """Minimize costs . x subject to rows . x == rhs, x >= 0.
 
     costs: n ints.
-    rows:  m sequences of n ints.
+    rows:  m cells (stride, count, position) of ints: row i sums the
+           columns j with (j // stride) % count == position.
     rhs:   m nonnegative exact numbers (ints or Fractions).
     start: the starting basis, m column indices: start[i] is made basic in
            row i.
 
     Returns (optimum, weights): the exact optimum as a Fraction and one
     optimal basic feasible solution as {column: Fraction}, its nonzero basic
-    values in ascending column order.  Raises SimplexError on a row or cost
-    that is not an int, on a row of other than n entries, on a negative rhs,
-    on a start that is not m columns, hits a zero pivot, or gives a negative
-    basic value, and on an unbounded objective (impossible when the feasible
-    set is bounded, as for every instance built by this package).
+    values in ascending column order.  Raises SimplexError on a cost or row
+    that is not an int, on a row that is not a cell of n columns or rows
+    whose strides do not nest, on a negative rhs, on a start that is not m
+    columns, hits a zero pivot, or gives a negative basic value, and on an
+    unbounded objective (impossible when the feasible set is bounded, as for
+    every instance built by this package).
     """
     _check_ints(costs, "the costs")
-    tab, rhs_scale = _tableau(rows, rhs, len(costs))
-    _install(tab, start, len(costs))
-    return _phase_two(tab, costs, rhs_scale)
+    n = len(costs)
+    digits = _radix(rows, n)
+    if len(rhs) != len(rows):
+        raise SimplexError(f"the rhs has {len(rhs)} values for {len(rows)} rows")
+    if any(b < 0 for b in rhs):
+        raise SimplexError("the rhs must be nonnegative")
+    rhs_scale, int_rhs = to_form(rhs)
+    tab = _Revised(digits, int_rhs, n)
+    tab.install(start, n)
+    return tab.phase_two(costs, rhs_scale)

@@ -12,11 +12,13 @@ import random
 from fractions import Fraction
 
 import cbd.analysis
+import cbd.simplex
 from cbd import (
     System,
     build_coupling_lp,
     delta_pairs,
     is_consistently_connected,
+    solve_lp,
     system_delta,
     validate_system,
 )
@@ -342,6 +344,38 @@ def two_phase_optimum(lp):
         list(lp.objective), dense_rows(lp, lp.rows), [row.rhs for row in lp.rows]
     )
     return optimum
+
+
+def solves_from_start(lp):
+    """The support LP solved from lp.start twice: by solve_lp, and by the
+    referee's dense tableau over the start's rows (coupling.dense_rows).
+    Returns, per solver, ((optimum, weights), its (row, column) pivots)."""
+    revised, dense = [], []
+    pivot, dense_pivot = cbd.simplex._Revised.pivot, referee_simplex._Tableau.pivot
+
+    def recording(tab, r, s, col):
+        revised.append((r, s))
+        pivot(tab, r, s, col)
+
+    def dense_recording(tab, r, s):
+        dense.append((r, s))
+        dense_pivot(tab, r, s)
+
+    cbd.simplex._Revised.pivot = recording
+    referee_simplex._Tableau.pivot = dense_recording
+    try:
+        sol = solve_lp(lp)
+        rows = [lp.rows[r] for r, _ in lp.start]
+        ref = referee_simplex.solve_min(
+            list(lp.objective),
+            dense_rows(lp, rows),
+            [row.rhs for row in rows],
+            start=[c for _, c in lp.start],
+        )
+    finally:
+        cbd.simplex._Revised.pivot = pivot
+        referee_simplex._Tableau.pivot = dense_pivot
+    return ((sol.optimum, sol.weights), revised), (ref, dense)
 
 
 def on_full_lp(full, sup, sol):

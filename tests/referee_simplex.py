@@ -1,18 +1,151 @@
-"""Two-phase simplex: the tests' referee for cbd.simplex.solve_min.
+"""The dense integer tableau and the two-phase simplex: the tests' referees
+for cbd.simplex.solve_min.
 
-solve_min takes int rows and costs, a nonnegative rhs and a start basis.
-This referee takes any exact numbers, with or without a start.  It scales
-each row and the costs to integers, negates a row whose rhs is negative and,
-without a start, finds a feasible basis by phase 1.  Everything else runs on
-cbd.simplex's own tableau, start install and phase 2, so on the same input
-its pivots are solve_min's by construction.
+solve_min keeps only E = d*B^-1, the rhs column and the duals, and takes its
+rows as cells (stride, count, position).  The tableau here is the one it
+stands for: every row over every column, pivoted by the same
+integer-preserving update (Edmonds and Bareiss), with the same Dantzig
+entering, Bland fallback and ratio test, so from the same start on the same
+LP (the rows spelled out by coupling.dense_rows) its pivots, optimum and
+basic solution are solve_min's.  _Tableau, _tableau, _install and _phase_two
+are the dense solver that solve_min replaced, as it was.
+
+The two-phase solve_min below takes any exact numbers, with or without a
+start.  It scales each row and the costs to integers, negates a row whose
+rhs is negative and, without a start, finds a feasible basis by phase 1.
 """
 
 from __future__ import annotations
 
-from cbd import simplex
-from cbd.simplex import SimplexError
+from fractions import Fraction
+
+from cbd.simplex import DEGENERATE_RUN, MAX_PIVOTS, SimplexError, _check_ints
 from cbd.systems import to_form
+
+
+class _Tableau:
+    """Integer tableau: constraint rows, an optional z-row (kept last in
+    rows while present), the basis and the common denominator d."""
+
+    def __init__(self, rows, basis):
+        self.rows = rows
+        self.basis = basis
+        self.d = 1
+        self.pivots = 0
+
+    def pivot(self, r, s):
+        """Make column s basic in row r, keeping every entry an integer."""
+        rows = self.rows
+        prow = rows[r]
+        p = prow[s]
+        if p < 0:
+            # only when installing a start basis, whose rhs is checked
+            # afterwards, or when the referee drives out an artificial
+            prow = rows[r] = [-a for a in prow]
+            p = -p
+        d = self.d
+        # with p = d = 1 (every pivot installing the coupling LP's start) the
+        # update is a plain row subtraction
+        unit = p == 1 and d == 1
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[s]
+            if f == 0:
+                if p != d:
+                    rows[i] = [p * a // d for a in row]
+            elif unit:
+                rows[i] = [a - f * b for a, b in zip(row, prow)]
+            else:
+                rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+        self.d = p
+        self.basis[r] = s
+        self.pivots += 1
+        if self.pivots > MAX_PIVOTS:
+            raise SimplexError("pivot limit exceeded")
+
+    def iterate(self, n_enter):
+        """Pivot until the z-row (rows[-1]) has no negative reduced cost
+        among columns 0..n_enter-1."""
+        rows = self.rows
+        basis = self.basis
+        m = len(rows) - 1
+        degenerate = 0
+        while True:
+            zrow = rows[-1]
+            if degenerate < DEGENERATE_RUN:
+                least = min(zrow[:n_enter], default=0)
+                enter = zrow.index(least) if least < 0 else -1
+            else:
+                enter = next((j for j in range(n_enter) if zrow[j] < 0), -1)
+            if enter < 0:
+                return
+            # ratio test: T[i][-1] / T[i][enter] over rows with a positive
+            # entry, compared by cross-multiplication
+            leave = -1
+            for i in range(m):
+                coeff = rows[i][enter]
+                if coeff > 0:
+                    if leave < 0:
+                        leave, num, den = i, rows[i][-1], coeff
+                        continue
+                    lhs = rows[i][-1] * den
+                    rhs = num * coeff
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave, num, den = i, rows[i][-1], coeff
+            if leave < 0:
+                raise SimplexError("unbounded objective")
+            degenerate = degenerate + 1 if num == 0 else 0
+            self.pivot(leave, enter)
+
+
+def _tableau(rows, rhs, n):
+    """The tableau of int rows over n columns with a nonnegative rhs, and
+    the scale of its rhs column: solving for x * rhs_scale instead of x keeps
+    every minor the pivots produce as small as the coefficients themselves.
+    Basis index n + i stands for row i's artificial, until a pivot replaces
+    it."""
+    for row in rows:
+        _check_ints(row, "a row")
+        if len(row) != n:
+            raise SimplexError(f"a row has {len(row)} entries for {n} columns")
+    if any(b < 0 for b in rhs):
+        raise SimplexError("the rhs must be nonnegative")
+    rhs_scale, int_rhs = to_form(rhs)
+    table = [[*row, b] for row, b in zip(rows, int_rhs)]
+    return _Tableau(table, list(range(n, n + len(rows)))), rhs_scale
+
+
+def _install(tab, start, n):
+    """Pivot start[i] in as row i's basic column, row by row."""
+    m = len(tab.rows)
+    if len(start) != m:
+        raise SimplexError(f"start basis has {len(start)} columns for {m} rows")
+    for i, j in enumerate(start):
+        if not 0 <= j < n or tab.rows[i][j] == 0:
+            raise SimplexError(f"start basis is singular at row {i}")
+        tab.pivot(i, j)
+    if any(row[-1] < 0 for row in tab.rows):
+        raise SimplexError("start basis is infeasible")
+
+
+def _phase_two(tab, costs, rhs_scale):
+    """Minimize the int costs from tab's feasible basis; return the optimum
+    and the nonzero basic values, by column, in ascending order."""
+    # the z-row carries the tableau's denominator d
+    zrow = [tab.d * c for c in costs] + [0]
+    for i, j in enumerate(tab.basis):
+        cb = costs[j]
+        if cb:
+            zrow = [z - cb * a for z, a in zip(zrow, tab.rows[i])]
+    tab.rows.append(zrow)
+    tab.iterate(len(costs))
+
+    den = tab.d * rhs_scale
+    # zip stops at the last basis entry, before the z-row
+    values = sorted((j, row[-1]) for j, row in zip(tab.basis, tab.rows))
+    weights = {j: Fraction(v, den) for j, v in values if v}
+    return Fraction(-tab.rows[-1][-1], den), weights
 
 
 def _integer_form(values):
@@ -66,11 +199,11 @@ def solve_min(costs, rows, rhs, start=None):
             b = -b
         int_rows.append(scaled)
         scaled_rhs.append(b)
-    tab, rhs_scale = simplex._tableau(int_rows, scaled_rhs, n)
+    tab, rhs_scale = _tableau(int_rows, scaled_rhs, n)
     if start is not None:
-        simplex._install(tab, start, n)
+        _install(tab, start, n)
     elif rows:  # with no rows, the empty basis is already feasible
         _phase_one(tab, n)
     cost_scale, int_costs = _integer_form(costs)
-    optimum, weights = simplex._phase_two(tab, int_costs, rhs_scale)
+    optimum, weights = _phase_two(tab, int_costs, rhs_scale)
     return optimum / cost_scale, weights

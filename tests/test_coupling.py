@@ -44,8 +44,10 @@ from helpers import (
     rand_deterministic,
     rand_marginal_probs,
     rand_system,
+    solves_from_start,
     two_phase_optimum,
 )
+import referee_simplex
 
 F = Fraction
 
@@ -606,18 +608,18 @@ def test_start_optimum_matches_the_two_phase_path():
 
 def test_analyze_installs_the_start_and_runs_only_phase_2(monkeypatch):
     events = []
-    pivot, iterate = cbd.simplex._Tableau.pivot, cbd.simplex._Tableau.iterate
+    pivot, iterate = cbd.simplex._Revised.pivot, cbd.simplex._Revised.iterate
 
-    def recording_pivot(tab, r, s):
-        events.append((tab.rows[r][s], tab.d))
-        pivot(tab, r, s)
+    def recording_pivot(tab, r, s, col):
+        events.append((col[r], tab.d))
+        pivot(tab, r, s, col)
 
-    def recording_iterate(tab, n_enter):
+    def recording_iterate(tab, costs):
         events.append("iterate")
-        iterate(tab, n_enter)
+        iterate(tab, costs)
 
-    monkeypatch.setattr(cbd.simplex._Tableau, "pivot", recording_pivot)
-    monkeypatch.setattr(cbd.simplex._Tableau, "iterate", recording_iterate)
+    monkeypatch.setattr(cbd.simplex._Revised, "pivot", recording_pivot)
+    monkeypatch.setattr(cbd.simplex._Revised, "iterate", recording_iterate)
     for sys_ in start_systems()[:20]:
         lp = build_coupling_lp(sys_, support=True)
         if lp.n_atoms == 1:
@@ -628,6 +630,25 @@ def test_analyze_installs_the_start_and_runs_only_phase_2(monkeypatch):
         assert events.count("iterate") == 1
         install = events[: events.index("iterate")]
         assert install == [(1, 1)] * exact_rank(rows)
+
+
+def test_bland_fallback_makes_the_dense_tableaus_pivots(monkeypatch):
+    # with DEGENERATE_RUN = 0, Bland's rule picks every entering column, the
+    # branch that production otherwise takes only after a degenerate run
+    lps = [build_coupling_lp(sys_, support=True) for sys_ in start_systems()]
+    dantzig = [solves_from_start(lp)[0] for lp in lps]
+    monkeypatch.setattr(cbd.simplex, "DEGENERATE_RUN", 0)
+    monkeypatch.setattr(referee_simplex, "DEGENERATE_RUN", 0)
+    moved = 0
+    for lp, ((want, _), dantzig_pivots) in zip(lps, dantzig):
+        (result, pivots), (dense_result, dense_pivots) = solves_from_start(lp)
+        assert pivots == dense_pivots
+        assert result == dense_result
+        assert result[0] == want
+        assert verify_solution(lp, LPSolution(*result))
+        moved += pivots != dantzig_pivots
+    # Bland's rule is no renamed Dantzig's here: it picks other pivots
+    assert moved > 0
 
 
 # ---------------------------------------------------------------------------

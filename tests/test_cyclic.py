@@ -196,12 +196,14 @@ def test_equal_correlation_systems_never_contextual():
     "n, seed, count, contextual_range",
     [
         # contextual verdicts with these seeds: rank 3, 10 of 20; rank 4,
-        # 9 of 20; rank 5, 1 of 8; rank 6 (4,096 atoms), 1 of 2 (biased
-        # cycles of rank 5 and above are rarely contextual; seed 93 gives one)
+        # 9 of 20; rank 5, 1 of 8; rank 6 (4,096 atoms), 1 of 2; rank 7
+        # (16,384 atoms), 1 of 2 (biased cycles of rank 5 and above are
+        # rarely contextual; seeds 93 and 2115 give one)
         pytest.param(3, 33, 20, (10, 10), id="rank3"),
         pytest.param(4, 44, 20, (5, 10), id="rank4"),
         pytest.param(5, 55, 8, (1, 1), id="rank5"),
         pytest.param(6, 93, 2, (1, 1), id="rank6"),
+        pytest.param(7, 2115, 2, (1, 1), id="rank7"),
     ],
 )
 def test_cycles_match_closed_form(n, seed, count, contextual_range):

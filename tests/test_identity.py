@@ -4,9 +4,13 @@ LPs a refactor must leave byte for byte as they are.
 For each group of systems, tests/identity.json holds sha256 digests of
 - the report stream, each report as dumps_indented(report_to_dict(report,
   include_witness=True)), one per line;
-- the (row, column) sequence of every _Tableau.pivot that analyze makes,
-  recorded by a spy on the class (cbd itself has no hook for it);
+- the (row, column) sequence of every pivot that analyze makes, recorded by
+  a spy on cbd.simplex._Revised.pivot (cbd itself has no hook for it);
 - repr(build_coupling_lp(system, support=True)), one per line.
+
+The referee test solves the same support LPs by the dense tableau of
+tests/referee_simplex.py from each LP's start, and checks that it makes
+solve_lp's pivots, finds its solution and matches the committed pivot digest.
 
 A change meant to alter any of these regenerates the file with
 
@@ -35,13 +39,14 @@ from cbd import (  # noqa: E402
     analyze,
     build_coupling_lp,
     enumerate_variants,
+    is_deterministic,
     liar_system,
     parse_system_text,
     uniform_mixture,
 )
 from cbd.serialization import dumps_indented, report_to_dict  # noqa: E402
 
-from helpers import rand_system  # noqa: E402
+from helpers import rand_system, solves_from_start  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 CORPUS = ROOT / "tests" / "identity.json"
@@ -76,19 +81,19 @@ def corpus():
 
 @contextlib.contextmanager
 def recorded_pivots():
-    """Record the (row, column) of every _Tableau.pivot made inside."""
+    """Record the (row, column) of every solver pivot made inside."""
     pivots = []
-    pivot = cbd.simplex._Tableau.pivot
+    pivot = cbd.simplex._Revised.pivot
 
-    def recording(tab, r, s):
+    def recording(tab, r, s, col):
         pivots.append((r, s))
-        pivot(tab, r, s)
+        pivot(tab, r, s, col)
 
-    cbd.simplex._Tableau.pivot = recording
+    cbd.simplex._Revised.pivot = recording
     try:
         yield pivots
     finally:
-        cbd.simplex._Tableau.pivot = pivot
+        cbd.simplex._Revised.pivot = pivot
 
 
 def sha256_lines(lines):
@@ -120,6 +125,22 @@ def digests(systems):
 def test_digests_match_the_committed_corpus(group):
     want = json.loads(CORPUS.read_text(encoding="utf-8"))[group]
     assert digests(corpus()[group]()) == want
+
+
+@pytest.mark.parametrize("group", list(corpus()))
+def test_referee_tableau_makes_the_same_pivots(group):
+    want = json.loads(CORPUS.read_text(encoding="utf-8"))[group]
+    dense_pivots = []
+    for system in corpus()[group]():
+        if is_deterministic(system):
+            continue  # analyze solves no LP for it
+        lp = build_coupling_lp(system, support=True)
+        (result, pivots), (dense_result, dense) = solves_from_start(lp)
+        assert dense == pivots
+        assert dense_result == result
+        dense_pivots += dense
+    assert len(dense_pivots) == want["pivots"]
+    assert sha256_lines(f"{r} {s}" for r, s in dense_pivots) == want["pivot_sequence"]
 
 
 if __name__ == "__main__":

@@ -214,3 +214,31 @@ def test_solve_min_requires_a_start():
     assert [arg.arg for arg in func.args.args] == ["costs", "rows", "rhs", "start"]
     assert func.args.defaults == [] and func.args.kwonlyargs == []
     assert func.args.vararg is None and func.args.kwarg is None
+
+
+def test_simplex_keeps_no_dense_tableau():
+    # one solver, the revised one: simplex.py defines no dense tableau, and
+    # solve_lp passes the rows' cells, never dense rows; dense_rows is called
+    # only by the brute-force oracle's command
+    trees = dict(_package_trees())
+    simplex = trees["simplex.py"]
+    classes = {node.name for node in ast.walk(simplex) if isinstance(node, ast.ClassDef)}
+    assert classes == {"SimplexError", "_Revised"}
+    names = {
+        node.name
+        for node in ast.walk(simplex)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+    }
+    assert [name for name in names if "tableau" in name.lower()] == []
+
+    def calls_dense_rows(node):
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        ) == "dense_rows"
+
+    callers = {
+        f"{name}:{scope}"
+        for name, tree in trees.items()
+        for scope in _scopes_of(tree, calls_dense_rows)
+    }
+    assert callers == {"cli.py:cmd_oracle"}

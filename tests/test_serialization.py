@@ -12,9 +12,11 @@ import pytest
 
 from cbd import (
     DomainMismatch,
+    DuplicateCell,
     InvalidProbability,
     ProbabilitySumMismatch,
     SystemFileError,
+    UnknownContent,
     analyze,
     enumerate_variants,
     liar_system,
@@ -336,6 +338,42 @@ def test_parse_system_missing_file(tmp_path):
     with pytest.raises(SystemFileError) as exc:
         parse_system(str(tmp_path / "nope.json"))
     assert "nope.json" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "old, new, error, rule",
+    [
+        pytest.param(
+            '"p": "1/4"}', '"p": "1/8"}', ProbabilitySumMismatch,
+            "distribution of context 'c1' sums to 7/8, expected 1", id="sum",
+        ),
+        pytest.param(
+            '"contents": ["q1", "q2"]', '"contents": ["q1", "q3"]', UnknownContent,
+            "'q3'", id="unknown-content",
+        ),
+        pytest.param(
+            '["+1", "+1"]', '["+1", "0"]', DomainMismatch, "'0'", id="outcome",
+        ),
+        pytest.param(
+            '["-1", "+1"], "p": "1/4"', '["-1", "-1"], "p": "1/4"', DuplicateCell,
+            "listed twice", id="duplicate-cell",
+        ),
+    ],
+)
+def test_domain_refusals_name_the_file(tmp_path, old, new, error, rule):
+    # the rules a schema cannot state name the file, as the structural ones
+    # do, and keep their class
+    text = ORDER_EFFECT_JSON.replace(old, new, 1)
+    assert text != ORDER_EFFECT_JSON
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error) as exc:
+        parse_system(str(path))
+    message = str(exc.value)
+    assert message.startswith(f"{path}: ") and rule in message
+    assert message.count(str(path)) == 1
+    with pytest.raises(error, match=f"^bad.json: .*{rule}"):
+        parse_system_text(text, source="bad.json")
 
 
 SCHEMA_PATH = pathlib.Path(__file__).resolve().parent.parent / "schema" / "system.schema.json"

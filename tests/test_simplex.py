@@ -173,13 +173,13 @@ def test_leftover_artificial_driven_out_on_negative_entry(monkeypatch):
     # Phase 1 ends with row 1's artificial basic at zero on the row -x3 = 0,
     # so it leaves on a negative pivot; row 2 (twice row 0) is dropped.
     negative = []
-    pivot = simplex._Tableau.pivot
+    pivot = referee._Tableau.pivot
 
     def recording(tab, r, s):
         negative.append(tab.rows[r][s] < 0)
         pivot(tab, r, s)
 
-    monkeypatch.setattr(simplex._Tableau, "pivot", recording)
+    monkeypatch.setattr(referee._Tableau, "pivot", recording)
     costs = [F(1), F(2), F(3)]
     rows = [[F(1), F(1), F(0)], [F(1), F(1), F(-1)], [F(2), F(2), F(0)]]
     rhs = [F(1), F(1), F(2)]
@@ -240,10 +240,11 @@ def test_slack_start_matches_two_phase():
 
 
 def test_integer_rows_skip_scaling(monkeypatch):
-    # coupling LPs come as int rows and costs, which solve_min takes as they
-    # are; the same LP as Fractions is scaled by the referee and solved by the
-    # same pivots.  The spy counts both modules' scalings: the referee's of
-    # rows and costs, and the rhs column's in cbd.simplex.
+    # coupling LPs come as int costs and rows, which solve_min takes as they
+    # are: the rows as cells, the costs unscaled.  The same LP as Fractions,
+    # in dense rows, is scaled by the referee and solved by the same pivots.
+    # The spies count both modules' scalings (the referee's of rows and
+    # costs, and the rhs column's in either module) and both solvers' pivots.
     scaled = []
     real_to_form = simplex.to_form
 
@@ -252,15 +253,20 @@ def test_integer_rows_skip_scaling(monkeypatch):
         return real_to_form(values)
 
     pivots = []
-    real_pivot = simplex._Tableau.pivot
+    real_pivot, real_dense_pivot = simplex._Revised.pivot, referee._Tableau.pivot
 
-    def recorded_pivot(tab, r, s):
+    def recorded_pivot(tab, r, s, col):
         pivots.append((r, s))
-        real_pivot(tab, r, s)
+        real_pivot(tab, r, s, col)
+
+    def recorded_dense_pivot(tab, r, s):
+        pivots.append((r, s))
+        real_dense_pivot(tab, r, s)
 
     monkeypatch.setattr(simplex, "to_form", counted_to_form)
     monkeypatch.setattr(referee, "to_form", counted_to_form)
-    monkeypatch.setattr(simplex._Tableau, "pivot", recorded_pivot)
+    monkeypatch.setattr(simplex._Revised, "pivot", recorded_pivot)
+    monkeypatch.setattr(referee._Tableau, "pivot", recorded_dense_pivot)
     rng = random.Random(47)
     solved = 0
     for _ in range(30):
@@ -272,12 +278,16 @@ def test_integer_rows_skip_scaling(monkeypatch):
         rhs = [row.rhs for row in lp.rows]
         rows = dense_rows(lp, lp.rows)
         live = [r for r, _ in lp.start]
-        start_rows = [rows[r] for r in live]
         cases = [
-            (rows, rhs, None),
-            (start_rows, [rhs[r] for r in live], [c for _, c in lp.start]),
+            (rows, rows, rhs, None),
+            (
+                [rows[r] for r in live],
+                [lp.layout[r] for r in live],
+                [rhs[r] for r in live],
+                [c for _, c in lp.start],
+            ),
         ]
-        for int_rows, b, start in cases:
+        for dense, int_rows, b, start in cases:
             scaled.clear()
             pivots.clear()
             solve = referee.solve_min if start is None else solve_min
@@ -288,11 +298,11 @@ def test_integer_rows_skip_scaling(monkeypatch):
             pivots.clear()
             as_fractions = referee.solve_min(
                 [F(c) for c in costs],
-                [[F(a) for a in row] for row in int_rows],
+                [[F(a) for a in row] for row in dense],
                 b,
                 start=start,
             )
-            assert len(scaled) == len(int_rows) + 2  # every row, costs, rhs
+            assert len(scaled) == len(dense) + 2  # every row, costs, rhs
             assert as_fractions == result and pivots == int_pivots
             _, x = result
             # only nonzero weights, keyed by column in ascending order, which
@@ -303,53 +313,95 @@ def test_integer_rows_skip_scaling(monkeypatch):
     assert solved == 60
 
 
-# the narrowed contract: int rows and costs, a nonnegative rhs and a start
+# the narrowed contract: int costs, rows as cells (stride, count, position)
+# of int entries, a nonnegative rhs and a start.  The mass row of n columns
+# is (n, 1, 0); over four columns in a 2 x 2 radix, (2, 2, 0) is {0, 1} and
+# (1, 2, 0) is {0, 2}.
 
 
 def test_non_int_input_raises():
-    rows, rhs, start = [[1, 1]], [F(1, 2)], [0]
+    rows, rhs, start = [(2, 1, 0)], [F(1, 2)], [0]
     with pytest.raises(SimplexError, match="row"):
-        solve_min([1, 2], [[F(1), 1]], rhs, start)
+        solve_min([1, 2], [(F(2), 1, 0)], rhs, start)
     with pytest.raises(SimplexError, match="costs"):
         solve_min([F(1), 2], rows, rhs, start)
     assert solve_min([1, 2], rows, rhs, start) == (F(1, 2), {0: F(1, 2)})
 
 
 def test_row_width_must_match_the_costs():
-    # a short row would read as zeros in the missing columns, and a column
-    # no row has could take weight
+    # a row that is no cell of the columns would read columns it does not
+    # have, or leave a column no row has, which could take weight: the old
+    # dense rows [1] and [1, 1, 1] are refused, as are cells that do not fit
+    # two columns and cells whose strides do not nest
+    for rows in ([[1]], [[1, 1]]):
+        with pytest.raises(SimplexError, match=r"\(stride, count, position\)"):
+            solve_min([1, 1], rows, [1], [0])
+    for row in ([1, 1, 1], (4, 1, 0), (1, 3, 0), (1, 2, 2), (0, 1, 0)):
+        with pytest.raises(SimplexError, match="is no cell of 2 columns"):
+            solve_min([1, 1], [row], [1], [0])
+    with pytest.raises(SimplexError, match="counts 2 and 4"):
+        solve_min([1] * 4, [(1, 2, 0), (1, 4, 1)], [1, 1], [0, 1])
+    with pytest.raises(SimplexError, match="do not nest"):
+        solve_min([1] * 4, [(2, 2, 0), (1, 4, 1)], [1, 1], [0, 1])
+    # the dense referee keeps the dense form's check
     with pytest.raises(SimplexError, match="1 entries for 2 columns"):
-        solve_min([1, 1], [[1]], [1], [0])
+        referee.solve_min([1, 1], [[1]], [1], start=[0])
     with pytest.raises(SimplexError, match="1 entries for 2 columns"):
-        solve_min([0, -1], [[1]], [1], [0])
+        referee.solve_min([0, -1], [[1]], [1], start=[0])
     with pytest.raises(SimplexError, match="3 entries for 2 columns"):
-        solve_min([1, 1], [[1, 1, 1]], [1], [0])
+        referee.solve_min([1, 1], [[1, 1, 1]], [1], start=[0])
 
 
 def test_negative_rhs_raises():
     with pytest.raises(SimplexError, match="nonnegative"):
-        solve_min([1, 2], [[-1, -1]], [F(-1)], [0])
+        solve_min([1, 2], [(2, 1, 0)], [F(-1)], [0])
+    with pytest.raises(SimplexError, match="2 values for 1 rows"):
+        solve_min([1, 2], [(2, 1, 0)], [1, 1], [0])
 
 
 def test_start_is_required():
     with pytest.raises(TypeError):
-        solve_min([1, 2], [[1, 1]], [1])
+        solve_min([1, 2], [(2, 1, 0)], [1])
 
 
 def test_direct_start_negates_a_negative_pivot_row(monkeypatch):
-    # test_infeasible_start_raises on int input, through solve_min itself:
-    # the start [2, 0] installs x0 on the entry -1, so the pivot negates its
-    # row, and the rhs check then refuses the start
+    # rows {0, 1}, {0, 2} and mass: the start [0, 1, 3] installs x1 on the
+    # entry -1 (row 1 less row 0 reads x2 - x1 = 1/4), so the pivot negates
+    # its row, and the rhs check then refuses the start (x1 = -1/4)
     negative = []
-    pivot = simplex._Tableau.pivot
+    pivot, dense_pivot = simplex._Revised.pivot, referee._Tableau.pivot
 
-    def recording(tab, r, s):
+    def recording(tab, r, s, col):
+        negative.append(col[r] < 0)
+        pivot(tab, r, s, col)
+
+    def dense_recording(tab, r, s):
         negative.append(tab.rows[r][s] < 0)
-        pivot(tab, r, s)
+        dense_pivot(tab, r, s)
 
-    monkeypatch.setattr(simplex._Tableau, "pivot", recording)
-    rows = [[1, 0, 1], [0, 1, 1]]
+    monkeypatch.setattr(simplex._Revised, "pivot", recording)
+    monkeypatch.setattr(referee._Tableau, "pivot", dense_recording)
+    rows = [(2, 2, 0), (1, 2, 0), (4, 1, 0)]
+    rhs = [F(1, 4), F(1, 2), 1]
+    costs = [0, 3, 3, 1]
     with pytest.raises(SimplexError, match="infeasible"):
-        solve_min([1, 1, 1], rows, [1, 2], [2, 0])
+        solve_min(costs, rows, rhs, [0, 1, 3])
+    assert negative == [False, True, False]
+    # from the feasible start [1, 2, 3], x0 enters: cost 5/2 - 5*x0
+    assert solve_min(costs, rows, rhs, [1, 2, 3]) == (
+        F(5, 4), {0: F(1, 4), 2: F(1, 4), 3: F(1, 2)}
+    )
+    dense = [[1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]]
+    assert referee.solve_min(costs, dense, rhs, start=[1, 2, 3]) == (
+        F(5, 4), {0: F(1, 4), 2: F(1, 4), 3: F(1, 2)}
+    )
+    # the dense tableau negates the same way: test_infeasible_start_raises
+    # on int input, where the start [2, 0] installs x0 on the entry -1
+    negative.clear()
+    dense = [[1, 0, 1], [0, 1, 1]]
+    with pytest.raises(SimplexError, match="infeasible"):
+        referee.solve_min([1, 1, 1], dense, [1, 2], start=[2, 0])
     assert negative == [False, True]
-    assert solve_min([1, 1, 1], rows, [1, 2], [2, 1]) == (2, {1: 1, 2: 1})
+    assert referee.solve_min([1, 1, 1], dense, [1, 2], start=[2, 1]) == (
+        2, {1: 1, 2: 1}
+    )
