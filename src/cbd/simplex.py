@@ -56,7 +56,8 @@ MAX_PIVOTS = 1_000_000
 
 class SimplexError(RuntimeError):
     """Failure to solve: a cost or row that is not an int, a row that is not
-    a cell of n columns, rows whose strides do not nest, a negative rhs, a
+    a cell of n columns or covers them all but is not (n, 1, 0), rows whose
+    strides do not nest, a negative rhs, a
     start basis that is singular or infeasible, an unbounded objective, or a
     pivot-limit overrun."""
 
@@ -80,6 +81,13 @@ def _radix(rows, n):
         stride, count, position = row
         if not (stride > 0 and 0 <= position < count and n % (stride * count) == 0):
             raise SimplexError(f"the row {tuple(row)} is no cell of {n} columns")
+        if count == 1 and stride != n:
+            # the one cell that covers every column is the mass row; any
+            # other spelling of it, such as the dense row [1, 1, 0] read as a
+            # cell, is refused
+            raise SimplexError(
+                f"the row {tuple(row)} covers every column: write it ({n}, 1, 0)"
+            )
         cells = by_stride.get(stride)
         if cells is None:
             cells = by_stride[stride] = [[] for _ in range(count)]
@@ -124,13 +132,7 @@ class _Revised:
             for stride, count, cells in self.digits
             for k in cells[s // stride % count]
         ]
-        if not cover:
-            return [0] * len(self.rows)
-        if len(cover) == 1:
-            k = cover[0]
-            return [row[k] for row in self.rows]
-        pick = operator.itemgetter(*cover)
-        return [sum(pick(row)) for row in self.rows]
+        return [sum(map(row.__getitem__, cover)) for row in self.rows]
 
     def prices(self, costs):
         """The z-row over every column: d*c_j plus -pi summed over the rows
@@ -141,9 +143,6 @@ class _Revised:
             v = [sum(map(w.__getitem__, ks)) for ks in cells]
             u = list(itertools.starmap(operator.add, itertools.product(u, v)))
         d = self.d
-        # d is 1 at about four pricing passes in five on the coupling LPs
-        if d == 1:
-            return list(map(operator.add, costs, u))
         return [d * c + a for c, a in zip(costs, u)]
 
     def pivot(self, r, s, col):
@@ -257,8 +256,9 @@ def solve_min(costs, rows, rhs, start):
     Returns (optimum, weights): the exact optimum as a Fraction and one
     optimal basic feasible solution as {column: Fraction}, its nonzero basic
     values in ascending column order.  Raises SimplexError on a cost or row
-    that is not an int, on a row that is not a cell of n columns or rows
-    whose strides do not nest, on a negative rhs, on a start that is not m
+    that is not an int, on a row that is not a cell of n columns, a row
+    other than (n, 1, 0) that covers every column, rows whose strides do not
+    nest, on a negative rhs, on a start that is not m
     columns, hits a zero pivot, or gives a negative basic value, and on an
     unbounded objective (impossible when the feasible set is bounded, as for
     every instance built by this package).

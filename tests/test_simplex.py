@@ -339,6 +339,12 @@ def test_row_width_must_match_the_costs():
     for row in ([1, 1, 1], (4, 1, 0), (1, 3, 0), (1, 2, 2), (0, 1, 0)):
         with pytest.raises(SimplexError, match="is no cell of 2 columns"):
             solve_min([1, 1], [row], [1], [0])
+    # a dense row of three columns reads as a cell of one position; only
+    # the mass row (n, 1, 0) may cover every column
+    for row in ([1, 1, 0], (1, 1, 0)):
+        with pytest.raises(SimplexError, match=r"every column: write it \(3, 1, 0\)"):
+            solve_min([1, 1, 1], [row], [1], [0])
+    assert solve_min([1, 1, 1], [(3, 1, 0)], [1], [0]) == (1, {0: 1})
     with pytest.raises(SimplexError, match="counts 2 and 4"):
         solve_min([1] * 4, [(1, 2, 0), (1, 4, 1)], [1, 1], [0, 1])
     with pytest.raises(SimplexError, match="do not nest"):
