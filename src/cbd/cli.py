@@ -161,7 +161,7 @@ def cmd_oracle(args) -> int:
         best, _, n_bases = enumerate_min(
             lp.objective,
             dense_rows(lp, lp.rows),
-            [row.rhs for row in lp.rows],
+            lp.rhs,
         )
     except TooManyBases as exc:
         raise CbdError(f"system too large for the brute-force oracle: {exc}")

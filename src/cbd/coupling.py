@@ -24,6 +24,7 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import simplex
@@ -150,16 +151,20 @@ class LPRow:
 
 @dataclass(frozen=True)
 class LPInstance:
-    """The system-coupling linear program.
+    """The system-coupling linear program, recorded by its contexts' cells.
+
+    Recorded fields, the ones the solve and the witness read:
 
     variables: (context, content) pairs in canonical order; an atom assigns
-    one outcome to each.  rows hold one equality per context cell, context by
-    context, each context's cells in the atoms' order (the product of its
-    contents' outcomes, contents sorted), then the total-mass row; a row's
-    label lists its cell's outcomes in the context's own contents order.  The
-    objective counts, per atom, how many content-sharing pairs
-    (System.pairs()) it assigns different outcomes; it is read off the
-    atoms, which list their outcomes in variables order.
+    one outcome to each.  contents: each context's contents in its own order,
+    the order of its rows' labels.  cells: each context's cells in the atoms'
+    order, the product of its contents' outcomes with the contents sorted
+    (so in variables order); the support LP keeps only the positive cells.
+    The atoms are the product of these lists, the first context's cell the
+    most significant digit of an atom's index.  rhs: one value per row, the
+    cells' probabilities context by context, then 1 for the total-mass row.
+    objective: per atom, how many content-sharing pairs (System.pairs()) it
+    assigns different outcomes.
 
     start: a feasible starting basis as (row index, atom index) pairs.  Its
     rows are independent and imply every other positive row, and its basis
@@ -170,18 +175,75 @@ class LPInstance:
     this LP and stride the product of the counts of the contexts after it,
     so the row's atoms are the j with (j // stride) % count == position.
     The mass row is (n_atoms, 1, 0).
+
+    Views, computed on first read and cached, for the brute-force oracle,
+    verify's referees and the tests: atoms, every atom as its outcomes in
+    variables order; labels, each row's cell as "context[outcomes]" in the
+    context's own contents order, and "mass"; rows, each row's label, its
+    atoms (from its layout cell) and rhs.  Cached views are not dataclass
+    fields, so equality and repr see only the recorded fields.
     """
 
     variables: tuple[tuple[str, str], ...]
-    atoms: tuple[tuple[str, ...], ...]
-    rows: tuple[LPRow, ...]
+    contents: tuple[tuple[str, ...], ...]
+    cells: tuple[tuple[tuple[str, ...], ...], ...]
+    rhs: tuple[Fraction, ...]
     objective: tuple[int, ...]
     start: tuple[tuple[int, int], ...]
     layout: tuple[tuple[int, int, int], ...]
 
     @property
     def n_atoms(self) -> int:
-        return len(self.atoms)
+        return self.layout[-1][0]
+
+    def atom(self, index: int) -> tuple[str, ...]:
+        """The atom at index, decoded from its mixed-radix digits."""
+        out = ()
+        for cells in reversed(self.cells):
+            index, digit = divmod(index, len(cells))
+            out = cells[digit] + out
+        return out
+
+    @cached_property
+    def atoms(self) -> tuple[tuple[str, ...], ...]:
+        # each context's cells extend every atom of the contexts before it,
+        # in product order
+        prefixes: list[tuple[str, ...]] = [()]
+        for cells in self.cells:
+            prefixes = list(
+                itertools.starmap(operator.add, itertools.product(prefixes, cells))
+            )
+        return tuple(prefixes)
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        # variables, sorted, lists the contexts in the order of the cell lists
+        ids = [ctx for ctx, _ in itertools.groupby(ctx for ctx, _ in self.variables)]
+        out = []
+        for ctx, contents, cells in zip(ids, self.contents, self.cells):
+            ordered = sorted(contents)
+            where = [ordered.index(q) for q in contents]
+            out += [f"{ctx}[{','.join(cell[k] for k in where)}]" for cell in cells]
+        out.append("mass")
+        return tuple(out)
+
+    @cached_property
+    def rows(self) -> tuple[LPRow, ...]:
+        # a cell's atoms: runs of `stride` consecutive indices, one run every
+        # stride * count
+        n = self.n_atoms
+        rows = []
+        for label, cell, b in zip(self.labels, self.layout, self.rhs):
+            stride, count, position = cell
+            starts = range(position * stride, n, stride * count)
+            if stride == 1:
+                cols = tuple(starts)
+            else:
+                cols = tuple(itertools.chain.from_iterable(
+                    range(s, s + stride) for s in starts
+                ))
+            rows.append(LPRow(label=label, cols=cols, rhs=b))
+        return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -201,10 +263,11 @@ def build_coupling_lp(
     of the system), one equality per (context, outcome tuple) cell including
     zero-probability cells, plus total mass 1.  A context's rows follow its
     cell list, the order in which its cells vary over the atoms.  An atom's
-    cost is read off the atom: the number of System.pairs() whose two
-    variables it gives different outcomes.  Raises
-    CapExceeded before materializing anything larger than the cap; the cap
-    is checked against the full atom count in either mode.
+    cost is the number of System.pairs() whose two variables it gives
+    different outcomes.  Only the cells, rows' cells and costs are built:
+    the atoms and each row's atoms are views of them (see LPInstance).
+    Raises CapExceeded before materializing anything larger than the cap;
+    the cap is checked against the full atom count in either mode.
 
     support=True builds the support LP instead: only the atoms whose cell in
     every context has positive probability, and only the positive cells' rows
@@ -224,78 +287,64 @@ def build_coupling_lp(
     # Contexts share no variable, so an atom is one cell per context and the
     # atoms are the product of the contexts' cell lists.  variables sorts the
     # contents within each context, so each list is in sorted-content product
-    # order.  Each cell keeps its row label, in blk.contents order, and its
-    # probability.
-    lists: list[list[tuple[str, ...]]] = []
-    entries: list[list[tuple[str, Fraction]]] = []
-    for blk in system.blocks:
+    # order.  positive: each context's positive cells as (list position,
+    # probability, row index).  place: each variable's context and its index
+    # in that context's cells.
+    cells: list[tuple[tuple[str, ...], ...]] = []
+    rhs: list[Fraction] = []
+    positive: list[list[tuple[int, Fraction, int]]] = []
+    place: dict[tuple[str, str], tuple[int, int]] = {}
+    for i, blk in enumerate(system.blocks):
         contents = sorted(blk.contents)
         where = [contents.index(q) for q in blk.contents]
-        cells = []
-        labelled = []
+        kept = []
+        spots = []
         for cell in itertools.product(*(system.outcomes[q] for q in contents)):
-            as_block = tuple(cell[k] for k in where)
-            p = blk.prob(as_block)
+            p = blk.prob(tuple(cell[k] for k in where))
+            if p:
+                spots.append((len(kept), p, len(rhs)))
             if p or not support:
-                cells.append(cell)
-                labelled.append((f"{blk.context}[{','.join(as_block)}]", p))
-        lists.append(cells)
-        entries.append(labelled)
-    # each context's cells extend every atom of the contexts before it, in
-    # product order; the tuple is built from a list, not an iterator: a tuple
-    # grown from an iterator is resized as it fills, which raised peak RSS by
-    # about 0.5 MB over a thousand small verdicts
-    prefixes: list[tuple[str, ...]] = [()]
-    for cells in lists:
-        prefixes = list(
-            itertools.starmap(operator.add, itertools.product(prefixes, cells))
-        )
-    atoms = tuple(prefixes)
+                kept.append(cell)
+                rhs.append(p)
+        cells.append(tuple(kept))
+        positive.append(spots)
+        place.update(((blk.context, q), (i, k)) for k, q in enumerate(contents))
+    rhs.append(Fraction(1))
 
-    # One row per cell, in list order.  The atoms whose cell in a context
-    # sits at list position d: runs of `stride` consecutive indices, one run
-    # every `period`.  positive: each context's positive cells as (list
-    # position, probability, row index).
-    n = len(atoms)
-    rows: list[LPRow] = []
+    # One row per cell, in list order: the atoms whose cell in a context sits
+    # at list position d are the j with (j // stride) % count == d.
+    n = math.prod(map(len, cells))
     layout: list[tuple[int, int, int]] = []
-    positive: list[list[tuple[int, Fraction, int]]] = []
     strides = []
     stride = n
-    for labelled in entries:
-        period = stride
-        stride //= len(labelled)
+    for kept in cells:
+        stride //= len(kept)
         strides.append(stride)
-        spots = []
-        for d, (label, p) in enumerate(labelled):
-            if p:
-                spots.append((d, p, len(rows)))
-            layout.append((stride, len(labelled), d))
-            lo = d * stride
-            if stride == 1:
-                cols = range(lo, n, period)
-            else:
-                cols = itertools.chain.from_iterable(
-                    range(s, s + stride) for s in range(lo, n, period)
-                )
-            rows.append(LPRow(label=label, cols=tuple(cols), rhs=p))
-        positive.append(spots)
-    rows.append(LPRow(label="mass", cols=tuple(range(n)), rhs=Fraction(1)))
+        layout += [(stride, len(kept), d) for d in range(len(kept))]
     layout.append((n, 1, 0))
 
-    # The objective counts, per atom, the pairs whose two outcomes differ.
-    # An atom lists its outcomes in variables order.
-    column = dict(zip(variables, zip(*atoms)))
+    # The objective counts, per atom, the pairs whose two outcomes differ.  A
+    # variable's outcome over the atoms is its context's cell outcomes, each
+    # repeated stride times, the whole tiled over the contexts before it.
+    def column(variable: tuple[str, str]) -> list[str]:
+        i, k = place[variable]
+        kept = cells[i]
+        run = itertools.chain.from_iterable(
+            itertools.repeat(cell[k], strides[i]) for cell in kept
+        )
+        return list(run) * (n // (strides[i] * len(kept)))
+
     objective = [0] * n
     for q, ca, cb in system.pairs():
-        split = map(operator.ne, column[(ca, q)], column[(cb, q)])
+        split = map(operator.ne, column((ca, q)), column((cb, q)))
         objective = list(map(operator.add, objective, split))
     return LPInstance(
         variables=variables,
-        atoms=atoms,
-        rows=tuple(rows),
+        contents=tuple(blk.contents for blk in system.blocks),
+        cells=tuple(cells),
+        rhs=tuple(rhs),
         objective=tuple(objective),
-        start=_north_west_corner(positive, strides, len(rows) - 1),
+        start=_north_west_corner(positive, strides, len(rhs) - 1),
         layout=tuple(layout),
     )
 
@@ -367,13 +416,15 @@ def solve_lp(lp: LPInstance) -> LPSolution:
     """
     if not lp.start:
         raise ValueError("solve_lp needs an LP with a start basis, got none")
-    zero = next((row.label for row in lp.rows if not row.rhs), None)
+    zero = next((r for r, b in enumerate(lp.rhs) if not b), None)
     if zero is not None:
-        raise ValueError(f"solve_lp takes a support LP, but row {zero} has rhs 0")
+        raise ValueError(
+            f"solve_lp takes a support LP, but row {lp.labels[zero]} has rhs 0"
+        )
     optimum, weights = simplex.solve_min(
         lp.objective,
         [lp.layout[r] for r, _ in lp.start],
-        [lp.rows[r].rhs for r, _ in lp.start],
+        [lp.rhs[r] for r, _ in lp.start],
         start=[c for _, c in lp.start],
     )
     return LPSolution(optimum=optimum, weights=weights)
@@ -381,13 +432,18 @@ def solve_lp(lp: LPInstance) -> LPSolution:
 
 def verify_solution(lp: LPInstance, sol: LPSolution) -> bool:
     """Exact recheck of a solution against the instance: nonnegative
-    weights, every equality met, and the objective equal to the optimum."""
+    weights, every equality met, and the objective equal to the optimum.
+    Each weight is summed into the rows whose cell holds its atom, read off
+    the atom's digits in lp.layout."""
     if any(not 0 <= c < lp.n_atoms or v < 0 for c, v in sol.weights.items()):
         return False
-    for row in lp.rows:
-        total = sum(sol.weights.get(c, ZERO) for c in row.cols)
-        if total != row.rhs:
-            return False
+    totals = [ZERO] * len(lp.layout)
+    for c, v in sol.weights.items():
+        for r, (stride, count, position) in enumerate(lp.layout):
+            if c // stride % count == position:
+                totals[r] += v
+    if totals != list(lp.rhs):
+        return False
     value = sum(
         lp.objective[c] * v for c, v in sol.weights.items()
     )
@@ -416,7 +472,7 @@ def system_delta(
         raise InternalError(f"coupling LP solve failed: {exc}") from exc
     witness = CouplingWitness(
         variables=lp.variables,
-        weights=tuple((lp.atoms[i], w) for i, w in sol.weights.items()),
+        weights=tuple((lp.atom(i), w) for i, w in sol.weights.items()),
     )
     return sol.optimum, witness
 

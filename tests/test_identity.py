@@ -6,7 +6,10 @@ For each group of systems, tests/identity.json holds sha256 digests of
   include_witness=True)), one per line;
 - the (row, column) sequence of every pivot that analyze makes, recorded by
   a spy on cbd.simplex._Revised.pivot (cbd itself has no hook for it);
-- repr(build_coupling_lp(system, support=True)), one per line.
+- every field of build_coupling_lp(system, support=True), views included,
+  one LP per line: the repr of the tuple (variables, atoms, rows, objective,
+  start, layout), each row as (label, cols, rhs), so that a change in how
+  LPInstance or LPRow records or prints them leaves the digest as it is.
 
 The referee test solves the same support LPs by the dense tableau of
 tests/referee_simplex.py from each LP's start, and checks that it makes
@@ -116,9 +119,14 @@ def digests(systems):
         "reports": sha256_lines(reports),
         "pivot_sequence": sha256_lines(f"{r} {s}" for r, s in pivots),
         "support_lps": sha256_lines(
-            repr(build_coupling_lp(s, support=True)) for s in systems
+            lp_text(build_coupling_lp(s, support=True)) for s in systems
         ),
     }
+
+
+def lp_text(lp):
+    rows = tuple((row.label, row.cols, row.rhs) for row in lp.rows)
+    return repr((lp.variables, lp.atoms, rows, lp.objective, lp.start, lp.layout))
 
 
 @pytest.mark.parametrize("group", list(corpus()))
