@@ -324,20 +324,20 @@ def build_coupling_lp(
     layout.append((n, 1, 0))
 
     # The objective counts, per atom, the pairs whose two outcomes differ.  A
-    # variable's outcome over the atoms is its context's cell outcomes, each
-    # repeated stride times, the whole tiled over the contexts before it.
-    def column(variable: tuple[str, str]) -> list[str]:
-        i, k = place[variable]
-        kept = cells[i]
-        run = itertools.chain.from_iterable(
-            itertools.repeat(cell[k], strides[i]) for cell in kept
-        )
-        return list(run) * (n // (strides[i] * len(kept)))
-
+    # pair's mismatch depends only on its two contexts' cells a (context i)
+    # and b (context j > i): over the atoms it is the a-by-b table, each
+    # entry repeated for the run of b's stride, each row tiled over the run
+    # of a's stride, and the whole tiled over the contexts before i.
     objective = [0] * n
     for q, ca, cb in system.pairs():
-        split = map(operator.ne, column((ca, q)), column((cb, q)))
-        objective = list(map(operator.add, objective, split))
+        (i, k), (j, m) = sorted((place[(ca, q)], place[(cb, q)]))
+        split = []
+        for a in cells[i]:
+            row = []
+            for b in cells[j]:
+                row += [a[k] != b[m]] * strides[j]
+            split += row * (strides[i] // len(row))
+        objective = list(map(operator.add, objective, split * (n // len(split))))
     return LPInstance(
         variables=variables,
         contents=tuple(blk.contents for blk in system.blocks),
