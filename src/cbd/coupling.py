@@ -176,8 +176,8 @@ class LPInstance:
     so the row's atoms are the j with (j // stride) % count == position.
     The mass row is (n_atoms, 1, 0).
 
-    Views, computed on first read and cached, for the brute-force oracle,
-    verify's referees and the tests: atoms, every atom as its outcomes in
+    Views, computed on first read and cached, for cbd oracle (through
+    dense_rows) and the tests: atoms, every atom as its outcomes in
     variables order; labels, each row's cell as "context[outcomes]" in the
     context's own contents order, and "mass"; rows, each row's label, its
     atoms (from its layout cell) and rhs.  Cached views are not dataclass

@@ -525,7 +525,7 @@ def test_analyze_builds_only_the_support_lp(monkeypatch):
 
 def test_support_build_lists_no_atoms():
     # a rank-8 full-support cycle, 65,536 support atoms: the build keeps the
-    # objective (0.5 MB) and peaked at 2.8 MB; listing the atoms and every
+    # objective (0.5 MB) and peaked at 2.3 MB; listing the atoms and every
     # row's atoms held 35.9 MB after the build returned and peaked at 48.0 MB
     sys_ = cycle_system(8, rank_n_cycle_weights(random.Random(1), 8, biased=True))
     sys_.pairs()  # the system's own cached index, outside the count
