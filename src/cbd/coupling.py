@@ -166,9 +166,14 @@ class LPInstance:
     objective: per atom, how many content-sharing pairs (System.pairs()) it
     assigns different outcomes.
 
-    start: a feasible starting basis as (row index, atom index) pairs.  Its
-    rows are independent and imply every other positive row, and its basis
-    matrix, in this order, is unit lower-triangular.
+    start: a feasible starting basis as (row index, atom index) pairs, the
+    north-west corner over each context's positive cells, walked forward or,
+    where the pair graph orients the context against its parent, backward
+    (see _walk_directions), so that every binary pair whose content runs the
+    same way in both walks starts at its maximal coupling.  Its rows are
+    independent and imply every other positive row (each context's last cell
+    walked is left out), and its basis matrix, in this order, is unit
+    lower-triangular.
 
     layout: each row's cell as (stride, count, position), the form
     simplex.solve_min takes: count is the number of its context's cells in
@@ -278,7 +283,8 @@ def build_coupling_lp(
     checked against.
 
     Either way the instance carries the north-west-corner start (see
-    _north_west_corner), computed from the positive cells alone, so both
+    _north_west_corner), computed from the positive cells alone, each
+    context's walked in the direction _walk_directions gives it, so both
     modes give the same start atoms and rows.
     """
     variables = system.variables
@@ -287,28 +293,43 @@ def build_coupling_lp(
     # Contexts share no variable, so an atom is one cell per context and the
     # atoms are the product of the contexts' cell lists.  variables sorts the
     # contents within each context, so each list is in sorted-content product
-    # order.  positive: each context's positive cells as (list position,
-    # probability, row index).  place: each variable's context and its index
-    # in that context's cells.
+    # order, the order of its cells' outcome indices in the registry.  keys,
+    # kept, probs: a context's positive cells in that order, read from its
+    # table, as their outcome indices, outcomes and probabilities; the full
+    # LP then lists every cell of the product.  positive: each context's
+    # positive cells as (list position, probability, row index).  place:
+    # each variable's context and its index in that context's cells.
+    # indices: each context's keys.
     cells: list[tuple[tuple[str, ...], ...]] = []
     rhs: list[Fraction] = []
     positive: list[list[tuple[int, Fraction, int]]] = []
     place: dict[tuple[str, str], tuple[int, int]] = {}
+    indices: list[tuple[tuple[int, ...], ...]] = []
+    falls = False
     for i, blk in enumerate(system.blocks):
         contents = sorted(blk.contents)
-        where = [contents.index(q) for q in blk.contents]
-        kept = []
-        spots = []
-        for cell in itertools.product(*(system.outcomes[q] for q in contents)):
-            p = blk.prob(tuple(cell[k] for k in where))
-            if p:
-                spots.append((len(kept), p, len(rhs)))
-            if p or not support:
-                kept.append(cell)
-                rhs.append(p)
-        cells.append(tuple(kept))
-        positive.append(spots)
+        domains = [system.outcomes[q] for q in contents]
+        items = blk.table.items()
+        if contents != list(blk.contents):
+            where = [blk.contents.index(q) for q in contents]
+            items = [(tuple([cell[k] for k in where]), p) for cell, p in items]
+        keys, kept, probs = zip(*sorted(
+            [(tuple(map(tuple.index, domains, cell)), cell, p) for cell, p in items]
+        ))
+        if support:
+            at = range(len(kept))
+        else:
+            table = dict(zip(kept, probs))
+            kept = tuple(itertools.product(*domains))
+            probs = [table.get(cell, ZERO) for cell in kept]
+            at = [k for k, p in enumerate(probs) if p]
+        positive.append([(k, probs[k], len(rhs) + k) for k in at])
+        cells.append(kept)
+        rhs += probs
         place.update(((blk.context, q), (i, k)) for k, q in enumerate(contents))
+        indices.append(keys)
+        # a content can run downward only if its last index is below its first
+        falls = falls or any(map(operator.gt, keys[0], keys[-1]))
     rhs.append(Fraction(1))
 
     # One row per cell, in list order: the atoms whose cell in a context sits
@@ -329,7 +350,8 @@ def build_coupling_lp(
     # entry repeated for the run of b's stride, each row tiled over the run
     # of a's stride, and the whole tiled over the contexts before i.
     objective = [0] * n
-    for q, ca, cb in system.pairs():
+    pairs = system.pairs()
+    for q, ca, cb in pairs:
         (i, k), (j, m) = sorted((place[(ca, q)], place[(cb, q)]))
         split = []
         for a in cells[i]:
@@ -338,19 +360,78 @@ def build_coupling_lp(
                 row += [a[k] != b[m]] * strides[j]
             split += row * (strides[i] // len(row))
         objective = list(map(operator.add, objective, split * (n // len(split))))
+
+    # Each context's positive cells are walked forward unless the pair graph
+    # reverses them, which only a content that runs downward can make it do.
+    walks = positive
+    if falls:
+        ways = _walk_directions(pairs, place, indices)
+        walks = [spots[::-1] if way < 0 else spots for spots, way in zip(positive, ways)]
     return LPInstance(
         variables=variables,
         contents=tuple(blk.contents for blk in system.blocks),
         cells=tuple(cells),
         rhs=tuple(rhs),
         objective=tuple(objective),
-        start=_north_west_corner(positive, strides, len(rhs) - 1),
+        start=_north_west_corner(walks, strides, len(rhs) - 1),
         layout=tuple(layout),
     )
 
 
+def _direction(indices: Sequence[int]) -> int:
+    """A variable's direction over its context's positive cells in list
+    order, given its outcome index in each: +1 if the index never falls and
+    changes, -1 if it never rises and changes, 0 otherwise."""
+    first, last = indices[0], indices[-1]
+    if first == last:
+        return 0
+    if first < last:
+        return 0 if any(map(operator.lt, indices[1:], indices)) else 1
+    return 0 if any(map(operator.gt, indices[1:], indices)) else -1
+
+
+def _walk_directions(
+    pairs: Sequence[tuple[str, str, str]],
+    place: dict[tuple[str, str], tuple[int, int]],
+    indices: Sequence[Sequence[tuple[int, ...]]],
+) -> list[int]:
+    """Each context's walk direction for the north-west corner: 1 forward
+    over its positive cells, -1 backward.
+
+    indices[i] lists context i's positive cells in list order, each as its
+    outcome indices in sorted-content order; place gives each variable's
+    context and content position.  A breadth-first spanning forest of the
+    pair graph (contexts in block order, an edge per System.pairs() entry in
+    pairs, taken in that order) reverses a context exactly when the content
+    joining it to its parent runs monotonically in opposite directions (see
+    _direction) in the two walks.  The north-west corner couples every two
+    contexts comonotonically along their walks, so each binary pair whose
+    content runs the same way in both gets its maximal coupling.
+    """
+    directions = [[_direction(column) for column in zip(*keys)] for keys in indices]
+    links: list[list[tuple[int, int]]] = [[] for _ in indices]
+    for q, ca, cb in pairs:
+        (i, k), (j, m) = place[(ca, q)], place[(cb, q)]
+        same = directions[i][k] * directions[j][m]  # 1 same way, -1 opposite, 0 not monotone
+        links[i].append((j, same))
+        links[j].append((i, same))
+    ways = [0] * len(indices)  # 0 until reached
+    for root in range(len(indices)):
+        if ways[root]:
+            continue
+        ways[root] = 1
+        queue = [root]
+        for i in queue:  # the loop reaches what it appends: breadth first
+            for j, same in links[i]:
+                if not ways[j]:
+                    # reversed when the content runs opposite to i's walk
+                    ways[j] = ways[i] * same or 1
+                    queue.append(j)
+    return ways
+
+
 def _north_west_corner(
-    positive: Sequence[Sequence[tuple[int, Fraction, int]]],
+    walks: Sequence[Sequence[tuple[int, Fraction, int]]],
     strides: Sequence[int],
     mass_row: int,
 ) -> tuple[tuple[int, int], ...]:
@@ -358,33 +439,34 @@ def _north_west_corner(
     rule of the transportation problem (Dantzig, Linear Programming and
     Extensions, 1963), as (row index, atom index) pairs.
 
-    positive[i] lists context i's positive cells in atom-list order as
-    (list position, probability, row index); an atom's index is the sum of
-    its cells' list positions times strides.  The rule starts at the atom of
-    every context's first cell and moves one context at a time to its next
-    cell, at the cumulative mass where its current cell is used up: the
-    moves are those masses merged in increasing order, ties to the lower
-    context, so tied contexts move over zero-weight atoms.  Each move pairs
-    the used-up cell's row with the atom it leaves, and the last atom takes
-    the mass row.  That is 1 + sum(c_i - 1) atoms, one row per positive cell
-    except each context's last, which the mass row and the context's other
-    cells imply.  A row's cell is in no later atom, so the basis matrix, in
-    this order, is unit lower-triangular.
+    walks[i] lists context i's positive cells as (list position, probability,
+    row index) in the order the rule walks them: atom-list order, or its
+    reverse for a context that _walk_directions reverses.  An atom's index is
+    the sum of its cells' list positions times strides.  The rule starts at
+    the atom of every context's first cell walked and moves one context at a
+    time to its next cell, at the cumulative mass where its current cell is
+    used up: the moves are those masses merged in increasing order, ties to
+    the lower context, so tied contexts move over zero-weight atoms.  Each
+    move pairs the used-up cell's row with the atom it leaves, and the last
+    atom takes the mass row.  That is 1 + sum(c_i - 1) atoms, one row per
+    positive cell except the last cell each context walks, which the mass
+    row and the context's other cells imply.  A row's cell is in no later
+    atom, so the basis matrix, in this order, is unit lower-triangular.
     """
-    _, nums = to_form(p for spots in positive for _, p, _ in spots)
+    _, nums = to_form(p for spots in walks for _, p, _ in spots)
     moves = []
     k = 0
-    for i, spots in enumerate(positive):
+    for i, spots in enumerate(walks):
         used = 0
         for j in range(len(spots) - 1):
             used += nums[k + j]
             moves.append((used, i, j))
         k += len(spots)
     moves.sort()
-    atom = sum(spots[0][0] * s for spots, s in zip(positive, strides))
+    atom = sum(spots[0][0] * s for spots, s in zip(walks, strides))
     start = []
     for _, i, j in moves:
-        here, after = positive[i][j], positive[i][j + 1]
+        here, after = walks[i][j], walks[i][j + 1]
         start.append((here[2], atom))
         atom += (after[0] - here[0]) * strides[i]
     start.append((mass_row, atom))

@@ -10,7 +10,10 @@ import cbd.coupling
 import cbd.simplex
 from cbd import (
     AtomCapExceeded,
+    ContextConstraint,
     DomainMismatch,
+    EpistemicContext,
+    EpistemicSpec,
     Marginal,
     NotBinary,
     analyze,
@@ -561,10 +564,47 @@ def test_pivot_limit_is_an_internal_error(monkeypatch):
 # the north-west-corner start
 
 
+def equal_unequal(edges, kinds, contents, contexts):
+    """The uniform mixture of an epistemic spec over '+1'/'-1' contents: one
+    context per edge (a, b) of content positions, named by contexts in edge
+    order, with kind 'equal' or 'unequal' from kinds."""
+    constraint = {"equal": ContextConstraint.equal(), "unequal": ContextConstraint.unequal()}
+    spec = EpistemicSpec(
+        outcomes=pm_registry(*contents),
+        contexts=tuple(
+            EpistemicContext(c, (contents[a], contents[b]), constraint[kind])
+            for c, (a, b), kind in zip(contexts, edges, kinds)
+        ),
+    )
+    return uniform_mixture(spec, enumerate_variants(spec))
+
+
+def random_equal_unequal(rng, edges, n):
+    """equal_unequal over n contents with the kinds, each context's content
+    order and the labels (so the sorted orders) drawn from rng."""
+    edges = [tuple(rng.sample(edge, 2)) for edge in edges]
+    contents = [f"q{k}" for k in rng.sample(range(10 * n), n)]
+    contexts = [f"c{k}" for k in rng.sample(range(10 * len(edges)), len(edges))]
+    kinds = [rng.choice(("equal", "unequal")) for _ in edges]
+    return equal_unequal(edges, kinds, contents, contexts)
+
+
+def random_ring(rng, n):
+    return random_equal_unequal(rng, [(i, (i + 1) % n) for i in range(n)], n)
+
+
+def random_tree(rng, n):
+    """A tree over n contents, each content after the first joined to an
+    earlier one by one context."""
+    return random_equal_unequal(rng, [(rng.randrange(i), i) for i in range(1, n)], n)
+
+
 def start_systems():
     """Seeded random systems and the degenerate cases of the start: Liar
     rings with every table at 1/2 (ties at every step), point-mass contexts
-    alone and mixed with others, and ternary contents."""
+    alone and mixed with others, rings whose labels make some contents run
+    downward (so some contexts are walked backward), one of them with a
+    point-mass context, and ternary contents."""
     systems = [liar_ring(n) for n in range(2, 7)]
     point = {(P, M): F(1)}
     half = {(P, P): F(1, 2), (M, M): F(1, 2)}
@@ -578,6 +618,13 @@ def start_systems():
          ("c3", ("q3", "q1"), {(M, P): F(1, 3), (P, M): F(2, 3)})],
     ))
     rng = random.Random(53)
+    systems += [random_ring(rng, n) for n in (2, 3, 3, 4, 4, 5, 6)]
+    unequal = {(P, M): F(1, 2), (M, P): F(1, 2)}
+    systems.append(validate_system(
+        pm_registry("q1", "q2", "q3", "q4"),
+        [("c1", ("q1", "q2"), unequal), ("c2", ("q2", "q3"), point),
+         ("c3", ("q3", "q4"), unequal), ("c4", ("q4", "q1"), half)],
+    ))
     for _ in range(40):
         systems.append(rand_system(rng, ternary_share=0.5, max_block=3, max_atoms=256))
     return systems
@@ -681,6 +728,88 @@ def test_bland_fallback_makes_the_dense_tableaus_pivots(monkeypatch):
         moved += pivots != dantzig_pivots
     # Bland's rule is no renamed Dantzig's here: it picks other pivots
     assert moved > 0
+
+
+def forward_start(lp):
+    """The north-west-corner start with every context walked forward, in
+    atom-list order, over Fraction masses: the rule before walks were
+    oriented, read off the LP's layout and rhs."""
+    contexts = []  # (stride, positive cells as (position, rhs, row))
+    for r, (stride, _, position) in enumerate(lp.layout[:-1]):
+        if position == 0:
+            contexts.append((stride, []))
+        if lp.rhs[r]:
+            contexts[-1][1].append((position, lp.rhs[r], r))
+    moves = sorted(
+        (sum(p for _, p, _ in cells[: j + 1]), i, j)
+        for i, (_, cells) in enumerate(contexts)
+        for j in range(len(cells) - 1)
+    )
+    atom = sum(stride * cells[0][0] for stride, cells in contexts)
+    start = []
+    for _, i, j in moves:
+        stride, cells = contexts[i]
+        start.append((cells[j][2], atom))
+        atom += (cells[j + 1][0] - cells[j][0]) * stride
+    return tuple(start) + ((len(lp.layout) - 1, atom),)
+
+
+def runs_downward(sys_, lp):
+    """Whether some content's outcome index, over its context's positive
+    cells in list order, changes and never rises."""
+    row = 0
+    contexts = itertools.groupby(lp.variables, key=lambda v: v[0])
+    for cells, (_, variables) in zip(lp.cells, contexts):
+        kept = [cell for cell, b in zip(cells, lp.rhs[row:]) if b]
+        row += len(cells)
+        for k, (_, q) in enumerate(variables):
+            index = [sys_.outcomes[q].index(cell[k]) for cell in kept]
+            steps = {(b > a) - (b < a) for a, b in zip(index, index[1:])}
+            if -1 in steps and 1 not in steps:
+                return True
+    return False
+
+
+def test_start_is_the_forward_rule_where_no_content_runs_downward():
+    rng = random.Random(71)
+    systems = start_systems()
+    systems += [rand_system(rng, ternary_share=0.4, max_block=3) for _ in range(100)]
+    systems += [
+        cycle_system(n, rank_n_cycle_weights(rng, n, biased=bool(n % 2)))
+        for n in (2, 3, 4)
+    ]
+    forward = reversed_walks = 0
+    for sys_ in systems:
+        for support in (False, True):
+            lp = build_coupling_lp(sys_, support=support)
+            if runs_downward(sys_, lp):
+                reversed_walks += lp.start != forward_start(lp)
+            else:
+                assert lp.start == forward_start(lp)
+                forward += 1
+    # and start_systems() walks some contexts backward, in both modes
+    assert forward > 100 and reversed_walks >= 10
+
+
+def test_start_attains_the_optimum_on_equal_unequal_rings_and_trees():
+    # the start couples every two contexts comonotonically along their walks,
+    # and the walks are oriented along a spanning forest of the pair graph
+    systems = [liar_ring(n) for n in range(2, 11)]
+    # every rank-3 ring: each order of the content and context labels, and
+    # each choice of kinds
+    edges = [(0, 1), (1, 2), (2, 0)]
+    for contents in itertools.permutations(("q1", "q2", "q3")):
+        for contexts in itertools.permutations(("c1", "c2", "c3")):
+            for kinds in itertools.product(("equal", "unequal"), repeat=3):
+                systems.append(equal_unequal(edges, kinds, contents, contexts))
+    rng = random.Random(67)
+    systems += [random_ring(rng, rng.randint(2, 9)) for _ in range(100)]
+    systems += [random_tree(rng, rng.randint(2, 8)) for _ in range(200)]
+    for sys_ in systems:
+        lp = build_coupling_lp(sys_, support=True)
+        weights = start_weights(lp)
+        optimum, _ = system_delta(sys_)
+        assert sum(lp.objective[a] * w for a, w in weights.items()) == optimum
 
 
 # ---------------------------------------------------------------------------
