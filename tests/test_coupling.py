@@ -778,17 +778,18 @@ def test_start_is_the_forward_rule_where_no_content_runs_downward():
         cycle_system(n, rank_n_cycle_weights(rng, n, biased=bool(n % 2)))
         for n in (2, 3, 4)
     ]
-    forward = reversed_walks = 0
+    forward = 0
+    backward = {False: 0, True: 0}
     for sys_ in systems:
         for support in (False, True):
             lp = build_coupling_lp(sys_, support=support)
             if runs_downward(sys_, lp):
-                reversed_walks += lp.start != forward_start(lp)
+                backward[support] += lp.start != forward_start(lp)
             else:
                 assert lp.start == forward_start(lp)
                 forward += 1
     # and start_systems() walks some contexts backward, in both modes
-    assert forward > 100 and reversed_walks >= 10
+    assert forward > 100 and min(backward.values()) >= 5
 
 
 def test_start_attains_the_optimum_on_equal_unequal_rings_and_trees():
