@@ -20,7 +20,6 @@ from .coupling import (
     CouplingWitness,
     JointTable,
     LPInstance,
-    LPRow,
     LPSolution,
     build_coupling_lp,
     delta_pairs,

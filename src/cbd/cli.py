@@ -14,11 +14,11 @@ import sys
 
 from . import __version__
 from .analysis import analyze
-from .coupling import build_coupling_lp, check_atom_cap, delta_pairs, dense_rows
+from .coupling import check_atom_cap, delta_pairs
 from .cyclic import cyclic_criterion, detect_cyclic
 from .epistemic import enumerate_variants, liar_system, uniform_mixture
 from .errors import CbdError, InternalError, NotPlusMinusOne
-from .oracle import DEFAULT_BASIS_LIMIT, TooManyBases, enumerate_min
+from .oracle import DEFAULT_BASIS_LIMIT, TooManyBases, coupling_lp, enumerate_min
 from .serialization import (
     dumps_indented,
     format_report_text,
@@ -157,12 +157,11 @@ def cmd_oracle(args) -> int:
                 f"at least {math.comb(n, 2)} candidate bases exceed the "
                 f"limit of {DEFAULT_BASIS_LIMIT}"
             )
-        lp = build_coupling_lp(system)
-        best, _, n_bases = enumerate_min(
-            lp.objective,
-            dense_rows(lp, lp.rows),
-            lp.rhs,
+        _, rows, rhs, costs = coupling_lp(
+            system.outcomes,
+            [(blk.context, blk.contents, blk.table) for blk in system.blocks],
         )
+        best, _, n_bases = enumerate_min(costs, rows, rhs)
     except TooManyBases as exc:
         raise CbdError(f"system too large for the brute-force oracle: {exc}")
     if best is None:

@@ -18,13 +18,11 @@ degree of contextuality.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import simplex
@@ -141,56 +139,44 @@ def min_coupling_pair(m1: Marginal, m2: Marginal) -> JointTable:
 
 
 @dataclass(frozen=True)
-class LPRow:
-    """One equality: the atom weights listed in cols sum to rhs."""
-
-    label: str
-    cols: tuple[int, ...]
-    rhs: Fraction
-
-
-@dataclass(frozen=True)
 class LPInstance:
-    """The system-coupling linear program, recorded by its contexts' cells.
+    """The support coupling LP, recorded by its contexts' positive cells.
 
-    Recorded fields, the ones the solve and the witness read:
+    The full coupling LP has one nonnegative unknown per atom (an outcome
+    assignment to every variable of the system), one equality per context
+    cell, zero cells included, and total mass 1.  A zero cell forces every
+    atom it covers to weight zero, so this support LP keeps only the atoms
+    whose cell in every context is positive and only the positive cells'
+    rows plus mass: the same optimum, and a solution of either is one of
+    the other once its atoms are mapped.  cbd.oracle builds the full LP on
+    its own, from the system's tables.
 
     variables: (context, content) pairs in canonical order; an atom assigns
-    one outcome to each.  contents: each context's contents in its own order,
-    the order of its rows' labels.  cells: each context's cells in the atoms'
+    one outcome to each.  cells: each context's positive cells in the atoms'
     order, the product of its contents' outcomes with the contents sorted
-    (so in variables order); the support LP keeps only the positive cells.
-    The atoms are the product of these lists, the first context's cell the
-    most significant digit of an atom's index.  rhs: one value per row, the
-    cells' probabilities context by context, then 1 for the total-mass row.
-    objective: per atom, how many content-sharing pairs (System.pairs()) it
-    assigns different outcomes.
+    (so in variables order).  The atoms are the product of these lists, the
+    first context's cell the most significant digit of an atom's index.
+    rhs: one value per row, the cells' probabilities context by context,
+    then 1 for the total-mass row.  objective: per atom, how many
+    content-sharing pairs (System.pairs()) it assigns different outcomes.
 
     start: a feasible starting basis as (row index, atom index) pairs, the
     north-west corner over each context's positive cells, walked forward or,
     where the pair graph orients the context against its parent, backward
     (see _walk_directions), so that every binary pair whose content runs the
     same way in both walks starts at its maximal coupling.  Its rows are
-    independent and imply every other positive row (each context's last cell
-    walked is left out), and its basis matrix, in this order, is unit
+    independent and imply every other row (each context's last cell walked
+    is left out), and its basis matrix, in this order, is unit
     lower-triangular.
 
     layout: each row's cell as (stride, count, position), the form
     simplex.solve_min takes: count is the number of its context's cells in
     this LP and stride the product of the counts of the contexts after it,
     so the row's atoms are the j with (j // stride) % count == position.
-    The mass row is (n_atoms, 1, 0).
-
-    Views, computed on first read and cached, for cbd oracle (through
-    dense_rows) and the tests: atoms, every atom as its outcomes in
-    variables order; labels, each row's cell as "context[outcomes]" in the
-    context's own contents order, and "mass"; rows, each row's label, its
-    atoms (from its layout cell) and rhs.  Cached views are not dataclass
-    fields, so equality and repr see only the recorded fields.
+    The mass row is (n_atoms, 1, 0).  No atom is listed: atom decodes one.
     """
 
     variables: tuple[tuple[str, str], ...]
-    contents: tuple[tuple[str, ...], ...]
     cells: tuple[tuple[tuple[str, ...], ...], ...]
     rhs: tuple[Fraction, ...]
     objective: tuple[int, ...]
@@ -209,47 +195,6 @@ class LPInstance:
             out = cells[digit] + out
         return out
 
-    @cached_property
-    def atoms(self) -> tuple[tuple[str, ...], ...]:
-        # each context's cells extend every atom of the contexts before it,
-        # in product order
-        prefixes: list[tuple[str, ...]] = [()]
-        for cells in self.cells:
-            prefixes = list(
-                itertools.starmap(operator.add, itertools.product(prefixes, cells))
-            )
-        return tuple(prefixes)
-
-    @cached_property
-    def labels(self) -> tuple[str, ...]:
-        # variables, sorted, lists the contexts in the order of the cell lists
-        ids = [ctx for ctx, _ in itertools.groupby(ctx for ctx, _ in self.variables)]
-        out = []
-        for ctx, contents, cells in zip(ids, self.contents, self.cells):
-            ordered = sorted(contents)
-            where = [ordered.index(q) for q in contents]
-            out += [f"{ctx}[{','.join(cell[k] for k in where)}]" for cell in cells]
-        out.append("mass")
-        return tuple(out)
-
-    @cached_property
-    def rows(self) -> tuple[LPRow, ...]:
-        # a cell's atoms: runs of `stride` consecutive indices, one run every
-        # stride * count
-        n = self.n_atoms
-        rows = []
-        for label, cell, b in zip(self.labels, self.layout, self.rhs):
-            stride, count, position = cell
-            starts = range(position * stride, n, stride * count)
-            if stride == 1:
-                cols = tuple(starts)
-            else:
-                cols = tuple(itertools.chain.from_iterable(
-                    range(s, s + stride) for s in starts
-                ))
-            rows.append(LPRow(label=label, cols=cols, rhs=b))
-        return tuple(rows)
-
 
 @dataclass(frozen=True)
 class LPSolution:
@@ -259,33 +204,16 @@ class LPSolution:
     weights: dict[int, Fraction]
 
 
-def build_coupling_lp(
-    system: System, atom_cap: int | None = None, *, support: bool = False
-) -> LPInstance:
-    """Construct the coupling LP for a validated system.
+def build_coupling_lp(system: System, atom_cap: int | None = None) -> LPInstance:
+    """Construct the support coupling LP of a validated system (see
+    LPInstance).
 
-    One nonnegative unknown per atom (an outcome assignment to every variable
-    of the system), one equality per (context, outcome tuple) cell including
-    zero-probability cells, plus total mass 1.  A context's rows follow its
-    cell list, the order in which its cells vary over the atoms.  An atom's
-    cost is the number of System.pairs() whose two variables it gives
-    different outcomes.  Only the cells, rows' cells and costs are built:
-    the atoms and each row's atoms are views of them (see LPInstance).
-    Raises CapExceeded before materializing anything larger than the cap;
-    the cap is checked against the full atom count in either mode.
-
-    support=True builds the support LP instead: only the atoms whose cell in
-    every context has positive probability, and only the positive cells' rows
-    plus mass, in the full LP's order.  A zero cell forces every atom it
-    covers to weight zero, so the two programs have the same optimum, and a
-    solution of the support LP solves the full one once its atoms are mapped.
-    solve_lp takes only the support LP; the full LP is the definition it is
-    checked against.
-
-    Either way the instance carries the north-west-corner start (see
-    _north_west_corner), computed from the positive cells alone, each
-    context's walked in the direction _walk_directions gives it, so both
-    modes give the same start atoms and rows.
+    A context's rows follow its cell list, the order in which its cells vary
+    over the atoms.  Only the cells, rows' cells and costs are built, with
+    the north-west-corner start (see _north_west_corner), each context's
+    cells walked in the direction _walk_directions gives it.  Raises
+    CapExceeded before materializing anything larger than the cap; the cap
+    is checked against the full LP's atom count, zero cells included.
     """
     variables = system.variables
     check_atom_cap([len(system.outcomes[q]) for (_, q) in variables], atom_cap)
@@ -295,9 +223,8 @@ def build_coupling_lp(
     # contents within each context, so each list is in sorted-content product
     # order, the order of its cells' outcome indices in the registry.  keys,
     # kept, probs: a context's positive cells in that order, read from its
-    # table, as their outcome indices, outcomes and probabilities; the full
-    # LP then lists every cell of the product.  positive: each context's
-    # positive cells as (list position, probability, row index).  place:
+    # table, as their outcome indices, outcomes and probabilities.  positive:
+    # each context's cells as (list position, probability, row index).  place:
     # each variable's context and its index in that context's cells.
     # indices: each context's keys.
     cells: list[tuple[tuple[str, ...], ...]] = []
@@ -316,14 +243,7 @@ def build_coupling_lp(
         keys, kept, probs = zip(*sorted(
             [(tuple(map(tuple.index, domains, cell)), cell, p) for cell, p in items]
         ))
-        if support:
-            at = range(len(kept))
-        else:
-            table = dict(zip(kept, probs))
-            kept = tuple(itertools.product(*domains))
-            probs = [table.get(cell, ZERO) for cell in kept]
-            at = [k for k, p in enumerate(probs) if p]
-        positive.append([(k, probs[k], len(rhs) + k) for k in at])
+        positive.append([(k, p, len(rhs) + k) for k, p in enumerate(probs)])
         cells.append(kept)
         rhs += probs
         place.update(((blk.context, q), (i, k)) for k, q in enumerate(contents))
@@ -369,7 +289,6 @@ def build_coupling_lp(
         walks = [spots[::-1] if way < 0 else spots for spots, way in zip(positive, ways)]
     return LPInstance(
         variables=variables,
-        contents=tuple(blk.contents for blk in system.blocks),
         cells=tuple(cells),
         rhs=tuple(rhs),
         objective=tuple(objective),
@@ -473,26 +392,14 @@ def _north_west_corner(
     return tuple(start)
 
 
-def dense_rows(lp: LPInstance, rows: Sequence[LPRow]) -> list[list[int]]:
-    """The 0/1 coefficients of rows over every atom, in atom order."""
-    n = lp.n_atoms
-    out = []
-    for row in rows:
-        vec = [0] * n
-        for c in row.cols:
-            vec[c] = 1
-        out.append(vec)
-    return out
-
-
 def solve_lp(lp: LPInstance) -> LPSolution:
-    """Solve a support LP (build_coupling_lp with support=True) exactly.
+    """Solve a support LP (as build_coupling_lp builds it) exactly.
 
     The simplex takes only the start's rows, as the start implies the others,
     each as its cell in lp.layout, and runs phase 2 from the start's basis.
-    A full LP with a zero cell is refused: the rows that force its zero-cell
-    atoms to weight zero would be left out, and those atoms could enter the
-    basis.  The solution is solve_min's (optimum, weights) as it is: the
+    An LP with a zero-rhs row is refused: the rows left out could be the
+    ones that force zero-cell atoms to weight zero, and those atoms could
+    enter the basis.  The solution is solve_min's (optimum, weights) as it is: the
     weights are the nonzero values of an optimal basic feasible solution of
     the support LP, by atom index in ascending order.
     """
@@ -500,9 +407,7 @@ def solve_lp(lp: LPInstance) -> LPSolution:
         raise ValueError("solve_lp needs an LP with a start basis, got none")
     zero = next((r for r, b in enumerate(lp.rhs) if not b), None)
     if zero is not None:
-        raise ValueError(
-            f"solve_lp takes a support LP, but row {lp.labels[zero]} has rhs 0"
-        )
+        raise ValueError(f"solve_lp takes a support LP, but row {zero} has rhs 0")
     optimum, weights = simplex.solve_min(
         lp.objective,
         [lp.layout[r] for r, _ in lp.start],
@@ -547,7 +452,7 @@ def system_delta(
 
     Returns the exact minimum and one witness coupling attaining it.
     """
-    lp = build_coupling_lp(system, atom_cap=atom_cap, support=True)
+    lp = build_coupling_lp(system, atom_cap=atom_cap)
     try:
         sol = solve_lp(lp)
     except simplex.SimplexError as exc:

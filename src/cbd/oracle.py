@@ -1,16 +1,21 @@
-"""Brute-force cross-check for small equality-constrained minimizations.
+"""Brute-force cross-check of the coupling LP, built and solved on its own.
 
-Enumerates every basic solution of {x : A x = b, x >= 0} and takes the
-minimum objective over the feasible ones; for a bounded feasible set that is
-the LP optimum.  The column subsets are walked depth first in combinations
-order, each one's table its prefix's pivoted once more by rref's Gauss-Jordan
-step; a column left with no nonzero in an unpivoted row depends on the prefix,
-so that subset and its extensions are singular and skipped.  An independent
-oracle for the simplex path: it imports nothing from the rest of the package.
+coupling_lp builds the full coupling LP of a system from plain data, by its
+definition: every atom, a row for every context cell, zero cells included,
+and a cost per atom from its own pairing of the content-sharing variables.
+enumerate_min enumerates every basic solution of {x : A x = b, x >= 0} and
+takes the minimum objective over the feasible ones; for a bounded feasible
+set that is the LP optimum.  The column subsets are walked depth first in
+combinations order, each one's table its prefix's pivoted once more by
+rref's Gauss-Jordan step; a column left with no nonzero in an unpivoted row
+depends on the prefix, so that subset and its extensions are singular and
+skipped.  An independent oracle for the LP build and the simplex path: it
+imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -22,6 +27,41 @@ DEFAULT_BASIS_LIMIT = 2_000_000
 
 class TooManyBases(ValueError):
     """The basis search space exceeds the configured limit."""
+
+
+def coupling_lp(outcomes, contexts):
+    """The full coupling LP of a system, as (atoms, rows, rhs, costs).
+
+    outcomes maps each content to its outcome tuple; contexts lists
+    (id, contents, table) triples, table mapping outcome tuples in contents
+    order to their probabilities, a cell it lacks having probability 0.
+    The atoms are every assignment of outcomes to the sorted (context,
+    content) variables, in product order.  rows are dense 0/1 lists over the
+    atoms: one per cell of each context's outcome product, whose rhs is the
+    cell's probability, then the mass row, whose rhs is 1.  An atom's cost
+    is the number of pairs of variables sharing a content to which it gives
+    different outcomes.
+    """
+    variables = sorted((c, q) for c, contents, _ in contexts for q in contents)
+    atoms = list(itertools.product(*(outcomes[q] for _, q in variables)))
+    rows, rhs = [], []
+    for c, contents, table in contexts:
+        where = [variables.index((c, q)) for q in contents]
+        cells = list(itertools.product(*(outcomes[q] for q in contents)))
+        row_of = {cell: len(rows) + k for k, cell in enumerate(cells)}
+        rows += [[0] * len(atoms) for _ in cells]
+        rhs += [table.get(cell, ZERO) for cell in cells]
+        for a, atom in enumerate(atoms):
+            rows[row_of[tuple(atom[k] for k in where)]][a] = 1
+    rows.append([1] * len(atoms))
+    rhs.append(Fraction(1))
+    pairs = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(variables)), 2)
+        if variables[i][1] == variables[j][1]
+    ]
+    costs = [sum(atom[i] != atom[j] for i, j in pairs) for atom in atoms]
+    return atoms, rows, rhs, costs
 
 
 def _pivot(rows, r, col):

@@ -21,8 +21,8 @@ the dense tableau would hold, so they make its pivots
 (tests/referee_simplex.py keeps that tableau as the referee).
 
 Each iteration prices every column in one prefix-product pass over the
-digits, the iteration coupling.LPInstance.atoms uses to list the atoms, and builds
-the entering column E.A_s from the rows whose cell holds s.
+digits, in product order over the contexts' cells, and builds the entering
+column E.A_s from the rows whose cell holds s.
 
 There is one path: the caller's start basis, one column per row (so the rows
 must be independent), is pivoted in row by row, in order; it must be

@@ -9,21 +9,22 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 import cbd.analysis
 import cbd.simplex
 from cbd import (
     System,
-    build_coupling_lp,
     delta_pairs,
     is_consistently_connected,
     solve_lp,
     system_delta,
     validate_system,
 )
-from cbd.coupling import LPSolution, dense_rows
-from cbd.oracle import enumerate_min
+from cbd.coupling import LPSolution
+from cbd.oracle import coupling_lp, enumerate_min
 
 import referee_simplex
 
@@ -326,29 +327,83 @@ def lp_path_report(system: System):
     )
 
 
-def lp_dense(lp):
-    """Dense constraint matrix and rhs of an LPInstance, for the oracle."""
-    rows = []
-    for r in lp.rows:
-        vec = [0] * lp.n_atoms
-        for c in r.cols:
-            vec[c] = 1
-        rows.append(vec)
-    return rows, [r.rhs for r in lp.rows]
+Row = namedtuple("Row", "label cols rhs")
+
+
+def lp_views(system, lp):
+    """The support LP lp of system spelled out, for the tests.
+
+    atoms: every atom, as lp.atom decodes it.  rows: each row as Row(label,
+    cols, rhs), its label the cell as "context[outcomes]" with the outcomes
+    in the context's own contents order (contexts in block order, the order
+    of lp.cells), or "mass"; cols the atoms of its layout cell, runs of
+    stride consecutive indices, one run every stride * count.  dense: each
+    row as a 0/1 list over the atoms.  rhs and objective: lp's."""
+    n = lp.n_atoms
+    labels = []
+    for blk, cells in zip(system.blocks, lp.cells):
+        ordered = sorted(blk.contents)
+        where = [ordered.index(q) for q in blk.contents]
+        labels += [f"{blk.context}[{','.join(cell[k] for k in where)}]" for cell in cells]
+    labels.append("mass")
+    rows, dense = [], []
+    for label, (stride, count, position), b in zip(labels, lp.layout, lp.rhs):
+        starts = range(position * stride, n, stride * count)
+        cols = tuple(itertools.chain.from_iterable(range(s, s + stride) for s in starts))
+        rows.append(Row(label, cols, b))
+        dense.append([0] * n)
+        for j in cols:
+            dense[-1][j] = 1
+    return SimpleNamespace(
+        atoms=tuple(lp.atom(i) for i in range(n)),
+        rows=tuple(rows),
+        dense=dense,
+        rhs=lp.rhs,
+        objective=lp.objective,
+    )
+
+
+def full_lp(system):
+    """The full coupling LP of system, zero cells included, as the oracle
+    builds it from the system's tables: atoms, dense (0/1 rows over the
+    atoms, each context's cells in the product of its own contents'
+    outcomes, then mass), rhs and objective."""
+    atoms, rows, rhs, costs = coupling_lp(
+        system.outcomes, [(blk.context, blk.contents, blk.table) for blk in system.blocks]
+    )
+    return SimpleNamespace(atoms=atoms, dense=rows, rhs=rhs, objective=costs)
+
+
+def is_feasible(lp, weights):
+    """Whether weights (atom index -> weight) is a point of lp, an lp_views
+    or full_lp spelling: every weight on an atom and nonnegative, and
+    A.x = b on the dense rows, exactly."""
+    n = len(lp.atoms)
+    if any(not 0 <= j < n or w < 0 for j, w in weights.items()):
+        return False
+    return all(
+        sum(w for j, w in weights.items() if row[j]) == b
+        for row, b in zip(lp.dense, lp.rhs)
+    )
+
+
+def is_solution(lp, sol):
+    """Whether the LPSolution sol is a point of lp whose objective is
+    sol.optimum."""
+    value = sum(lp.objective[j] * w for j, w in sol.weights.items())
+    return is_feasible(lp, sol.weights) and value == sol.optimum
 
 
 def two_phase_optimum(lp):
-    """The optimum of a full or support LP by the two-phase referee, without
-    a start, through phase 1."""
-    optimum, _ = referee_simplex.solve_min(
-        list(lp.objective), dense_rows(lp, lp.rows), [row.rhs for row in lp.rows]
-    )
+    """The optimum of an lp_views or full_lp spelling by the two-phase
+    referee, without a start, through phase 1."""
+    optimum, _ = referee_simplex.solve_min(list(lp.objective), lp.dense, list(lp.rhs))
     return optimum
 
 
-def solves_from_start(lp):
-    """The support LP solved from lp.start twice: by solve_lp, and by the
-    referee's dense tableau over the start's rows (coupling.dense_rows).
+def solves_from_start(system, lp):
+    """The support LP lp of system solved from lp.start twice: by solve_lp,
+    and by the referee's dense tableau over the start's rows (lp_views).
     Returns, per solver, ((optimum, weights), its (row, column) pivots)."""
     revised, dense = [], []
     pivot, dense_pivot = cbd.simplex._Revised.pivot, referee_simplex._Tableau.pivot
@@ -365,11 +420,11 @@ def solves_from_start(lp):
     referee_simplex._Tableau.pivot = dense_recording
     try:
         sol = solve_lp(lp)
-        rows = [lp.rows[r] for r, _ in lp.start]
+        rows = lp_views(system, lp).dense
         ref = referee_simplex.solve_min(
             list(lp.objective),
-            dense_rows(lp, rows),
-            [row.rhs for row in rows],
+            [rows[r] for r, _ in lp.start],
+            [lp.rhs[r] for r, _ in lp.start],
             start=[c for _, c in lp.start],
         )
     finally:
@@ -379,8 +434,8 @@ def solves_from_start(lp):
 
 
 def on_full_lp(full, sup, sol):
-    """A solution of the support LP sup, its atoms mapped to those of the
-    full LP full."""
+    """A solution of the support LP, its atoms (sup, an lp_views spelling)
+    mapped by outcome tuple to those of the full LP full (full_lp)."""
     index = {atom: i for i, atom in enumerate(full.atoms)}
     weights = {index[sup.atoms[i]]: w for i, w in sol.weights.items()}
     return LPSolution(optimum=sol.optimum, weights=weights)
@@ -390,7 +445,6 @@ def on_full_lp(full, sup, sol):
 def order_effect_oracle_min():
     """The basis-enumeration optimum of order_effect_system()'s full coupling
     LP.  Enumerating the 16-atom LP's bases takes seconds, so it runs once."""
-    lp = build_coupling_lp(order_effect_system())
-    rows, rhs = lp_dense(lp)
-    best, _, _ = enumerate_min(list(lp.objective), rows, rhs)
+    full = full_lp(order_effect_system())
+    best, _, _ = enumerate_min(full.objective, full.dense, full.rhs)
     return best

@@ -6,8 +6,8 @@ rows as cells (stride, count, position).  The tableau here is the one it
 stands for: every row over every column, pivoted by the same
 integer-preserving update (Edmonds and Bareiss), with the same Dantzig
 entering, Bland fallback and ratio test, so from the same start on the same
-LP (the rows spelled out by coupling.dense_rows) its pivots, optimum and
-basic solution are solve_min's.  _Tableau, _tableau, _install and _phase_two
+LP (its rows spelled out by helpers.lp_views) its pivots, optimum and basic
+solution are solve_min's.  _Tableau, _tableau, _install and _phase_two
 are the dense solver that solve_min replaced, as it was.
 
 The two-phase solve_min below takes any exact numbers, with or without a

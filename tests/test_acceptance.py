@@ -36,7 +36,10 @@ from helpers import (
     M,
     P,
     c2_system,
+    full_lp,
+    is_solution,
     lp_path_report,
+    lp_views,
     on_full_lp,
     order_effect_oracle_min,
     order_effect_system,
@@ -96,21 +99,14 @@ def test_criterion_2_coupling_lp_shape():
         "mass row adds no rank",
     ):
         sys_ = order_effect_system()
-        lp = build_coupling_lp(sys_)
-        assert lp.n_atoms == 16
-        cell_rows = [row for row in lp.rows if row.label != "mass"]
-        assert len(cell_rows) == 8
-        assert len(lp.rows) == 9
-        dense = []
-        for row in lp.rows:
-            vec = [0] * lp.n_atoms
-            for c in row.cols:
-                vec[c] = 1
-            dense.append(vec)
-        cells_only = dense[:-1]
-        assert lp.rows[-1].label == "mass"
+        full = full_lp(sys_)
+        assert len(full.atoms) == 16
+        cells_only = full.dense[:-1]
+        assert len(cells_only) == 8
+        assert len(full.dense) == 9
+        assert full.dense[-1] == [1] * 16  # the mass row
         assert exact_rank(cells_only) == 7
-        assert exact_rank(dense) == 7
+        assert exact_rank(full.dense) == 7
 
 
 def test_criterion_3_liar_chains():
@@ -228,12 +224,12 @@ def test_criterion_7_random_systems_verified():
         rng = random.Random(107)
         for _ in range(200):
             sys_ = rand_system(rng)
-            full = build_coupling_lp(sys_)
-            sup = build_coupling_lp(sys_, support=True)
+            full = full_lp(sys_)
+            sup = build_coupling_lp(sys_)
             sol = solve_lp(sup)
             assert verify_solution(sup, sol)
-            assert verify_solution(full, on_full_lp(full, sup, sol))
-            assert full.n_atoms <= 256
+            assert is_solution(full, on_full_lp(full, lp_views(sys_, sup), sol))
+            assert len(full.atoms) <= 256
             assert sol.optimum == two_phase_optimum(full)
             report = analyze(sys_)
             assert report.system_delta == sol.optimum

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import random
@@ -267,6 +268,29 @@ def test_oracle_matches_analyze(tmp_path, capsys):
         checked += 1
 
 
+def test_oracle_builds_its_own_lp(tmp_path, capsys, monkeypatch):
+    # the oracle referees the coupling LP, so a fault in coupling's builder
+    # must not reach it: raise the cost of an atom that every optimal
+    # coupling of the order-effect system uses, wherever the package looks
+    # the builder up, and the oracle still prints the true optimum
+    build = cbd.coupling.build_coupling_lp
+    raised = ("-1", "+1", "-1", "+1")
+
+    def faulty(*args, **kwargs):
+        lp = build(*args, **kwargs)
+        objective = list(lp.objective)
+        objective[next(i for i in range(lp.n_atoms) if lp.atom(i) == raised)] += 1
+        return dataclasses.replace(lp, objective=tuple(objective))
+
+    for module in (cbd, cbd.coupling, cbd.cli):
+        monkeypatch.setattr(module, "build_coupling_lp", faulty, raising=False)
+    sys_ = order_effect_system()
+    assert cbd.analyze(sys_).system_delta == F(3, 4)  # the fault is live
+    code, out, _ = run_cli(capsys, "oracle", write_file(tmp_path, sys_))
+    assert code == 0
+    assert out.splitlines()[-1] == "system_delta = 1/2 (0.5)"
+
+
 def test_oracle_refuses_large_systems(tmp_path, capsys):
     spec = liar_system(4)
     sys_ = uniform_mixture(spec, enumerate_variants(spec))
@@ -297,13 +321,13 @@ def test_oracle_refuses_before_building_the_lp(tmp_path, capsys, monkeypatch):
     sys_ = cycle_system(6, rank_n_cycle_weights(random.Random(6), 6, biased=False))
     path = write_file(tmp_path, sys_)
     calls = []
-    build = cbd.cli.build_coupling_lp
+    build = cbd.cli.coupling_lp
 
     def spy(*args, **kwargs):
         calls.append(args)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(cbd.cli, "build_coupling_lp", spy)
+    monkeypatch.setattr(cbd.cli, "coupling_lp", spy)
     code, _, err = run_cli(capsys, "oracle", path)
     assert code == 1
     assert "too large for the brute-force oracle" in err

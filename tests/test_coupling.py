@@ -30,7 +30,7 @@ from cbd import (
     validate_system,
     verify_solution,
 )
-from cbd.coupling import LPSolution, dense_rows
+from cbd.coupling import LPSolution
 from cbd.errors import InternalError
 from cbd.oracle import exact_rank
 from cbd.simplex import SimplexError
@@ -39,7 +39,10 @@ from helpers import (
     P,
     cycle_system,
     four_cycle_name_system,
-    lp_dense,
+    full_lp,
+    is_feasible,
+    is_solution,
+    lp_views,
     on_full_lp,
     order_effect_oracle_min,
     order_effect_system,
@@ -169,16 +172,15 @@ def test_min_coupling_random_pairs():
 
 
 def test_build_lp_pair_system_shape():
-    lp = build_coupling_lp(order_effect_system())
-    assert lp.n_atoms == 16
-    cells = [r for r in lp.rows if r.label != "mass"]
+    full = full_lp(order_effect_system())
+    assert len(full.atoms) == 16
+    cells, mass = full.dense[:-1], full.dense[-1]
     assert len(cells) == 8
-    assert len(lp.rows) == 9
+    assert mass == [1] * 16
     assert len(order_effect_system().pairs()) == 2
-    assert set(lp.objective) <= {0, 1, 2}
-    rows, _ = lp_dense(lp)
-    assert exact_rank(rows[:-1]) == 7  # one dependency among the 8 cell rows
-    assert exact_rank(rows) == 7      # the mass row is already in their span
+    assert set(full.objective) <= {0, 1, 2}
+    assert exact_rank(cells) == 7       # one dependency among the 8 cell rows
+    assert exact_rank(full.dense) == 7  # the mass row is already in their span
 
 
 def test_build_lp_single_context_unique_coupling():
@@ -188,7 +190,7 @@ def test_build_lp_single_context_unique_coupling():
     assert lp.objective == (0, 0, 0, 0)
     sol = solve_lp(lp)
     assert sol.optimum == 0
-    recovered = {lp.atoms[i]: w for i, w in sol.weights.items()}
+    recovered = {lp.atom(i): w for i, w in sol.weights.items()}
     assert recovered == table
 
 
@@ -201,11 +203,11 @@ def test_build_lp_four_cycle_shape():
     for ctx, qs in ring:
         blocks.append((ctx, qs, {(P, P): half, (M, M): half}))
     sys_ = validate_system(pm_registry("q1", "q2", "q3", "q4"), blocks)
-    lp = build_coupling_lp(sys_)
-    assert lp.n_atoms == 256
-    assert len(lp.rows) == 17  # 4 contexts x 4 cells + mass
+    full = full_lp(sys_)
+    assert len(full.atoms) == 256
+    assert len(full.dense) == 17  # 4 contexts x 4 cells + mass
     assert len(sys_.pairs()) == 4
-    assert max(lp.objective) <= 4
+    assert max(full.objective) <= 4
 
 
 def test_atom_cap_enforced():
@@ -220,7 +222,8 @@ def test_atom_cap_env_override(monkeypatch):
     with pytest.raises(AtomCapExceeded):
         build_coupling_lp(order_effect_system())
     monkeypatch.setenv("CBD_ATOM_CAP", "16")
-    assert build_coupling_lp(order_effect_system()).n_atoms == 16
+    # the cap counts the full LP's 16 atoms; the support LP keeps 3 x 3
+    assert build_coupling_lp(order_effect_system()).n_atoms == 9
 
 
 def test_atom_cap_must_be_positive(monkeypatch):
@@ -235,78 +238,71 @@ def test_atom_cap_must_be_positive(monkeypatch):
 
 
 def test_solve_lp_matches_enumeration_on_pair_system():
-    full = build_coupling_lp(order_effect_system())
-    sup = build_coupling_lp(order_effect_system(), support=True)
+    sys_ = order_effect_system()
+    full = full_lp(sys_)
+    sup = build_coupling_lp(sys_)
     sol = solve_lp(sup)
     assert sol.optimum == order_effect_oracle_min() == F(1, 2)
     assert sol.optimum == two_phase_optimum(full)
     assert verify_solution(sup, sol)
-    assert verify_solution(full, on_full_lp(full, sup, sol))
+    assert is_solution(full, on_full_lp(full, lp_views(sys_, sup), sol))
 
 
 def test_verify_solution_rejects_weights_off_the_atoms():
-    full = build_coupling_lp(order_effect_system())
-    sup = build_coupling_lp(order_effect_system(), support=True)
-    sol = on_full_lp(full, sup, solve_lp(sup))
-    assert sol.optimum == two_phase_optimum(full)
-    assert verify_solution(full, sol)
+    sys_ = order_effect_system()
+    sup = build_coupling_lp(sys_)
+    atoms = lp_views(sys_, sup).atoms
+    sol = solve_lp(sup)
+    assert sup.n_atoms == 9
+    assert sol.optimum == two_phase_optimum(full_lp(sys_))
+    assert verify_solution(sup, sol)
     for atom in (-1, 99):
         weights = {**sol.weights, atom: F(1, 2)}
         extra = LPSolution(optimum=sol.optimum, weights=weights)
-        assert not verify_solution(full, extra)
+        assert not verify_solution(sup, extra)
     # move an atom's mass to another atom of the same cost: the mass row and
     # the objective still hold, but a cell row does not
     a, w = next(iter(sol.weights.items()))
     b = next(
-        c for c in range(full.n_atoms)
-        if c != a and full.objective[c] == full.objective[a]
+        c for c in range(sup.n_atoms)
+        if c != a and sup.objective[c] == sup.objective[a]
     )
     moved = dict(sol.weights)
     del moved[a]
     moved[b] = moved.get(b, 0) + w
     assert sum(moved.values()) == 1
-    assert sum(full.objective[c] * v for c, v in moved.items()) == sol.optimum
-    assert not verify_solution(full, LPSolution(optimum=sol.optimum, weights=moved))
+    assert sum(sup.objective[c] * v for c, v in moved.items()) == sol.optimum
+    assert not verify_solution(sup, LPSolution(optimum=sol.optimum, weights=moved))
     # a negative weight that every row and the optimum accept: take t from
     # atoms a and c and give it to the two atoms that swap their first
     # context's cells, with t above a's weight (negating a weight alone
     # would break a row too)
-    k = sum(1 for ctx, _ in full.variables if ctx == full.variables[0][0])
-    x = full.atoms[a]
-    c = next(
-        i for i, y in enumerate(full.atoms) if y[:k] != x[:k] and y[k:] != x[k:]
-    )
-    y = full.atoms[c]
-    index = {atom: i for i, atom in enumerate(full.atoms)}
+    k = sum(1 for ctx, _ in sup.variables if ctx == sup.variables[0][0])
+    x = atoms[a]
+    c = next(i for i, y in enumerate(atoms) if y[:k] != x[:k] and y[k:] != x[k:])
+    y = atoms[c]
+    index = {atom: i for i, atom in enumerate(atoms)}
     t = w + 1
     negative = dict(sol.weights)
     for atom, dt in ((x, -t), (y, -t), (y[:k] + x[k:], t), (x[:k] + y[k:], t)):
         negative[index[atom]] = negative.get(index[atom], 0) + dt
     assert negative[a] < 0
-    value = sum(full.objective[i] * v for i, v in negative.items())
-    assert not verify_solution(full, LPSolution(optimum=value, weights=negative))
+    value = sum(sup.objective[i] * v for i, v in negative.items())
+    assert not verify_solution(sup, LPSolution(optimum=value, weights=negative))
     # a wrong optimum
     off = LPSolution(optimum=sol.optimum + 1, weights=sol.weights)
-    assert not verify_solution(full, off)
+    assert not verify_solution(sup, off)
 
 
 def test_solve_lp_refuses_a_zero_cell_and_an_empty_start():
-    # a full LP's zero-cell rows force atoms to 0, but the tableau holds only
-    # the start's rows, so those atoms could enter the basis
-    full = build_coupling_lp(order_effect_system())
-    assert any(row.rhs == 0 for row in full.rows)
-    with pytest.raises(ValueError, match="support LP.*rhs 0"):
-        solve_lp(full)
-    sup = build_coupling_lp(order_effect_system(), support=True)
+    # a zero-rhs row may force atoms to 0, but the solve holds only the
+    # start's rows, so those atoms could enter the basis
+    sup = build_coupling_lp(order_effect_system())
+    zero = dataclasses.replace(sup, rhs=sup.rhs[:2] + (F(0),) + sup.rhs[3:])
+    with pytest.raises(ValueError, match="support LP.*row 2 has rhs 0"):
+        solve_lp(zero)
     with pytest.raises(ValueError, match="start basis"):
         solve_lp(dataclasses.replace(sup, start=()))
-
-
-def test_dense_rows_cover_every_atom():
-    lp = build_coupling_lp(order_effect_system())
-    rows, _ = lp_dense(lp)
-    assert dense_rows(lp, lp.rows) == rows
-    assert dense_rows(lp, lp.rows[3:6]) == rows[3:6]
 
 
 def test_system_delta_product_coupling_zero():
@@ -344,10 +340,10 @@ def test_product_coupling_feasible_on_random_systems():
     rng = random.Random(23)
     for _ in range(15):
         sys_ = rand_system(rng, ternary_share=0.2, max_atoms=128)
-        lp = build_coupling_lp(sys_)
+        full = full_lp(sys_)
         weights = []
-        for atom in lp.atoms:
-            by_var = dict(zip(lp.variables, atom))
+        for atom in full.atoms:
+            by_var = dict(zip(sys_.variables, atom))
             w = F(1)
             for blk in sys_.blocks:
                 cell = tuple(by_var[(blk.context, q)] for q in blk.contents)
@@ -356,19 +352,18 @@ def test_product_coupling_feasible_on_random_systems():
                     break
             weights.append(w)
         assert sum(weights) == 1
-        for row in lp.rows:
-            assert sum(weights[c] for c in row.cols) == row.rhs
+        assert is_feasible(full, dict(enumerate(weights)))
 
 
 def test_lp_lower_bound_and_witness_random():
     rng = random.Random(31)
     for _ in range(15):
         sys_ = rand_system(rng, ternary_share=0.2, max_atoms=128)
-        full = build_coupling_lp(sys_)
-        sup = build_coupling_lp(sys_, support=True)
+        full = full_lp(sys_)
+        sup = build_coupling_lp(sys_)
         sol = solve_lp(sup)
         assert verify_solution(sup, sol)
-        assert verify_solution(full, on_full_lp(full, sup, sol))
+        assert is_solution(full, on_full_lp(full, lp_views(sys_, sup), sol))
         assert sol.optimum == two_phase_optimum(full)
         baseline = sum((d for _, _, _, d in delta_pairs(sys_)), F(0))
         assert sol.optimum >= baseline
@@ -378,10 +373,12 @@ def test_lp_lower_bound_and_witness_random():
 # the support LP
 
 
-def alive_atoms(lp):
+def alive_atoms(full):
     """The atoms of a full LP that no zero cell forces to 0, in index order."""
-    forced = {c for row in lp.rows if row.rhs == 0 for c in row.cols}
-    return [i for i in range(lp.n_atoms) if i not in forced]
+    forced = {
+        c for row, b in zip(full.dense, full.rhs) if b == 0 for c, a in enumerate(row) if a
+    }
+    return [i for i in range(len(full.atoms)) if i not in forced]
 
 
 def liar_ring(n):
@@ -395,13 +392,15 @@ def liar7():
 
 def check_lp_definition(sys_, lp, support):
     """The full or support LP against its definition, atom by atom: the
-    atoms, each row's columns (the atoms whose cell matches), and each atom's
-    objective (its count of System.pairs() with two different outcomes).  A
-    context's rows follow its cells in the atoms' order: the product of its
-    contents' outcomes, contents sorted."""
-    domains = [sys_.outcomes[q] for _, q in lp.variables]
+    atoms, each row's columns (the atoms whose cell matches) and rhs, and
+    each atom's objective (its count of System.pairs() with two different
+    outcomes).  lp is a support LP's lp_views or the oracle's full LP
+    (full_lp).  A support LP's context rows follow its cells in the atoms'
+    order: the product of its contents' outcomes, contents sorted; the full
+    LP's rows are checked up to their order."""
+    domains = [sys_.outcomes[q] for _, q in sys_.variables]
     spots = {
-        blk.context: [lp.variables.index((blk.context, q)) for q in blk.contents]
+        blk.context: [sys_.variables.index((blk.context, q)) for q in blk.contents]
         for blk in sys_.blocks
     }
 
@@ -412,7 +411,7 @@ def check_lp_definition(sys_, lp, support):
         atom for atom in itertools.product(*domains)
         if not support or all(blk.prob(cell_of(atom, blk)) for blk in sys_.blocks)
     )
-    assert lp.atoms == atoms
+    assert tuple(lp.atoms) == atoms
     want = []
     for blk in sys_.blocks:
         contents = sorted(blk.contents)
@@ -421,43 +420,49 @@ def check_lp_definition(sys_, lp, support):
             if support and not blk.prob(cell):
                 continue
             cols = tuple(
-                i for i, atom in enumerate(lp.atoms) if cell_of(atom, blk) == cell
+                i for i, atom in enumerate(atoms) if cell_of(atom, blk) == cell
             )
             want.append((cols, blk.prob(cell)))
-    want.append((tuple(range(lp.n_atoms)), F(1)))
-    assert [(row.cols, row.rhs) for row in lp.rows] == want
-    index = {v: i for i, v in enumerate(lp.variables)}
+    want.append((tuple(range(len(atoms))), F(1)))
+    assert all(set(row) <= {0, 1} and len(row) == len(atoms) for row in lp.dense)
+    got = [
+        (tuple(i for i, a in enumerate(row) if a), b) for row, b in zip(lp.dense, lp.rhs)
+    ]
+    if support:
+        assert got == want
+        assert [(row.cols, row.rhs) for row in lp.rows] == want
+    else:
+        assert sorted(got) == sorted(want)
+        assert got[-1] == want[-1]  # the mass row last
+    index = {v: i for i, v in enumerate(sys_.variables)}
     pairs = [(index[(ca, q)], index[(cb, q)]) for q, ca, cb in sys_.pairs()]
-    assert lp.objective == tuple(
-        sum(1 for i, j in pairs if atom[i] != atom[j]) for atom in lp.atoms
+    assert tuple(lp.objective) == tuple(
+        sum(1 for i, j in pairs if atom[i] != atom[j]) for atom in atoms
     )
     assert all(type(c) is int for c in lp.objective)
 
 
 def check_support_lp(sys_):
-    full = build_coupling_lp(sys_)
-    sup = build_coupling_lp(sys_, support=True)
+    full = full_lp(sys_)
+    sup = build_coupling_lp(sys_)
+    views = lp_views(sys_, sup)
+    assert sup.variables == sys_.variables
     check_lp_definition(sys_, full, support=False)
-    check_lp_definition(sys_, sup, support=True)
+    check_lp_definition(sys_, views, support=True)
     alive = alive_atoms(full)
-    live_rows = [row for row in full.rows if row.rhs != 0]
-    # the atoms, rows and costs the simplex sees, in the same order
-    assert sup.variables == full.variables
-    assert [(sup.rows[r].label, sup.atoms[a]) for r, a in sup.start] == [
-        (full.rows[r].label, full.atoms[a]) for r, a in full.start
-    ]
-    assert sup.atoms == tuple(full.atoms[i] for i in alive)
+    # the atoms, rows and costs the simplex sees, in the same order, and the
+    # rows up to their order
+    assert views.atoms == tuple(full.atoms[i] for i in alive)
     assert sup.objective == tuple(full.objective[i] for i in alive)
-    assert [(r.label, r.rhs) for r in sup.rows] == [(r.label, r.rhs) for r in live_rows]
-    assert dense_rows(sup, sup.rows) == [
-        [row[c] for c in alive] for row in dense_rows(full, live_rows)
-    ]
+    assert sorted(zip(views.dense, sup.rhs)) == sorted(
+        ([row[c] for c in alive], b) for row, b in zip(full.dense, full.rhs) if b
+    )
     sol = solve_lp(sup)
     assert verify_solution(sup, sol)
-    assert verify_solution(full, on_full_lp(full, sup, sol))
+    assert is_solution(full, on_full_lp(full, views, sol))
     # phase 1 on the full LP, where that is cheap; Liar 7's 16,384 atoms take
     # seconds, and its test checks the optimum by the closed form instead
-    if full.n_atoms <= 256:
+    if len(full.atoms) <= 256:
         assert sol.optimum == two_phase_optimum(full)
     return full, sup, sol
 
@@ -478,7 +483,7 @@ def test_support_lp_is_the_alive_part_of_the_full_lp():
     zero_cells = ternary = point_mass = 0
     for sys_ in systems:
         full, sup, _ = check_support_lp(sys_)
-        zero_cells += len(full.rows) - len(sup.rows)
+        zero_cells += len(full.rhs) - len(sup.rhs)
         ternary += any(len(outs) == 3 for outs in sys_.outcomes.values())
         point_mass += any(len(blk.table) == 1 for blk in sys_.blocks)
     assert zero_cells > 0 and ternary > 0 and point_mass > 10
@@ -487,43 +492,43 @@ def test_support_lp_is_the_alive_part_of_the_full_lp():
 def test_support_lp_of_liar_7():
     sys_ = liar7()
     full, sup, sol = check_support_lp(sys_)
-    assert full.n_atoms == 2**14
+    assert len(full.atoms) == 2**14
     assert sup.n_atoms == 128
-    assert len(sup.rows) == 15
+    assert len(sup.rhs) == 15
     delta_sum = sum(d for *_, d in delta_pairs(sys_))
     assert sol.optimum == cyclic_criterion(sys_).cnt + delta_sum == 1
 
 
 def test_support_lp_checks_the_cap_on_every_atom():
     with pytest.raises(AtomCapExceeded) as info:
-        build_coupling_lp(liar7(), atom_cap=128, support=True)
+        build_coupling_lp(liar7(), atom_cap=128)
     assert info.value.required == 2**14
 
 
 def test_analyze_builds_only_the_support_lp(monkeypatch):
-    # and reads none of its views: no atom list, row columns or labels
+    # once per LP, and the witness decodes only its basic atoms, each as the
+    # support LP's atom list has it
     calls = []
     built = []
     build = cbd.coupling.build_coupling_lp
 
     def spy(*args, **kwargs):
-        calls.append(kwargs.get("support"))
+        calls.append(args[0])
         built.append(build(*args, **kwargs))
         return built[-1]
 
     monkeypatch.setattr(cbd.coupling, "build_coupling_lp", spy)
     report = analyze(liar7())
     assert report.cnt == 1
-    assert calls == [True]
+    assert len(calls) == 1
     cycle = cycle_system(3, rank_n_cycle_weights(random.Random(3), 3, biased=True))
     cycle_report = analyze(cycle)
-    assert calls == [True, True]
-    for lp, rep in zip(built, (report, cycle_report)):
-        assert not {"atoms", "rows", "labels"} & set(vars(lp))
-        # the witness decodes only its basic atoms, each as the atom list has it
+    assert calls[1:] == [cycle]
+    assert [lp.n_atoms for lp in built] == [128, 64]
+    for sys_, lp, rep in zip(calls, built, (report, cycle_report)):
+        atoms = lp_views(sys_, lp).atoms
         weights = solve_lp(lp).weights
-        assert [atom for atom, _ in rep.witness.weights] == [lp.atoms[i] for i in weights]
-        assert "atoms" in vars(lp)
+        assert [atom for atom, _ in rep.witness.weights] == [atoms[i] for i in weights]
 
 
 def test_support_build_lists_no_atoms():
@@ -534,7 +539,7 @@ def test_support_build_lists_no_atoms():
     sys_.pairs()  # the system's own cached index, outside the count
     tracemalloc.start()
     try:
-        lp = build_coupling_lp(sys_, support=True)
+        lp = build_coupling_lp(sys_)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -630,58 +635,54 @@ def start_systems():
     return systems
 
 
-def start_matrix(lp):
+def start_matrix(sys_, lp):
     """The start's basis columns over its rows, both in start order."""
     columns = [a for _, a in lp.start]
-    rows = dense_rows(lp, [lp.rows[r] for r, _ in lp.start])
-    return [[row[a] for a in columns] for row in rows]
+    dense = lp_views(sys_, lp).dense
+    return [[dense[r][a] for a in columns] for r, _ in lp.start]
 
 
-def start_weights(lp):
+def start_weights(sys_, lp):
     """The start's basic solution by forward substitution, atom -> weight."""
-    basis = start_matrix(lp)
+    basis = start_matrix(sys_, lp)
     weights = []
     for row, (r, _) in zip(basis, lp.start):
-        weights.append(lp.rows[r].rhs - sum(a * w for a, w in zip(row, weights)))
+        weights.append(lp.rhs[r] - sum(a * w for a, w in zip(row, weights)))
     return {a: w for (_, a), w in zip(lp.start, weights)}
 
 
 def test_start_is_a_unit_lower_triangular_basis():
     for sys_ in start_systems():
-        for support in (False, True):
-            lp = build_coupling_lp(sys_, support=support)
-            basis = start_matrix(lp)
-            size = len(lp.start)
-            assert size == 1 + sum(len(blk.table) - 1 for blk in sys_.blocks)
-            assert lp.start[-1][0] == len(lp.rows) - 1  # the mass row
-            assert len({r for r, _ in lp.start}) == size
-            for i, row in enumerate(basis):
-                assert row[i] == 1
-                assert all(a == 0 for a in row[i + 1 :])
-                assert set(row) <= {0, 1}
-            if support and lp.n_atoms <= 64:
-                rows, _ = lp_dense(lp)
-                assert exact_rank(rows) == size
+        lp = build_coupling_lp(sys_)
+        basis = start_matrix(sys_, lp)
+        size = len(lp.start)
+        assert size == 1 + sum(len(blk.table) - 1 for blk in sys_.blocks)
+        assert lp.start[-1][0] == len(lp.rhs) - 1  # the mass row
+        assert len({r for r, _ in lp.start}) == size
+        for i, row in enumerate(basis):
+            assert row[i] == 1
+            assert all(a == 0 for a in row[i + 1 :])
+            assert set(row) <= {0, 1}
+        if lp.n_atoms <= 64:
+            assert exact_rank(lp_views(sys_, lp).dense) == size
 
 
 def test_start_weights_are_feasible_for_the_full_lp():
     for sys_ in start_systems():
-        full = build_coupling_lp(sys_)
-        weights = start_weights(full)
+        sup = build_coupling_lp(sys_)
+        weights = start_weights(sys_, sup)
         assert all(w >= 0 for w in weights.values())
-        for row in full.rows:
-            assert sum(weights.get(c, 0) for c in row.cols) == row.rhs
-        sup = build_coupling_lp(sys_, support=True)
-        assert {sup.atoms[a]: w for a, w in start_weights(sup).items()} == {
-            full.atoms[a]: w for a, w in weights.items()
-        }
+        full = full_lp(sys_)
+        index = {atom: i for i, atom in enumerate(full.atoms)}
+        atoms = lp_views(sys_, sup).atoms
+        assert is_feasible(full, {index[atoms[a]]: w for a, w in weights.items()})
 
 
 def test_start_optimum_matches_the_two_phase_path():
     for sys_ in start_systems():
-        lp = build_coupling_lp(sys_, support=True)
+        lp = build_coupling_lp(sys_)
         sol = solve_lp(lp)
-        assert sol.optimum == two_phase_optimum(lp)
+        assert sol.optimum == two_phase_optimum(lp_views(sys_, lp))
         assert verify_solution(lp, sol)
 
 
@@ -700,27 +701,28 @@ def test_analyze_installs_the_start_and_runs_only_phase_2(monkeypatch):
     monkeypatch.setattr(cbd.simplex._Revised, "pivot", recording_pivot)
     monkeypatch.setattr(cbd.simplex._Revised, "iterate", recording_iterate)
     for sys_ in start_systems()[:20]:
-        lp = build_coupling_lp(sys_, support=True)
+        lp = build_coupling_lp(sys_)
         if lp.n_atoms == 1:
             continue  # a deterministic system: analyze solves no LP
-        rows, _ = lp_dense(lp)
+        rank = exact_rank(lp_views(sys_, lp).dense)
         events.clear()
         analyze(sys_)
         assert events.count("iterate") == 1
         install = events[: events.index("iterate")]
-        assert install == [(1, 1)] * exact_rank(rows)
+        assert install == [(1, 1)] * rank
 
 
 def test_bland_fallback_makes_the_dense_tableaus_pivots(monkeypatch):
     # with DEGENERATE_RUN = 0, Bland's rule picks every entering column, the
     # branch that production otherwise takes only after a degenerate run
-    lps = [build_coupling_lp(sys_, support=True) for sys_ in start_systems()]
-    dantzig = [solves_from_start(lp)[0] for lp in lps]
+    systems = start_systems()
+    lps = [build_coupling_lp(sys_) for sys_ in systems]
+    dantzig = [solves_from_start(sys_, lp)[0] for sys_, lp in zip(systems, lps)]
     monkeypatch.setattr(cbd.simplex, "DEGENERATE_RUN", 0)
     monkeypatch.setattr(referee_simplex, "DEGENERATE_RUN", 0)
     moved = 0
-    for lp, ((want, _), dantzig_pivots) in zip(lps, dantzig):
-        (result, pivots), (dense_result, dense_pivots) = solves_from_start(lp)
+    for sys_, lp, ((want, _), dantzig_pivots) in zip(systems, lps, dantzig):
+        (result, pivots), (dense_result, dense_pivots) = solves_from_start(sys_, lp)
         assert pivots == dense_pivots
         assert result == dense_result
         assert result[0] == want
@@ -778,18 +780,16 @@ def test_start_is_the_forward_rule_where_no_content_runs_downward():
         cycle_system(n, rank_n_cycle_weights(rng, n, biased=bool(n % 2)))
         for n in (2, 3, 4)
     ]
-    forward = 0
-    backward = {False: 0, True: 0}
+    forward = backward = 0
     for sys_ in systems:
-        for support in (False, True):
-            lp = build_coupling_lp(sys_, support=support)
-            if runs_downward(sys_, lp):
-                backward[support] += lp.start != forward_start(lp)
-            else:
-                assert lp.start == forward_start(lp)
-                forward += 1
-    # and start_systems() walks some contexts backward, in both modes
-    assert forward > 100 and min(backward.values()) >= 5
+        lp = build_coupling_lp(sys_)
+        if runs_downward(sys_, lp):
+            backward += lp.start != forward_start(lp)
+        else:
+            assert lp.start == forward_start(lp)
+            forward += 1
+    # and start_systems() walks some contexts backward
+    assert forward > 100 and backward >= 5
 
 
 def test_start_attains_the_optimum_on_equal_unequal_rings_and_trees():
@@ -807,8 +807,8 @@ def test_start_attains_the_optimum_on_equal_unequal_rings_and_trees():
     systems += [random_ring(rng, rng.randint(2, 9)) for _ in range(100)]
     systems += [random_tree(rng, rng.randint(2, 8)) for _ in range(200)]
     for sys_ in systems:
-        lp = build_coupling_lp(sys_, support=True)
-        weights = start_weights(lp)
+        lp = build_coupling_lp(sys_)
+        weights = start_weights(sys_, lp)
         optimum, _ = system_delta(sys_)
         assert sum(lp.objective[a] * w for a, w in weights.items()) == optimum
 
@@ -833,14 +833,19 @@ def certificate_systems():
 def test_every_witness_is_a_certificate():
     for sys_ in certificate_systems():
         report = analyze(sys_)
-        sup = build_coupling_lp(sys_, support=True)
-        for lp in (sup, build_coupling_lp(sys_)):
-            index = {atom: i for i, atom in enumerate(lp.atoms)}
+        sup = build_coupling_lp(sys_)
+        views = lp_views(sys_, sup)
+        full = full_lp(sys_)
+
+        def witness_on(atoms):
+            index = {atom: i for i, atom in enumerate(atoms)}
             weights = {index[atom]: w for atom, w in report.witness.weights}
-            sol = LPSolution(optimum=report.system_delta, weights=weights)
-            assert verify_solution(lp, sol)
+            return LPSolution(optimum=report.system_delta, weights=weights)
+
+        assert verify_solution(sup, witness_on(views.atoms))
+        assert is_solution(full, witness_on(full.atoms))
         # optimal: no coupling mismatches less, by the two-phase path
-        assert report.system_delta == two_phase_optimum(sup)
+        assert report.system_delta == two_phase_optimum(views)
         # the support LP's row rank (test_start_is_a_unit_lower_triangular_basis)
         rank = 1 + sum(len(blk.table) - 1 for blk in sys_.blocks)
         assert len(report.witness.weights) <= rank

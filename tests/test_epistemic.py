@@ -22,7 +22,6 @@ from cbd import (
     NotBinary,
     UnknownContent,
     analyze,
-    build_coupling_lp,
     enumerate_variants,
     is_consistently_connected,
     is_deterministic,
@@ -31,7 +30,7 @@ from cbd import (
     write_system,
 )
 from cbd.oracle import enumerate_min
-from helpers import lp_dense
+from helpers import full_lp
 
 F = Fraction
 
@@ -251,8 +250,8 @@ def test_mixture_is_consistent_but_contextual():
     assert report.cnt == 1
     # cross-check against basis enumeration; drop the atoms pinned to zero
     # by empty cells first, else the basis count is astronomical
-    lp = build_coupling_lp(mixture)
-    rows, rhs = lp_dense(lp)
+    full = full_lp(mixture)
+    rows, rhs = full.dense, full.rhs
     forced = {
         j
         for row, b in zip(rows, rhs)
@@ -260,12 +259,12 @@ def test_mixture_is_consistent_but_contextual():
         for j, a in enumerate(row)
         if a
     }
-    keep = [j for j in range(lp.n_atoms) if j not in forced]
+    keep = [j for j in range(len(full.atoms)) if j not in forced]
     red_rows = [
         [row[j] for j in keep] for row, b in zip(rows, rhs) if b != 0
     ]
     red_rhs = [b for b in rhs if b != 0]
-    costs = [lp.objective[j] for j in keep]
+    costs = [full.objective[j] for j in keep]
     optimum, _, _ = enumerate_min(costs, red_rows, red_rhs)
     assert optimum == report.system_delta
 

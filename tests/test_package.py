@@ -24,18 +24,6 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-def test_only_coupling_reads_lp_row_columns():
-    # one dense form of the coupling LP: LPRow.cols is read in coupling.py only
-    found = [
-        f"{name}:{node.lineno}"
-        for name, tree in _package_trees()
-        if name != "coupling.py"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "cols"
-    ]
-    assert found == []
-
-
 def test_cap_refused_in_one_function():
     # one atom-cap check: CapExceeded is constructed in a single function
     raisers = set()
@@ -216,12 +204,45 @@ def test_solve_min_requires_a_start():
     assert func.args.vararg is None and func.args.kwarg is None
 
 
+def test_build_coupling_lp_takes_only_the_system_and_the_cap():
+    # one coupling LP in coupling.py, the support LP: no mode keyword
+    tree = dict(_package_trees())["coupling.py"]
+    func = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "build_coupling_lp"
+    )
+    assert [arg.arg for arg in func.args.args] == ["system", "atom_cap"]
+    assert func.args.kwonlyargs == []
+    assert func.args.vararg is None and func.args.kwarg is None
+
+
+def test_oracle_gets_no_lp_from_coupling():
+    # cbd oracle builds the full LP itself (oracle.coupling_lp), so the CLI
+    # takes only the cap check and the isolated deltas from coupling, and no
+    # module keeps a dense form of coupling's rows
+    trees = dict(_package_trees())
+    imported = [
+        alias.name
+        for node in ast.walk(trees["cli.py"])
+        if isinstance(node, ast.ImportFrom) and node.module == "coupling"
+        for alias in node.names
+    ]
+    assert sorted(imported) == ["check_atom_cap", "delta_pairs"]
+    defined = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        and node.name in ("dense_rows", "LPRow")
+    ]
+    assert defined == []
+
+
 def test_simplex_keeps_no_dense_tableau():
     # one solver, the revised one: simplex.py defines no dense tableau, and
-    # solve_lp passes the rows' cells, never dense rows; dense_rows is called
-    # only by the brute-force oracle's command
-    trees = dict(_package_trees())
-    simplex = trees["simplex.py"]
+    # solve_lp passes the rows' cells, never dense rows
+    simplex = dict(_package_trees())["simplex.py"]
     classes = {node.name for node in ast.walk(simplex) if isinstance(node, ast.ClassDef)}
     assert classes == {"SimplexError", "_Revised"}
     names = {
@@ -230,15 +251,3 @@ def test_simplex_keeps_no_dense_tableau():
         if isinstance(node, (ast.ClassDef, ast.FunctionDef))
     }
     assert [name for name in names if "tableau" in name.lower()] == []
-
-    def calls_dense_rows(node):
-        return isinstance(node, ast.Call) and (
-            getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-        ) == "dense_rows"
-
-    callers = {
-        f"{name}:{scope}"
-        for name, tree in trees.items()
-        for scope in _scopes_of(tree, calls_dense_rows)
-    }
-    assert callers == {"cli.py:cmd_oracle"}

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from cbd import simplex
-from cbd.coupling import build_coupling_lp, dense_rows
+from cbd.coupling import build_coupling_lp
 from cbd.oracle import enumerate_min
 from cbd.simplex import SimplexError, solve_min
-from helpers import rand_system, rand_weights
+from helpers import lp_views, rand_system, rand_weights
 import referee_simplex as referee
 
 F = Fraction
@@ -270,13 +270,11 @@ def test_integer_rows_skip_scaling(monkeypatch):
     rng = random.Random(47)
     solved = 0
     for _ in range(30):
-        lp = build_coupling_lp(
-            rand_system(rng, ternary_share=0.3, max_block=3, max_atoms=128),
-            support=True,
-        )
+        sys_ = rand_system(rng, ternary_share=0.3, max_block=3, max_atoms=128)
+        lp = build_coupling_lp(sys_)
         costs = list(lp.objective)
-        rhs = [row.rhs for row in lp.rows]
-        rows = dense_rows(lp, lp.rows)
+        rhs = list(lp.rhs)
+        rows = lp_views(sys_, lp).dense
         live = [r for r, _ in lp.start]
         cases = [
             (rows, rows, rhs, None),
