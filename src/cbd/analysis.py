@@ -21,7 +21,9 @@ from fractions import Fraction
 
 from .coupling import CouplingWitness, delta_pairs, resolve_atom_cap, system_delta
 from .errors import InternalError, NotDeterministic
-from .systems import ZERO, Consistency, System, is_consistently_connected, to_form
+from .systems import (
+    ZERO, Consistency, System, is_consistently_connected, isolated_deltas,
+)
 
 __all__ = [
     "PairDelta",
@@ -94,14 +96,13 @@ def _report(
     witness: CouplingWitness,
     deterministic: bool,
     pairs: list[tuple[str, str, str, Fraction]],
+    delta0: Fraction,
     consistency: Consistency,
 ) -> AnalysisReport:
     """Assemble the report around an in-system minimum and its coupling,
-    the isolated delta of every pair in System.pairs() order, and the
-    connections' consistency."""
+    the isolated delta of every pair in System.pairs() order, their sum
+    delta0 and the connections' consistency."""
     pair_deltas = tuple(PairDelta(*pair) for pair in pairs)
-    den, nums = to_form(p.delta for p in pair_deltas)
-    delta0 = Fraction(sum(nums), den)
     cnt = delta - delta0
     if cnt < 0:
         raise InternalError(
@@ -149,13 +150,9 @@ def analyze_deterministic(system: System) -> AnalysisReport:
     witness = CouplingWitness(
         variables=system.variables, weights=((atom, _ONE),)
     )
+    delta = Fraction(mismatches)
     return _report(
-        system,
-        Fraction(mismatches),
-        witness,
-        True,
-        pairs,
-        Consistency(per, all(per.values())),
+        system, delta, witness, True, pairs, delta, Consistency(per, all(per.values()))
     )
 
 
@@ -164,8 +161,9 @@ def analyze(system: System, *, atom_cap: int | None = None) -> AnalysisReport:
 
     Deterministic systems are reported from their fixed values.  Everything
     else builds and solves the coupling LP exactly and reads the isolated
-    deltas and the consistency from the marginal index.  The atom cap is
-    resolved and validated on every path.
+    deltas, their sum and the consistency from the marginal index; the
+    deltas are computed once, for the LP's lower bound, and read again
+    here.  The atom cap is resolved and validated on every path.
     """
     atom_cap = resolve_atom_cap(atom_cap)
     if is_deterministic(system):
@@ -177,5 +175,6 @@ def analyze(system: System, *, atom_cap: int | None = None) -> AnalysisReport:
         witness,
         False,
         delta_pairs(system),
+        isolated_deltas(system).total,
         is_consistently_connected(system),
     )

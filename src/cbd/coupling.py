@@ -26,10 +26,13 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import simplex
-from .errors import CapExceeded, DomainMismatch, InternalError, InvalidArgument
+from .cyclic import detect_cyclic
+from .errors import (
+    CapExceeded, DomainMismatch, InternalError, InvalidArgument, NotPlusMinusOne,
+)
 from .systems import (
-    MINUS, PLUS, ZERO, Form, Marginal, System, check_plus_minus_one, marginal_forms,
-    to_form,
+    MINUS, PLUS, ZERO, Marginal, System, check_plus_minus_one, isolated_deltas, s_odd,
+    to_form, total_variation,
 )
 
 DEFAULT_ATOM_CAP = 2**20
@@ -70,16 +73,6 @@ def _check_coupleable(m1: Marginal, m2: Marginal) -> None:
         )
 
 
-def _total_variation(f1: Form, f2: Form) -> Fraction:
-    """The mass f1 puts above f2, for two forms over the same outcome order:
-    sum_o max(0, a_o*d2 - b_o*d1) / (d1*d2)."""
-    if f1 == f2:
-        return ZERO
-    (d1, a), (d2, b) = f1, f2
-    excess = sum(max(0, x * d2 - y * d1) for x, y in zip(a, b))
-    return Fraction(excess, d1 * d2)
-
-
 def isolated_delta(m1: Marginal, m2: Marginal) -> Fraction:
     """Smallest Pr[X' != Y'] over all couplings of the two marginals.
 
@@ -89,7 +82,7 @@ def isolated_delta(m1: Marginal, m2: Marginal) -> Fraction:
     are matched by key, in m1's key order.
     """
     _check_coupleable(m1, m2)
-    return _total_variation(
+    return total_variation(
         to_form(m1.probs.values()), to_form(m2.probs[o] for o in m1.probs)
     )
 
@@ -174,6 +167,11 @@ class LPInstance:
     this LP and stride the product of the counts of the contexts after it,
     so the row's atoms are the j with (j // stride) % count == position.
     The mass row is (n_atoms, 1, 0).  No atom is listed: atom decodes one.
+
+    bound: an exact lower bound on the LP's optimum, derived from the system
+    alone (see _lower_bound): delta_sum, raised for a '+1'/'-1' ring to its
+    closed-form optimum.  solve_lp passes it to simplex.solve_min, which
+    stops once its objective reaches it.
     """
 
     variables: tuple[tuple[str, str], ...]
@@ -182,6 +180,7 @@ class LPInstance:
     objective: tuple[int, ...]
     start: tuple[tuple[int, int], ...]
     layout: tuple[tuple[int, int, int], ...]
+    bound: Fraction
 
     @property
     def n_atoms(self) -> int:
@@ -294,7 +293,30 @@ def build_coupling_lp(system: System, atom_cap: int | None = None) -> LPInstance
         objective=tuple(objective),
         start=_north_west_corner(walks, strides, len(rhs) - 1),
         layout=tuple(layout),
+        bound=_lower_bound(system),
     )
+
+
+def _lower_bound(system: System) -> Fraction:
+    """An exact lower bound on the coupling LP's optimum, from the system's
+    integer forms alone.
+
+    Every coupling mismatches each pair at least as often as its minimal
+    coupling does, so delta_sum bounds every system.  For a cyclic system
+    over '+1'/'-1' outcomes the optimum is known in closed form (Kujala &
+    Dzhafarov, Found. Phys. 46, 2016): delta_sum + cnt, with cnt as in
+    cyclic.cyclic_criterion, which is max(delta_sum, (s_odd - (n - 2)) / 2)
+    for a ring of rank n.
+    """
+    bound = isolated_deltas(system).total
+    ring = detect_cyclic(system)
+    if ring is not None:
+        try:
+            lhs = s_odd(system, ring.cycle)
+        except NotPlusMinusOne:
+            return bound
+        bound = max(bound, (lhs - ring.rank + 2) / 2)
+    return bound
 
 
 def _direction(indices: Sequence[int]) -> int:
@@ -399,9 +421,10 @@ def solve_lp(lp: LPInstance) -> LPSolution:
     each as its cell in lp.layout, and runs phase 2 from the start's basis.
     An LP with a zero-rhs row is refused: the rows left out could be the
     ones that force zero-cell atoms to weight zero, and those atoms could
-    enter the basis.  The solution is solve_min's (optimum, weights) as it is: the
-    weights are the nonzero values of an optimal basic feasible solution of
-    the support LP, by atom index in ascending order.
+    enter the basis.  The solve stops once its objective reaches lp.bound.
+    The solution is solve_min's (optimum, weights) as it is: the weights
+    are the nonzero values of an optimal basic feasible solution of the
+    support LP, by atom index in ascending order.
     """
     if not lp.start:
         raise ValueError("solve_lp needs an LP with a start basis, got none")
@@ -412,7 +435,8 @@ def solve_lp(lp: LPInstance) -> LPSolution:
         lp.objective,
         [lp.layout[r] for r, _ in lp.start],
         [lp.rhs[r] for r, _ in lp.start],
-        start=[c for _, c in lp.start],
+        [c for _, c in lp.start],
+        lp.bound,
     )
     return LPSolution(optimum=optimum, weights=weights)
 
@@ -470,10 +494,7 @@ def delta_pairs(system: System) -> list[tuple[str, str, str, Fraction]]:
     Returns (content, context_a, context_b, delta) tuples in System.pairs()
     order, the pair enumeration the LP objective uses, so summing gives the
     in-isolation baseline.  Each delta is isolated_delta of the two
-    marginals, computed from their integer forms in the system's index.
+    marginals, computed once per system from their integer forms in the
+    system's index (systems.isolated_deltas, which holds the sum too).
     """
-    forms = marginal_forms(system)
-    return [
-        (q, ca, cb, _total_variation(forms[(ca, q)], forms[(cb, q)]))
-        for q, ca, cb in system.pairs()
-    ]
+    return list(isolated_deltas(system).pairs)

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .coupling import delta_pairs
 from .errors import NotCyclic
-from .systems import ZERO, System, expectation
+from .systems import ZERO, System, isolated_deltas, s_odd
 
 
 @dataclass(frozen=True)
@@ -55,12 +54,14 @@ def detect_cyclic(system: System) -> CyclicStructure | None:
 
     # every context and content now has degree two, so the walk returns to
     # its start; a disjoint union of smaller rings closes before n steps
-    start = system.blocks[0].context  # blocks are sorted, so the least id
-    ctx, (q_in, q_out) = start, sorted(system.block(start).contents)
+    first = system.blocks[0]  # blocks are sorted, so the least id
+    start = first.context
+    ctx, (q_in, q_out) = start, sorted(first.contents)
     cycle = []
     while not cycle or ctx != start:
         cycle.append((ctx, q_in, q_out))
-        ctx = next(c for c in system.contexts_of(q_out) if c != ctx)
+        c1, c2 = system.contexts_of(q_out)
+        ctx = c2 if c1 == ctx else c1
         a, b = system.block(ctx).contents
         q_in, q_out = q_out, a if b == q_out else b
     return CyclicStructure(rank=n, cycle=tuple(cycle)) if len(cycle) == n else None
@@ -85,11 +86,8 @@ def cyclic_criterion(system: System) -> CyclicCriterion:
     structure = detect_cyclic(system)
     if structure is None:
         raise NotCyclic("the closed-form criterion needs a cyclic system")
-    products = [expectation(system, c, (a, b)) for c, a, b in structure.cycle]
-    lhs = sum(abs(x) for x in products)
-    if sum(x < 0 for x in products) % 2 == 0:
-        lhs -= 2 * min(abs(x) for x in products)
+    lhs = s_odd(system, structure.cycle)
     # binary marginals: |<R>_c - <R>_c'| = 2 |u - v|, twice the isolated delta
-    rhs = 2 * sum(d for *_, d in delta_pairs(system)) + structure.rank - 2
+    rhs = 2 * isolated_deltas(system).total + structure.rank - 2
     margin = lhs - rhs
     return CyclicCriterion(margin > 0, margin, lhs, rhs, max(margin, ZERO) / 2)

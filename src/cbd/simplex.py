@@ -190,13 +190,28 @@ class _Revised:
         if any(row[-1] < 0 for row in self.rows):
             raise SimplexError("start basis is infeasible")
 
-    def iterate(self, costs):
-        """Pivot until no column has a negative reduced cost."""
+    def iterate(self, costs, bound, scale):
+        """Pivot until no column has a negative reduced cost or, if bound is
+        not None, until the objective -z / (d*scale), z the z-row's last
+        entry, equals bound.  The bound is compared before every pricing
+        pass, in integers; an objective below it raises."""
         rows = self.rows
         basis = self.basis
         m = len(rows) - 1
         degenerate = 0
+        if bound is not None:
+            target, over = bound.numerator * scale, bound.denominator
         while True:
+            if bound is not None:
+                # (objective - bound) * d * scale * den
+                gap = -rows[-1][-1] * over - target * self.d
+                if gap == 0:
+                    return
+                if gap < 0:
+                    objective = Fraction(-rows[-1][-1], self.d * scale)
+                    raise SimplexError(
+                        f"the objective {objective} fell below its lower bound {bound}"
+                    )
             z = self.prices(costs)
             if degenerate < DEGENERATE_RUN:
                 least = min(z, default=0)
@@ -225,16 +240,17 @@ class _Revised:
             degenerate = degenerate + 1 if num == 0 else 0
             self.pivot(leave, enter, col)
 
-    def phase_two(self, costs, rhs_scale):
-        """Minimize the int costs from the installed basis; return the optimum
-        and the nonzero basic values, by column, in ascending order."""
+    def phase_two(self, costs, rhs_scale, bound):
+        """Minimize the int costs from the installed basis, stopping at the
+        lower bound if it is not None; return the optimum and the nonzero
+        basic values, by column, in ascending order."""
         zrow = [0] * (len(self.basis) + 1)
         for j, row in zip(self.basis, self.rows):
             cb = costs[j]
             if cb:
                 zrow = [z - cb * a for z, a in zip(zrow, row)]
         self.rows.append(zrow)
-        self.iterate(costs)
+        self.iterate(costs, bound, rhs_scale)
 
         den = self.d * rhs_scale
         # zip stops at the last basis entry, before the z-row
@@ -243,7 +259,7 @@ class _Revised:
         return Fraction(-self.rows[-1][-1], den), weights
 
 
-def solve_min(costs, rows, rhs, start):
+def solve_min(costs, rows, rhs, start, bound):
     """Minimize costs . x subject to rows . x == rhs, x >= 0.
 
     costs: n ints.
@@ -252,6 +268,8 @@ def solve_min(costs, rows, rhs, start):
     rhs:   m nonnegative exact numbers (ints or Fractions).
     start: the starting basis, m column indices: start[i] is made basic in
            row i.
+    bound: an exact lower bound on the optimum (an int or a Fraction), or
+           None.  The solve returns as soon as the objective equals it.
 
     Returns (optimum, weights): the exact optimum as a Fraction and one
     optimal basic feasible solution as {column: Fraction}, its nonzero basic
@@ -259,9 +277,10 @@ def solve_min(costs, rows, rhs, start):
     that is not an int, on a row that is not a cell of n columns, a row
     other than (n, 1, 0) that covers every column, rows whose strides do not
     nest, on a negative rhs, on a start that is not m
-    columns, hits a zero pivot, or gives a negative basic value, and on an
-    unbounded objective (impossible when the feasible set is bounded, as for
-    every instance built by this package).
+    columns, hits a zero pivot, or gives a negative basic value, on a bound
+    that is not None, an int or a Fraction, on an objective below the bound,
+    and on an unbounded objective (impossible when the feasible set is
+    bounded, as for every instance built by this package).
     """
     _check_ints(costs, "the costs")
     n = len(costs)
@@ -270,7 +289,9 @@ def solve_min(costs, rows, rhs, start):
         raise SimplexError(f"the rhs has {len(rhs)} values for {len(rows)} rows")
     if any(b < 0 for b in rhs):
         raise SimplexError("the rhs must be nonnegative")
+    if bound is not None and type(bound) not in (int, Fraction):
+        raise SimplexError(f"the bound must be an int, a Fraction or None, got {bound!r}")
     rhs_scale, int_rhs = to_form(rhs)
     tab = _Revised(digits, int_rhs, n)
     tab.install(start, n)
-    return tab.phase_two(costs, rhs_scale)
+    return tab.phase_two(costs, rhs_scale, bound)

@@ -107,6 +107,17 @@ def to_form(values: Iterable[Fraction]) -> Form:
     return den, tuple(nums)
 
 
+def total_variation(f1: Form, f2: Form) -> Fraction:
+    """The mass f1 puts above f2, for two forms over the same outcome order:
+    sum_o max(0, a_o*d2 - b_o*d1) / (d1*d2).  For two distributions that is
+    their total variation distance."""
+    if f1 == f2:
+        return ZERO
+    (d1, a), (d2, b) = f1, f2
+    excess = sum(max(0, x * d2 - y * d1) for x, y in zip(a, b))
+    return Fraction(excess, d1 * d2)
+
+
 def exact_number(value) -> Fraction:
     """Convert an exact number to a Fraction: a Fraction, an int, or a string
     in rational ("3/4") or decimal ("0.75") form.  Floats have already lost
@@ -201,6 +212,11 @@ class System:
         return {q: tuple(ctxs) for q, ctxs in by_content.items()}
 
     @cached_property
+    def _tables(self) -> dict[str, Form]:
+        """context -> its table's values as a Form, in table order."""
+        return {blk.context: to_form(blk.table.values()) for blk in self.blocks}
+
+    @cached_property
     def _marginals(self) -> dict[tuple[str, str], Form]:
         """(context, content) -> the variable's reduced Form: one pass over
         each context table, summing integer numerators over the table's lcm
@@ -208,9 +224,10 @@ class System:
         position = {
             q: {o: i for i, o in enumerate(outs)} for q, outs in self.outcomes.items()
         }
+        tables = self._tables
         forms: dict[tuple[str, str], Form] = {}
         for blk in self.blocks:
-            den, cell_nums = to_form(blk.table.values())
+            den, cell_nums = tables[blk.context]
             sums = [[0] * len(position[q]) for q in blk.contents]
             where = [position[q] for q in blk.contents]
             for cell, num in zip(blk.table, cell_nums):
@@ -224,6 +241,18 @@ class System:
                     form = (den, tuple(nums))
                 forms[(blk.context, q)] = form
         return forms
+
+    @cached_property
+    def _isolated(self) -> IsolatedDeltas:
+        """Every pairs() entry with its isolated delta, the total variation
+        of its two marginal forms, and their sum over one denominator."""
+        forms = self._marginals
+        pairs = tuple(
+            (q, ca, cb, total_variation(forms[(ca, q)], forms[(cb, q)]))
+            for q, ca, cb in self.pairs()
+        )
+        den, nums = to_form(pair[3] for pair in pairs)
+        return IsolatedDeltas(pairs, Fraction(sum(nums), den))
 
     def block(self, context: str) -> ContextBlock:
         return self._by_context[context]
@@ -408,6 +437,15 @@ class Connection:
     members: tuple[Marginal, ...]
 
 
+class IsolatedDeltas(NamedTuple):
+    """The isolated delta of every content-sharing pair, as (content,
+    context_a, context_b, delta) in System.pairs() order, and their sum, the
+    in-isolation baseline delta_sum."""
+
+    pairs: tuple[tuple[str, str, str, Fraction], ...]
+    total: Fraction
+
+
 class Consistency(NamedTuple):
     per_connection: dict[str, bool]
     overall: bool
@@ -433,6 +471,13 @@ def marginal_forms(system: System) -> Mapping[tuple[str, str], Form]:
     """(context, content) -> the variable's reduced integer form: the
     system's marginal index itself; treat it as read-only."""
     return system._marginals
+
+
+def isolated_deltas(system: System) -> IsolatedDeltas:
+    """The system's isolated deltas and their sum, computed from the marginal
+    index on first use and cached with it: one read per system, however many
+    callers ask."""
+    return system._isolated
 
 
 def connections(system: System) -> list[Connection]:
@@ -483,3 +528,33 @@ def expectation(system: System, context: str, contents: Sequence[str]) -> Fracti
                 sign = -sign
         total += sign * p
     return total
+
+
+def s_odd(system: System, products: Sequence[tuple[str, str, str]]) -> Fraction:
+    """s_odd of the expected products <R_a R_b>, one per (context, a, b) in
+    products: the largest sum of them with an odd number negated.
+
+    Each context must measure its a and b, each listed content must use the
+    canonical '+1'/'-1' labels (checked in the order first listed),
+    and products must not be empty.  Each expectation is read in integers
+    off its context's table form, the one the marginal index sums: a cell
+    counts +1 where a and b take the same label and -1 where they differ.
+    The expectations are compared over their common denominator, so no
+    Fraction is added.
+    """
+    for q in dict.fromkeys(q for _, a, b in products for q in (a, b)):
+        check_plus_minus_one(f"content {q!r}", system.outcomes[q])
+    tables = system._tables
+    terms = []
+    for context, a, b in products:
+        blk = system.block(context)
+        i, j = blk.contents.index(a), blk.contents.index(b)
+        den, nums = tables[context]
+        same = sum(n for cell, n in zip(blk.table, nums) if cell[i] == cell[j])
+        terms.append((2 * same - den, den))
+    common = math.lcm(*(den for _, den in terms))
+    values = [e * (common // den) for e, den in terms]
+    total = sum(map(abs, values))
+    if sum(v < 0 for v in values) % 2 == 0:
+        total -= 2 * min(map(abs, values))
+    return Fraction(total, common)

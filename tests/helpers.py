@@ -315,14 +315,16 @@ def fold_exact(text):
 def lp_path_report(system: System):
     """The report of a deterministic system built as analyze builds any
     other: the coupling LP for system_delta, the marginal index for the
-    isolated deltas and the consistency."""
+    isolated deltas and the consistency, their sum added here."""
     delta, witness = system_delta(system)
+    pairs = delta_pairs(system)
     return cbd.analysis._report(
         system,
         delta,
         witness,
         True,
-        delta_pairs(system),
+        pairs,
+        sum((d for *_, d in pairs), Fraction(0)),
         is_consistently_connected(system),
     )
 
@@ -403,7 +405,8 @@ def two_phase_optimum(lp):
 
 def solves_from_start(system, lp):
     """The support LP lp of system solved from lp.start twice: by solve_lp,
-    and by the referee's dense tableau over the start's rows (lp_views).
+    and by the referee's dense tableau over the start's rows (lp_views),
+    both stopping at lp.bound.
     Returns, per solver, ((optimum, weights), its (row, column) pivots)."""
     revised, dense = [], []
     pivot, dense_pivot = cbd.simplex._Revised.pivot, referee_simplex._Tableau.pivot
@@ -426,6 +429,7 @@ def solves_from_start(system, lp):
             [rows[r] for r, _ in lp.start],
             [lp.rhs[r] for r, _ in lp.start],
             start=[c for _, c in lp.start],
+            bound=lp.bound,
         )
     finally:
         cbd.simplex._Revised.pivot = pivot

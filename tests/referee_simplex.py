@@ -5,9 +5,10 @@ solve_min keeps only E = d*B^-1, the rhs column and the duals, and takes its
 rows as cells (stride, count, position).  The tableau here is the one it
 stands for: every row over every column, pivoted by the same
 integer-preserving update (Edmonds and Bareiss), with the same Dantzig
-entering, Bland fallback and ratio test, so from the same start on the same
-LP (its rows spelled out by helpers.lp_views) its pivots, optimum and basic
-solution are solve_min's.  _Tableau, _tableau, _install and _phase_two
+entering, Bland fallback and ratio test, and the same stop at a lower
+bound, so from the same start and bound on the same LP (its rows spelled
+out by helpers.lp_views) its pivots, optimum and basic solution are
+solve_min's.  _Tableau, _tableau, _install and _phase_two
 are the dense solver that solve_min replaced, as it was.
 
 The two-phase solve_min below takes any exact numbers, with or without a
@@ -64,15 +65,26 @@ class _Tableau:
         if self.pivots > MAX_PIVOTS:
             raise SimplexError("pivot limit exceeded")
 
-    def iterate(self, n_enter):
+    def iterate(self, n_enter, bound=None, scale=1):
         """Pivot until the z-row (rows[-1]) has no negative reduced cost
-        among columns 0..n_enter-1."""
+        among columns 0..n_enter-1 or, if bound is not None, until the
+        objective -z / (d*scale), z the z-row's last entry, equals bound;
+        an objective below bound raises.  The bound is compared before every
+        pricing pass."""
         rows = self.rows
         basis = self.basis
         m = len(rows) - 1
         degenerate = 0
         while True:
             zrow = rows[-1]
+            if bound is not None:
+                objective = Fraction(-zrow[-1], self.d * scale)
+                if objective == bound:
+                    return
+                if objective < bound:
+                    raise SimplexError(
+                        f"the objective {objective} fell below its lower bound {bound}"
+                    )
             if degenerate < DEGENERATE_RUN:
                 least = min(zrow[:n_enter], default=0)
                 enter = zrow.index(least) if least < 0 else -1
@@ -129,9 +141,10 @@ def _install(tab, start, n):
         raise SimplexError("start basis is infeasible")
 
 
-def _phase_two(tab, costs, rhs_scale):
-    """Minimize the int costs from tab's feasible basis; return the optimum
-    and the nonzero basic values, by column, in ascending order."""
+def _phase_two(tab, costs, rhs_scale, bound=None):
+    """Minimize the int costs from tab's feasible basis, stopping at the
+    lower bound if it is not None; return the optimum and the nonzero basic
+    values, by column, in ascending order."""
     # the z-row carries the tableau's denominator d
     zrow = [tab.d * c for c in costs] + [0]
     for i, j in enumerate(tab.basis):
@@ -139,7 +152,7 @@ def _phase_two(tab, costs, rhs_scale):
         if cb:
             zrow = [z - cb * a for z, a in zip(zrow, tab.rows[i])]
     tab.rows.append(zrow)
-    tab.iterate(len(costs))
+    tab.iterate(len(costs), bound, rhs_scale)
 
     den = tab.d * rhs_scale
     # zip stops at the last basis entry, before the z-row
@@ -183,9 +196,10 @@ def _phase_one(tab, n):
         del tab.basis[i]
 
 
-def solve_min(costs, rows, rhs, start=None):
+def solve_min(costs, rows, rhs, start=None, bound=None):
     """solve_min's (optimum, weights) for exact costs, rows and rhs of any
-    sign; without a start, phase 1 finds a feasible basis."""
+    sign; without a start, phase 1 finds a feasible basis.  With a bound,
+    phase 2 stops once the objective equals it."""
     n = len(costs)
     # Each row (with its rhs) is scaled by the least common denominator of
     # its coefficients; solve_min then scales the rhs column as a whole.
@@ -205,5 +219,7 @@ def solve_min(costs, rows, rhs, start=None):
     elif rows:  # with no rows, the empty basis is already feasible
         _phase_one(tab, n)
     cost_scale, int_costs = _integer_form(costs)
-    optimum, weights = _phase_two(tab, int_costs, rhs_scale)
+    if bound is not None:
+        bound *= cost_scale  # the bound on the objective of int_costs
+    optimum, weights = _phase_two(tab, int_costs, rhs_scale, bound)
     return optimum / cost_scale, weights

@@ -694,9 +694,9 @@ def test_analyze_installs_the_start_and_runs_only_phase_2(monkeypatch):
         events.append((col[r], tab.d))
         pivot(tab, r, s, col)
 
-    def recording_iterate(tab, costs):
+    def recording_iterate(tab, *args):
         events.append("iterate")
-        iterate(tab, costs)
+        iterate(tab, *args)
 
     monkeypatch.setattr(cbd.simplex._Revised, "pivot", recording_pivot)
     monkeypatch.setattr(cbd.simplex._Revised, "iterate", recording_iterate)

@@ -192,14 +192,17 @@ def test_indented_json_written_in_one_function():
 
 def test_solve_min_requires_a_start():
     # one solver path: solve_min always installs its caller's start, and
-    # phase 1 lives in the tests' two-phase referee only
+    # phase 1 lives in the tests' two-phase referee only; the lower bound
+    # (or None) is never left to a default either
     tree = dict(_package_trees())["simplex.py"]
     func = next(
         node
         for node in tree.body
         if isinstance(node, ast.FunctionDef) and node.name == "solve_min"
     )
-    assert [arg.arg for arg in func.args.args] == ["costs", "rows", "rhs", "start"]
+    assert [arg.arg for arg in func.args.args] == [
+        "costs", "rows", "rhs", "start", "bound",
+    ]
     assert func.args.defaults == [] and func.args.kwonlyargs == []
     assert func.args.vararg is None and func.args.kwarg is None
 

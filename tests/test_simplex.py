@@ -242,7 +242,8 @@ def test_slack_start_matches_two_phase():
 def test_integer_rows_skip_scaling(monkeypatch):
     # coupling LPs come as int costs and rows, which solve_min takes as they
     # are: the rows as cells, the costs unscaled.  The same LP as Fractions,
-    # in dense rows, is scaled by the referee and solved by the same pivots.
+    # in dense rows, is scaled by the referee and solved by the same pivots,
+    # both stopping at the LP's bound.
     # The spies count both modules' scalings (the referee's of rows and
     # costs, and the rhs column's in either module) and both solvers' pivots.
     scaled = []
@@ -289,7 +290,7 @@ def test_integer_rows_skip_scaling(monkeypatch):
             scaled.clear()
             pivots.clear()
             solve = referee.solve_min if start is None else solve_min
-            result = solve(costs, int_rows, b, start=start)
+            result = solve(costs, int_rows, b, start, lp.bound)
             assert len(scaled) == 1  # the rhs column alone
             int_pivots = list(pivots)
             scaled.clear()
@@ -299,6 +300,7 @@ def test_integer_rows_skip_scaling(monkeypatch):
                 [[F(a) for a in row] for row in dense],
                 b,
                 start=start,
+                bound=lp.bound,
             )
             assert len(scaled) == len(dense) + 2  # every row, costs, rhs
             assert as_fractions == result and pivots == int_pivots
@@ -320,10 +322,10 @@ def test_integer_rows_skip_scaling(monkeypatch):
 def test_non_int_input_raises():
     rows, rhs, start = [(2, 1, 0)], [F(1, 2)], [0]
     with pytest.raises(SimplexError, match="row"):
-        solve_min([1, 2], [(F(2), 1, 0)], rhs, start)
+        solve_min([1, 2], [(F(2), 1, 0)], rhs, start, None)
     with pytest.raises(SimplexError, match="costs"):
-        solve_min([F(1), 2], rows, rhs, start)
-    assert solve_min([1, 2], rows, rhs, start) == (F(1, 2), {0: F(1, 2)})
+        solve_min([F(1), 2], rows, rhs, start, None)
+    assert solve_min([1, 2], rows, rhs, start, None) == (F(1, 2), {0: F(1, 2)})
 
 
 def test_row_width_must_match_the_costs():
@@ -333,20 +335,20 @@ def test_row_width_must_match_the_costs():
     # two columns and cells whose strides do not nest
     for rows in ([[1]], [[1, 1]]):
         with pytest.raises(SimplexError, match=r"\(stride, count, position\)"):
-            solve_min([1, 1], rows, [1], [0])
+            solve_min([1, 1], rows, [1], [0], None)
     for row in ([1, 1, 1], (4, 1, 0), (1, 3, 0), (1, 2, 2), (0, 1, 0)):
         with pytest.raises(SimplexError, match="is no cell of 2 columns"):
-            solve_min([1, 1], [row], [1], [0])
+            solve_min([1, 1], [row], [1], [0], None)
     # a dense row of three columns reads as a cell of one position; only
     # the mass row (n, 1, 0) may cover every column
     for row in ([1, 1, 0], (1, 1, 0)):
         with pytest.raises(SimplexError, match=r"every column: write it \(3, 1, 0\)"):
-            solve_min([1, 1, 1], [row], [1], [0])
-    assert solve_min([1, 1, 1], [(3, 1, 0)], [1], [0]) == (1, {0: 1})
+            solve_min([1, 1, 1], [row], [1], [0], None)
+    assert solve_min([1, 1, 1], [(3, 1, 0)], [1], [0], None) == (1, {0: 1})
     with pytest.raises(SimplexError, match="counts 2 and 4"):
-        solve_min([1] * 4, [(1, 2, 0), (1, 4, 1)], [1, 1], [0, 1])
+        solve_min([1] * 4, [(1, 2, 0), (1, 4, 1)], [1, 1], [0, 1], None)
     with pytest.raises(SimplexError, match="do not nest"):
-        solve_min([1] * 4, [(2, 2, 0), (1, 4, 1)], [1, 1], [0, 1])
+        solve_min([1] * 4, [(2, 2, 0), (1, 4, 1)], [1, 1], [0, 1], None)
     # the dense referee keeps the dense form's check
     with pytest.raises(SimplexError, match="1 entries for 2 columns"):
         referee.solve_min([1, 1], [[1]], [1], start=[0])
@@ -358,9 +360,9 @@ def test_row_width_must_match_the_costs():
 
 def test_negative_rhs_raises():
     with pytest.raises(SimplexError, match="nonnegative"):
-        solve_min([1, 2], [(2, 1, 0)], [F(-1)], [0])
+        solve_min([1, 2], [(2, 1, 0)], [F(-1)], [0], None)
     with pytest.raises(SimplexError, match="2 values for 1 rows"):
-        solve_min([1, 2], [(2, 1, 0)], [1, 1], [0])
+        solve_min([1, 2], [(2, 1, 0)], [1, 1], [0], None)
 
 
 def test_start_is_required():
@@ -389,10 +391,10 @@ def test_direct_start_negates_a_negative_pivot_row(monkeypatch):
     rhs = [F(1, 4), F(1, 2), 1]
     costs = [0, 3, 3, 1]
     with pytest.raises(SimplexError, match="infeasible"):
-        solve_min(costs, rows, rhs, [0, 1, 3])
+        solve_min(costs, rows, rhs, [0, 1, 3], None)
     assert negative == [False, True, False]
     # from the feasible start [1, 2, 3], x0 enters: cost 5/2 - 5*x0
-    assert solve_min(costs, rows, rhs, [1, 2, 3]) == (
+    assert solve_min(costs, rows, rhs, [1, 2, 3], None) == (
         F(5, 4), {0: F(1, 4), 2: F(1, 4), 3: F(1, 2)}
     )
     dense = [[1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]]

@@ -487,7 +487,8 @@ def _count_marginals(monkeypatch):
 
 def test_analyze_computes_each_marginal_once(monkeypatch):
     # the LP path reads every variable's marginal form from the index, built
-    # once in one pass over each context table
+    # once in one pass over each context table, and the isolated deltas,
+    # summed once over their common denominator
     sys_ = order_effect_system()
     tables = []
     real_to_form = systems.to_form
@@ -499,9 +500,9 @@ def test_analyze_computes_each_marginal_once(monkeypatch):
     monkeypatch.setattr(systems, "to_form", counted_to_form)
     analyze(sys_)
     analyze(sys_)
-    assert len(tables) == len(sys_.blocks)
+    assert len(tables) == len(sys_.blocks) + 1
     assert sorted(marginal_forms(sys_)) == sorted(sys_.variables)
-    assert len(tables) == len(sys_.blocks)
+    assert len(tables) == len(sys_.blocks) + 1
 
 
 def test_analyze_deterministic_computes_no_marginal(monkeypatch):
