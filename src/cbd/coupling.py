@@ -310,13 +310,14 @@ def _lower_bound(system: System) -> Fraction:
     """
     bound = isolated_deltas(system).total
     ring = detect_cyclic(system)
-    if ring is not None:
-        try:
-            lhs = s_odd(system, ring.cycle)
-        except NotPlusMinusOne:
-            return bound
-        bound = max(bound, (lhs - ring.rank + 2) / 2)
-    return bound
+    if ring is None:
+        return bound
+    try:
+        lhs = s_odd(system, ring.cycle)
+    except NotPlusMinusOne:
+        return bound
+    den = lhs.denominator
+    return max(bound, Fraction(lhs.numerator - (ring.rank - 2) * den, 2 * den))
 
 
 def _direction(indices: Sequence[int]) -> int:

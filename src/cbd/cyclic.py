@@ -44,13 +44,14 @@ def detect_cyclic(system: System) -> CyclicStructure | None:
     """Return the system's ring structure, or None if it is not cyclic."""
     contents = system.content_ids
     n = len(system.blocks)
-    if (
-        n < 2
-        or len(contents) != n
-        or any(len(blk.contents) != 2 for blk in system.blocks)
-        or any(len(system.contexts_of(q)) != 2 for q in contents)
-    ):
+    if n < 2 or len(contents) != n:
         return None
+    for blk in system.blocks:
+        if len(blk.contents) != 2:
+            return None
+    for q in contents:
+        if len(system.contexts_of(q)) != 2:
+            return None
 
     # every context and content now has degree two, so the walk returns to
     # its start; a disjoint union of smaller rings closes before n steps

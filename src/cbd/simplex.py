@@ -30,6 +30,18 @@ nonsingular in that order and its basic solution nonnegative.  The coupling
 LP's north-west-corner start has a unit lower-triangular basis, so every
 install pivot is a plain row subtraction.  Phase 2 runs from that basis.
 
+The caller may pass an exact lower bound on the optimum.  Before every
+pricing pass, right after install and after each pivot, the objective
+-c_B.beta / (d*scale) is compared with it in integers: if they are equal,
+the current basis is optimal and its solution is returned at once; if the
+objective is below the bound, the bound was wrong and SimplexError is
+raised.  The solver knows nothing of where the bound comes from.  Stopping
+cannot change the solution returned: once the objective equals the
+optimum, no column can enter with a negative reduced cost and a positive
+step, so every further pivot would be degenerate, entering at value 0 in
+place of a basic value 0, and would keep every nonzero basic value (the
+witness) as it is (Dantzig, Linear Programming and Extensions, 1963).
+
 Entering takes the most negative reduced cost (Dantzig's rule).  After
 DEGENERATE_RUN consecutive degenerate pivots it switches to Bland's rule
 (smallest eligible index enters) until the next nondegenerate pivot, so

@@ -23,7 +23,9 @@ variable's reduced integer *form*, a (den, nums) pair with nums in the
 content's registry outcome order and gcd(den, *nums) == 1; two marginals of
 one content are equal exactly when their forms are.  The isolated deltas
 and the consistency check read these forms; marginal() decodes one form
-into a Marginal when it is called.
+into a Marginal when it is called.  The isolated deltas and their sum are
+cached with the index (isolated_deltas), and s_odd reads the ring
+criterion's product expectations off the same table forms.
 """
 
 from __future__ import annotations
@@ -530,31 +532,38 @@ def expectation(system: System, context: str, contents: Sequence[str]) -> Fracti
     return total
 
 
-def s_odd(system: System, products: Sequence[tuple[str, str, str]]) -> Fraction:
-    """s_odd of the expected products <R_a R_b>, one per (context, a, b) in
-    products: the largest sum of them with an odd number negated.
+def s_odd(system: System, cycle: Sequence[tuple[str, str, str]]) -> Fraction:
+    """s_odd of a ring's product expectations <R_in R_out>, one per
+    (context, content_in, content_out) of cycle as cyclic.detect_cyclic
+    walks it: the largest sum of them with an odd number negated.
 
-    Each context must measure its a and b, each listed content must use the
-    canonical '+1'/'-1' labels (checked in the order first listed),
-    and products must not be empty.  Each expectation is read in integers
-    off its context's table form, the one the marginal index sums: a cell
-    counts +1 where a and b take the same label and -1 where they differ.
-    The expectations are compared over their common denominator, so no
-    Fraction is added.
+    Each context measures exactly its two contents, and each content is
+    some triple's content_in, so checking those, in cycle order, checks
+    every content for the canonical '+1'/'-1' labels.  Each expectation is
+    read in integers off its context's table form, the one the marginal
+    index sums: a cell counts +1 where its two labels agree and -1 where
+    they differ.  The expectations are compared over their common
+    denominator, so no Fraction is added.
     """
-    for q in dict.fromkeys(q for _, a, b in products for q in (a, b)):
+    for _, q, _ in cycle:
         check_plus_minus_one(f"content {q!r}", system.outcomes[q])
     tables = system._tables
     terms = []
-    for context, a, b in products:
-        blk = system.block(context)
-        i, j = blk.contents.index(a), blk.contents.index(b)
+    for context, _, _ in cycle:
         den, nums = tables[context]
-        same = sum(n for cell, n in zip(blk.table, nums) if cell[i] == cell[j])
+        same = 0
+        for (x, y), num in zip(system.block(context).table, nums):
+            if x == y:
+                same += num
         terms.append((2 * same - den, den))
-    common = math.lcm(*(den for _, den in terms))
-    values = [e * (common // den) for e, den in terms]
-    total = sum(map(abs, values))
-    if sum(v < 0 for v in values) % 2 == 0:
-        total -= 2 * min(map(abs, values))
+    common = math.lcm(*[den for _, den in terms])
+    total = negated = 0
+    least = common
+    for e, den in terms:
+        value = abs(e) * (common // den)
+        total += value
+        negated ^= e < 0
+        least = min(least, value)
+    if not negated:
+        total -= 2 * least
     return Fraction(total, common)

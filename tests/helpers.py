@@ -6,6 +6,7 @@ probabilities are exact Fractions built from integer weights.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -17,6 +18,7 @@ import cbd.analysis
 import cbd.simplex
 from cbd import (
     System,
+    build_coupling_lp,
     delta_pairs,
     is_consistently_connected,
     solve_lp,
@@ -394,6 +396,19 @@ def is_solution(lp, sol):
     sol.optimum."""
     value = sum(lp.objective[j] * w for j, w in sol.weights.items())
     return is_feasible(lp, sol.weights) and value == sol.optimum
+
+
+def without_bound(lp):
+    """The support LP lp with no lower bound, so that solve_lp runs phase 2
+    to the end: a closed form compared with its optimum is then not also
+    the bound that stopped the solve."""
+    return dataclasses.replace(lp, bound=None)
+
+
+def lp_cnt(system):
+    """cnt from the support LP solved without its lower bound."""
+    optimum = solve_lp(without_bound(build_coupling_lp(system))).optimum
+    return optimum - sum(d for *_, d in delta_pairs(system))
 
 
 def two_phase_optimum(lp):

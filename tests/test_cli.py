@@ -382,6 +382,20 @@ def test_internal_error_exits_1(tmp_path, capsys, monkeypatch):
     assert "beat the isolated minimums" in err
 
 
+def test_a_bound_above_the_optimum_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # the solver's own guard: the coupling LP's optimum, 1/2, lies below a
+    # faulty lower bound
+    import cbd.coupling
+
+    path = write_file(tmp_path, order_effect_system())
+    monkeypatch.setattr(cbd.coupling, "_lower_bound", lambda system: F(501, 1000))
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "fell below its lower bound 501/1000" in err
+
+
 def test_solver_failure_is_one_error_line(tmp_path, capsys, monkeypatch):
     # a pivot-limit overrun, an unbounded objective or a rejected start
     from cbd.simplex import SimplexError

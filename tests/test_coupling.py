@@ -55,6 +55,7 @@ from helpers import (
     rank_n_cycle_weights,
     solves_from_start,
     two_phase_optimum,
+    without_bound,
 )
 import referee_simplex
 
@@ -457,7 +458,9 @@ def check_support_lp(sys_):
     assert sorted(zip(views.dense, sup.rhs)) == sorted(
         ([row[c] for c in alive], b) for row, b in zip(full.dense, full.rhs) if b
     )
-    sol = solve_lp(sup)
+    # solved to the end, and stopped at the bound with the same solution
+    sol = solve_lp(without_bound(sup))
+    assert solve_lp(sup) == sol
     assert verify_solution(sup, sol)
     assert is_solution(full, on_full_lp(full, views, sol))
     # phase 1 on the full LP, where that is cheap; Liar 7's 16,384 atoms take
@@ -809,8 +812,127 @@ def test_start_attains_the_optimum_on_equal_unequal_rings_and_trees():
     for sys_ in systems:
         lp = build_coupling_lp(sys_)
         weights = start_weights(sys_, lp)
-        optimum, _ = system_delta(sys_)
+        # the optimum solved to the end, not stopped at lp.bound
+        optimum = solve_lp(without_bound(lp)).optimum
         assert sum(lp.objective[a] * w for a, w in weights.items()) == optimum
+
+
+# ---------------------------------------------------------------------------
+# the lower bound the solve stops at
+
+
+def liar_ring_at(n):
+    """Liar n, its variants enumerated at a cap that admits them."""
+    spec = liar_system(n)
+    return uniform_mixture(spec, enumerate_variants(spec, cap=4**n))
+
+
+def minus_first(sys_, contents):
+    """sys_ with '-1' listed first in the outcome sets of the named contents:
+    the same tables, but those contents' cells in the other order."""
+    outcomes = {
+        q: outs[::-1] if q in contents else outs for q, outs in sys_.outcomes.items()
+    }
+    return validate_system(
+        outcomes, [(blk.context, blk.contents, blk.table) for blk in sys_.blocks]
+    )
+
+
+def test_bound_is_the_optimum_of_every_binary_ring():
+    # the closed form, delta_sum + cnt, against the LP solved to the end;
+    # stopped at the bound, the solve returns the same solution
+    rings = [liar_ring_at(n) for n in range(2, 13)]
+    edges = [(0, 1), (1, 2), (2, 0)]
+    for contents in itertools.permutations(("q1", "q2", "q3")):
+        for contexts in itertools.permutations(("c1", "c2", "c3")):
+            for kinds in itertools.product(("equal", "unequal"), repeat=3):
+                rings.append(equal_unequal(edges, kinds, contents, contexts))
+    rng = random.Random(71)
+    flipped = 0
+    for _ in range(100):
+        ring = random_ring(rng, rng.randint(2, 9))
+        chosen = [q for q in ring.content_ids if rng.random() < 0.3]
+        flipped += bool(chosen)
+        rings.append(minus_first(ring, chosen))
+    assert 30 < flipped < 100
+    for sys_ in rings:
+        lp = build_coupling_lp(sys_, atom_cap=4 ** len(sys_.blocks))
+        sol = solve_lp(without_bound(lp))
+        assert lp.bound == sol.optimum
+        assert lp.bound == sum(d for *_, d in delta_pairs(sys_)) + cyclic_criterion(sys_).cnt
+        assert solve_lp(lp) == sol
+
+
+def test_bound_is_delta_sum_off_binary_rings():
+    # no closed form: a tree, a ring over ternary contents and two disjoint
+    # Liar pairs, contextual though every isolated delta is 0
+    half = {(P, P): F(1, 2), (M, M): F(1, 2)}
+    swap = {(P, M): F(1, 2), (M, P): F(1, 2)}
+    tern = ("x", "y", "z")
+    systems = [
+        random_tree(random.Random(73), 6),
+        validate_system(
+            {"q1": tern, "q2": tern},
+            [
+                ("c1", ("q1", "q2"), {("x", "x"): F(1, 2), ("y", "z"): F(1, 2)}),
+                ("c2", ("q1", "q2"), {("x", "y"): F(1, 3), ("z", "x"): F(2, 3)}),
+            ],
+        ),
+        validate_system(
+            pm_registry("q1", "q2", "q3", "q4"),
+            [("c1", ("q1", "q2"), half), ("c2", ("q1", "q2"), swap),
+             ("c3", ("q3", "q4"), half), ("c4", ("q3", "q4"), swap)],
+        ),
+    ]
+    optima = []
+    for sys_ in systems:
+        lp = build_coupling_lp(sys_)
+        assert lp.bound == sum(d for *_, d in delta_pairs(sys_))
+        sol = solve_lp(without_bound(lp))
+        assert solve_lp(lp) == sol
+        optima.append(sol.optimum - lp.bound)
+    assert optima[-1] == 2  # a bound below the optimum runs phase 2 on
+
+
+def test_the_solve_stops_at_install_where_the_start_is_optimal(monkeypatch):
+    # Liar 2-10 and the ring-sparse corpus: the oriented start attains the
+    # closed form, so analyze makes the install pivots and no pricing pass
+    from identity_corpus import corpus
+
+    pivots, passes = [], []
+    pivot, prices = cbd.simplex._Revised.pivot, cbd.simplex._Revised.prices
+
+    def recording_pivot(tab, r, s, col):
+        pivots.append((col[r], tab.d))
+        pivot(tab, r, s, col)
+
+    def recording_prices(tab, costs):
+        passes.append(tab.pivots)
+        return prices(tab, costs)
+
+    monkeypatch.setattr(cbd.simplex._Revised, "pivot", recording_pivot)
+    monkeypatch.setattr(cbd.simplex._Revised, "prices", recording_prices)
+    systems = [liar_ring(n) for n in range(2, 11)] + corpus()["ring-sparse"]()
+    assert len(systems) == 159
+    for sys_ in systems:
+        lp = build_coupling_lp(sys_)
+        pivots.clear()
+        passes.clear()
+        report = analyze(sys_)
+        assert pivots == [(1, 1)] * len(lp.start)
+        assert passes == []
+        assert report.system_delta == lp.bound
+
+
+def test_an_objective_below_the_bound_is_an_internal_error(monkeypatch):
+    # a bound above the optimum is a fault: the solve refuses to go below it
+    sys_ = order_effect_system()
+    optimum, _ = system_delta(sys_)
+    monkeypatch.setattr(
+        cbd.coupling, "_lower_bound", lambda system: optimum + F(1, 1000)
+    )
+    with pytest.raises(InternalError, match="fell below its lower bound 501/1000"):
+        system_delta(sys_)
 
 
 # ---------------------------------------------------------------------------

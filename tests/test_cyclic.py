@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from helpers import (
     cycle_system,
     four_cycle_name_system,
     kd_closed_form_cnt,
+    lp_cnt,
     order_effect_system,
     pm_registry,
     rand_c2,
@@ -171,6 +173,7 @@ def test_criterion_agrees_with_lp():
         verdict = cyclic_criterion(sys_)
         report = analyze(sys_)
         assert verdict.contextual == report.contextual
+        assert verdict.cnt == lp_cnt(sys_)
 
 
 def test_cnt_is_half_margin_when_consistent():
@@ -181,6 +184,7 @@ def test_cnt_is_half_margin_when_consistent():
         report = analyze(sys_)
         expected = max(F(0), verdict.margin) / 2
         assert report.cnt == expected
+        assert lp_cnt(sys_) == expected
 
 
 def test_equal_correlation_systems_never_contextual():
@@ -190,6 +194,7 @@ def test_equal_correlation_systems_never_contextual():
         verdict = cyclic_criterion(sys_)
         assert not verdict.contextual and verdict.cnt == 0
         assert analyze(sys_).cnt == 0
+        assert lp_cnt(sys_) == 0
 
 
 @pytest.mark.parametrize(
@@ -213,7 +218,8 @@ def test_cycles_match_closed_form(n, seed, count, contextual_range):
         contexts = rank_n_cycle_weights(rng, n, biased=k % 2 == 1)
         sys_ = cycle_system(n, contexts)
         assert detect_cyclic(sys_).rank == n
-        lp = build_coupling_lp(sys_)
+        # solved to the end: lp.bound is the closed form under test
+        lp = dataclasses.replace(build_coupling_lp(sys_), bound=None)
         sol = solve_lp(lp)
         assert verify_solution(lp, sol)
         cnt = sol.optimum - sum(d for *_, d in delta_pairs(sys_))

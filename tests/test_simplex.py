@@ -411,3 +411,64 @@ def test_direct_start_negates_a_negative_pivot_row(monkeypatch):
     assert referee.solve_min([1, 1, 1], dense, [1, 2], start=[2, 1]) == (
         2, {1: 1, 2: 1}
     )
+
+
+# the lower bound: the LP of test_direct_start_negates_a_negative_pivot_row,
+# whose optimum is 5/4 at x0 = x2 = 1/4, x3 = 1/2
+
+
+BOUND_LP = ([0, 3, 3, 1], [(2, 2, 0), (1, 2, 0), (4, 1, 0)], [F(1, 4), F(1, 2), 1])
+BOUND_DENSE = [[1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]]
+BOUND_OPTIMUM = (F(5, 4), {0: F(1, 4), 2: F(1, 4), 3: F(1, 2)})
+
+
+def count_pricing_passes(monkeypatch):
+    passes = []
+    prices = simplex._Revised.prices
+
+    def counted(tab, costs):
+        passes.append(tab.pivots)
+        return prices(tab, costs)
+
+    monkeypatch.setattr(simplex._Revised, "prices", counted)
+    return passes
+
+
+def test_bound_equal_to_the_optimum_returns_the_same_solution(monkeypatch):
+    costs, rows, rhs = BOUND_LP
+    passes = count_pricing_passes(monkeypatch)
+    # from the start [1, 2, 3], x0 enters once; a bound below the optimum
+    # never stops the solve, and neither does None
+    for bound in (None, F(5, 4), 1, F(-3)):
+        passes.clear()
+        assert solve_min(costs, rows, rhs, [1, 2, 3], bound) == BOUND_OPTIMUM
+        assert len(passes) == (1 if bound == F(5, 4) else 2)
+        assert referee.solve_min(
+            costs, BOUND_DENSE, rhs, start=[1, 2, 3], bound=bound
+        ) == BOUND_OPTIMUM
+    # the start [0, 2, 3] is optimal: the bound stops the solve at install,
+    # before the pricing pass that would prove it
+    for bound, count in ((None, 1), (F(5, 4), 0)):
+        passes.clear()
+        assert solve_min(costs, rows, rhs, [0, 2, 3], bound) == BOUND_OPTIMUM
+        assert len(passes) == count
+
+
+def test_bound_above_the_optimum_raises():
+    costs, rows, rhs = BOUND_LP
+    for bound in (F(3, 2), 2, F(5, 4) + F(1, 10**30)):
+        with pytest.raises(SimplexError, match="fell below its lower bound"):
+            solve_min(costs, rows, rhs, [1, 2, 3], bound)
+        with pytest.raises(SimplexError, match="fell below its lower bound"):
+            referee.solve_min(costs, BOUND_DENSE, rhs, start=[1, 2, 3], bound=bound)
+    # at install already: the start [0, 2, 3] is optimal
+    with pytest.raises(SimplexError, match="objective 5/4 fell below its lower bound 2"):
+        solve_min(costs, rows, rhs, [0, 2, 3], 2)
+
+
+def test_bound_must_be_exact():
+    costs, rows, rhs = BOUND_LP
+    for bound in (1.25, "5/4", True):
+        with pytest.raises(SimplexError, match="the bound must be"):
+            solve_min(costs, rows, rhs, [1, 2, 3], bound)
+
