@@ -42,29 +42,30 @@ class CyclicStructure:
 
 def detect_cyclic(system: System) -> CyclicStructure | None:
     """Return the system's ring structure, or None if it is not cyclic."""
-    contents = system.content_ids
-    n = len(system.blocks)
-    if n < 2 or len(contents) != n:
+    blocks = system.blocks
+    n = len(blocks)
+    if n < 2:
         return None
-    for blk in system.blocks:
+    # links[q]: each context measuring content q, with its other content
+    links: dict[str, list[tuple[str, str]]] = {}
+    for blk in blocks:
         if len(blk.contents) != 2:
             return None
-    for q in contents:
-        if len(system.contexts_of(q)) != 2:
-            return None
+        a, b = blk.contents
+        links.setdefault(a, []).append((blk.context, b))
+        links.setdefault(b, []).append((blk.context, a))
+    if len(links) != n or any(len(link) != 2 for link in links.values()):
+        return None
 
     # every context and content now has degree two, so the walk returns to
     # its start; a disjoint union of smaller rings closes before n steps
-    first = system.blocks[0]  # blocks are sorted, so the least id
-    start = first.context
-    ctx, (q_in, q_out) = start, sorted(first.contents)
+    start = blocks[0].context  # blocks are sorted, so the least id
+    ctx, (q_in, q_out) = start, sorted(blocks[0].contents)
     cycle = []
     while not cycle or ctx != start:
         cycle.append((ctx, q_in, q_out))
-        c1, c2 = system.contexts_of(q_out)
-        ctx = c2 if c1 == ctx else c1
-        a, b = system.block(ctx).contents
-        q_in, q_out = q_out, a if b == q_out else b
+        (c1, q1), (c2, q2) = links[q_out]
+        ctx, q_in, q_out = (c2, q_out, q2) if c1 == ctx else (c1, q_out, q1)
     return CyclicStructure(rank=n, cycle=tuple(cycle)) if len(cycle) == n else None
 
 

@@ -214,9 +214,10 @@ class System:
         return {q: tuple(ctxs) for q, ctxs in by_content.items()}
 
     @cached_property
-    def _tables(self) -> dict[str, Form]:
-        """context -> its table's values as a Form, in table order."""
-        return {blk.context: to_form(blk.table.values()) for blk in self.blocks}
+    def _tables(self) -> tuple[Form, ...]:
+        """Each block's table values as a Form, in table order, in block
+        order."""
+        return tuple([to_form(blk.table.values()) for blk in self.blocks])
 
     @cached_property
     def _marginals(self) -> dict[tuple[str, str], Form]:
@@ -226,10 +227,8 @@ class System:
         position = {
             q: {o: i for i, o in enumerate(outs)} for q, outs in self.outcomes.items()
         }
-        tables = self._tables
         forms: dict[tuple[str, str], Form] = {}
-        for blk in self.blocks:
-            den, cell_nums = tables[blk.context]
+        for blk, (den, cell_nums) in zip(self.blocks, self._tables):
             sums = [[0] * len(position[q]) for q in blk.contents]
             where = [position[q] for q in blk.contents]
             for cell, num in zip(blk.table, cell_nums):
@@ -537,22 +536,21 @@ def s_odd(system: System, cycle: Sequence[tuple[str, str, str]]) -> Fraction:
     (context, content_in, content_out) of cycle as cyclic.detect_cyclic
     walks it: the largest sum of them with an odd number negated.
 
-    Each context measures exactly its two contents, and each content is
-    some triple's content_in, so checking those, in cycle order, checks
-    every content for the canonical '+1'/'-1' labels.  Each expectation is
-    read in integers off its context's table form, the one the marginal
-    index sums: a cell counts +1 where its two labels agree and -1 where
-    they differ.  The expectations are compared over their common
-    denominator, so no Fraction is added.
+    The cycle visits every context of the system, each measuring exactly
+    its two contents, and each content is some triple's content_in, so
+    checking those, in cycle order, checks every content for the canonical
+    '+1'/'-1' labels.  As s_odd does not depend on the order of the
+    products, each is read in block order, in integers off its context's
+    table form, the one the marginal index sums: a cell counts +1 where its
+    two labels agree and -1 where they differ.  The expectations are
+    compared over their common denominator, so no Fraction is added.
     """
     for _, q, _ in cycle:
         check_plus_minus_one(f"content {q!r}", system.outcomes[q])
-    tables = system._tables
     terms = []
-    for context, _, _ in cycle:
-        den, nums = tables[context]
+    for blk, (den, nums) in zip(system.blocks, system._tables):
         same = 0
-        for (x, y), num in zip(system.block(context).table, nums):
+        for (x, y), num in zip(blk.table, nums):
             if x == y:
                 same += num
         terms.append((2 * same - den, den))
