@@ -316,8 +316,11 @@ def _lower_bound(system: System) -> Fraction:
         lhs = s_odd(system, ring.cycle)
     except NotPlusMinusOne:
         return bound
-    den = lhs.denominator
-    return max(bound, Fraction(lhs.numerator - (ring.rank - 2) * den, 2 * den))
+    # (lhs - (n - 2)) / 2 as num / den, compared with the bound in integers
+    num, den = lhs.numerator - (ring.rank - 2) * lhs.denominator, 2 * lhs.denominator
+    if num * bound.denominator > bound.numerator * den:
+        return Fraction(num, den)
+    return bound
 
 
 def _direction(indices: Sequence[int]) -> int:
