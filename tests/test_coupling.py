@@ -384,7 +384,7 @@ def alive_atoms(full):
 
 def liar_ring(n):
     spec = liar_system(n)
-    return uniform_mixture(spec, enumerate_variants(spec))
+    return uniform_mixture(spec, enumerate_variants(spec, cap=4**n))
 
 
 def liar7():
@@ -821,12 +821,6 @@ def test_start_attains_the_optimum_on_equal_unequal_rings_and_trees():
 # the lower bound the solve stops at
 
 
-def liar_ring_at(n):
-    """Liar n, its variants enumerated at a cap that admits them."""
-    spec = liar_system(n)
-    return uniform_mixture(spec, enumerate_variants(spec, cap=4**n))
-
-
 def minus_first(sys_, contents):
     """sys_ with '-1' listed first in the outcome sets of the named contents:
     the same tables, but those contents' cells in the other order."""
@@ -841,7 +835,7 @@ def minus_first(sys_, contents):
 def test_bound_is_the_optimum_of_every_binary_ring():
     # the closed form, delta_sum + cnt, against the LP solved to the end;
     # stopped at the bound, the solve returns the same solution
-    rings = [liar_ring_at(n) for n in range(2, 13)]
+    rings = [liar_ring(n) for n in range(2, 13)]
     edges = [(0, 1), (1, 2), (2, 0)]
     for contents in itertools.permutations(("q1", "q2", "q3")):
         for contexts in itertools.permutations(("c1", "c2", "c3")):

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -35,6 +34,7 @@ from helpers import (
     rand_c2_equal_correlation,
     rank_n_cycle_weights,
     relabel_outcomes,
+    without_bound,
 )
 
 F = Fraction
@@ -219,7 +219,7 @@ def test_cycles_match_closed_form(n, seed, count, contextual_range):
         sys_ = cycle_system(n, contexts)
         assert detect_cyclic(sys_).rank == n
         # solved to the end: lp.bound is the closed form under test
-        lp = dataclasses.replace(build_coupling_lp(sys_), bound=None)
+        lp = without_bound(build_coupling_lp(sys_))
         sol = solve_lp(lp)
         assert verify_solution(lp, sol)
         cnt = sol.optimum - sum(d for *_, d in delta_pairs(sys_))
