@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .analysis import analyze
 from .coupling import check_atom_cap, delta_pairs
-from .cyclic import cyclic_criterion, detect_cyclic
+from .cyclic import detect_cyclic, ring_criterion
 from .epistemic import enumerate_variants, liar_system, uniform_mixture
 from .errors import CbdError, InternalError, NotPlusMinusOne
 from .oracle import DEFAULT_BASIS_LIMIT, TooManyBases, coupling_lp, enumerate_min
@@ -115,7 +115,7 @@ def cmd_cyclic(args) -> int:
     print(f"rank: {structure.rank}")
     print("cycle: " + "; ".join(f"{c}: ({a}, {b})" for c, a, b in structure.cycle))
     try:
-        v = cyclic_criterion(system)
+        v = ring_criterion(system, structure)
     except NotPlusMinusOne as exc:
         print(f"rank-{structure.rank} criterion: not applicable ({exc})")
         return EXIT_OK

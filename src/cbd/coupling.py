@@ -26,12 +26,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import simplex
-from .cyclic import detect_cyclic
-from .errors import (
-    CapExceeded, DomainMismatch, InternalError, InvalidArgument, NotPlusMinusOne,
-)
+from .cyclic import ring_optimum
+from .errors import CapExceeded, DomainMismatch, InternalError, InvalidArgument
 from .systems import (
-    MINUS, PLUS, ZERO, Marginal, System, check_plus_minus_one, isolated_deltas, s_odd,
+    MINUS, PLUS, ZERO, Marginal, System, check_plus_minus_one, isolated_deltas,
     to_form, total_variation,
 )
 
@@ -168,10 +166,10 @@ class LPInstance:
     so the row's atoms are the j with (j // stride) % count == position.
     The mass row is (n_atoms, 1, 0).  No atom is listed: atom decodes one.
 
-    bound: an exact lower bound on the LP's optimum, derived from the system
-    alone (see _lower_bound): delta_sum, raised for a '+1'/'-1' ring to its
-    closed-form optimum.  solve_lp passes it to simplex.solve_min, which
-    stops once its objective reaches it.
+    bound: an exact lower bound on the optimum, from the system alone
+    (_lower_bound), or None.  solve_lp trusts it: a bound above the optimum
+    can end the solve at a basis that is not optimal, and verify_solution,
+    which checks feasibility and the objective only, cannot tell.
     """
 
     variables: tuple[tuple[str, str], ...]
@@ -180,7 +178,7 @@ class LPInstance:
     objective: tuple[int, ...]
     start: tuple[tuple[int, int], ...]
     layout: tuple[tuple[int, int, int], ...]
-    bound: Fraction
+    bound: Fraction | None
 
     @property
     def n_atoms(self) -> int:
@@ -298,29 +296,11 @@ def build_coupling_lp(system: System, atom_cap: int | None = None) -> LPInstance
 
 
 def _lower_bound(system: System) -> Fraction:
-    """An exact lower bound on the coupling LP's optimum, from the system's
-    integer forms alone.
-
-    Every coupling mismatches each pair at least as often as its minimal
-    coupling does, so delta_sum bounds every system.  For a cyclic system
-    over '+1'/'-1' outcomes the optimum is known in closed form (Kujala &
-    Dzhafarov, Found. Phys. 46, 2016): delta_sum + cnt, with cnt as in
-    cyclic.cyclic_criterion, which is max(delta_sum, (s_odd - (n - 2)) / 2)
-    for a ring of rank n.
-    """
-    bound = isolated_deltas(system).total
-    ring = detect_cyclic(system)
-    if ring is None:
-        return bound
-    try:
-        lhs = s_odd(system, ring.cycle)
-    except NotPlusMinusOne:
-        return bound
-    # (lhs - (n - 2)) / 2 as num / den, compared with the bound in integers
-    num, den = lhs.numerator - (ring.rank - 2) * lhs.denominator, 2 * lhs.denominator
-    if num * bound.denominator > bound.numerator * den:
-        return Fraction(num, den)
-    return bound
+    """An exact lower bound on the LP's optimum from the system alone:
+    delta_sum, which no coupling beats pair by pair, raised for a '+1'/'-1'
+    ring to its optimum (Kujala & Dzhafarov 2016; cyclic.ring_optimum)."""
+    optimum = ring_optimum(system)
+    return isolated_deltas(system).total if optimum is None else optimum
 
 
 def _direction(indices: Sequence[int]) -> int:
@@ -425,10 +405,12 @@ def solve_lp(lp: LPInstance) -> LPSolution:
     each as its cell in lp.layout, and runs phase 2 from the start's basis.
     An LP with a zero-rhs row is refused: the rows left out could be the
     ones that force zero-cell atoms to weight zero, and those atoms could
-    enter the basis.  The solve stops once its objective reaches lp.bound.
-    The solution is solve_min's (optimum, weights) as it is: the weights
-    are the nonzero values of an optimal basic feasible solution of the
-    support LP, by atom index in ascending order.
+    enter the basis.  The solve stops once its objective reaches lp.bound,
+    or runs phase 2 to the end when that is None.  It trusts the bound: one
+    above the optimum can end the solve at a basis that is not optimal, and
+    verify_solution cannot tell.  The solution is solve_min's (optimum,
+    weights) as it is: the weights are the nonzero values of the basic
+    feasible solution it ends at, by atom index in ascending order.
     """
     if not lp.start:
         raise ValueError("solve_lp needs an LP with a start basis, got none")

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import NotCyclic
-from .systems import ZERO, System, isolated_deltas, s_odd
+from .errors import NotCyclic, NotPlusMinusOne
+from .systems import System, check_plus_minus_one, isolated_deltas, s_odd
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,39 @@ def cyclic_criterion(system: System) -> CyclicCriterion:
     Raises NotCyclic when the system is not one ring and NotPlusMinusOne when
     a content's outcome set is not the canonical binary one.
     """
-    structure = detect_cyclic(system)
-    if structure is None:
-        raise NotCyclic("the closed-form criterion needs a cyclic system")
-    lhs = s_odd(system, structure.cycle)
+    return ring_criterion(system, detect_cyclic(system))
+
+
+def ring_criterion(system: System, ring: CyclicStructure | None) -> CyclicCriterion:
+    """cyclic_criterion of a system, given what detect_cyclic returns for it."""
+    lhs, delta_sum, optimum = _closed_form(system, ring)
     # binary marginals: |<R>_c - <R>_c'| = 2 |u - v|, twice the isolated delta
-    rhs = 2 * isolated_deltas(system).total + structure.rank - 2
+    rhs = 2 * delta_sum + ring.rank - 2
     margin = lhs - rhs
-    return CyclicCriterion(margin > 0, margin, lhs, rhs, max(margin, ZERO) / 2)
+    return CyclicCriterion(margin > 0, margin, lhs, rhs, optimum - delta_sum)
+
+
+def ring_optimum(system: System) -> Fraction | None:
+    """The coupling LP's optimum, delta_sum + cnt, of a ring over '+1'/'-1'
+    outcomes; None for any other system."""
+    try:
+        return _closed_form(system, detect_cyclic(system))[2]
+    except (NotCyclic, NotPlusMinusOne):
+        return None
+
+
+def _closed_form(system: System, ring: CyclicStructure | None) -> tuple[Fraction, ...]:
+    """The ring's s_odd, delta_sum and coupling LP optimum, delta_sum + cnt =
+    max(delta_sum, (s_odd - (n - 2)) / 2), compared in integers so that only
+    the one returned is built.  NotPlusMinusOne names the first content, in
+    cycle order (each is some triple's content_in), not over '+1'/'-1'."""
+    if ring is None:
+        raise NotCyclic("the closed-form criterion needs a cyclic system")
+    for _, q, _ in ring.cycle:
+        check_plus_minus_one(f"content {q!r}", system.outcomes[q])
+    lhs = s_odd(system)
+    delta_sum = isolated_deltas(system).total
+    num, den = lhs.numerator - (ring.rank - 2) * lhs.denominator, 2 * lhs.denominator
+    if num * delta_sum.denominator > delta_sum.numerator * den:
+        return lhs, delta_sum, Fraction(num, den)
+    return lhs, delta_sum, delta_sum

@@ -24,8 +24,8 @@ content's registry outcome order and gcd(den, *nums) == 1; two marginals of
 one content are equal exactly when their forms are.  The isolated deltas
 and the consistency check read these forms; marginal() decodes one form
 into a Marginal when it is called.  The isolated deltas and their sum are
-cached with the index (isolated_deltas), and s_odd reads the ring
-criterion's product expectations off the same table forms.
+cached with the index (isolated_deltas), and s_odd reads a ring's product
+expectations off the same table forms for its closed form, in cyclic.py.
 """
 
 from __future__ import annotations
@@ -531,22 +531,14 @@ def expectation(system: System, context: str, contents: Sequence[str]) -> Fracti
     return total
 
 
-def s_odd(system: System, cycle: Sequence[tuple[str, str, str]]) -> Fraction:
-    """s_odd of a ring's product expectations <R_in R_out>, one per
-    (context, content_in, content_out) of cycle as cyclic.detect_cyclic
-    walks it: the largest sum of them with an odd number negated.
-
-    The cycle visits every context of the system, each measuring exactly
-    its two contents, and each content is some triple's content_in, so
-    checking those, in cycle order, checks every content for the canonical
-    '+1'/'-1' labels.  As s_odd does not depend on the order of the
-    products, each is read in block order, in integers off its context's
-    table form, the one the marginal index sums: a cell counts +1 where its
-    two labels agree and -1 where they differ.  The expectations are
-    compared over their common denominator, so no Fraction is added.
-    """
-    for _, q, _ in cycle:
-        check_plus_minus_one(f"content {q!r}", system.outcomes[q])
+def s_odd(system: System) -> Fraction:
+    """s_odd of the product expectations <R_a R_b>, one per context of a
+    system whose contexts each measure two '+1'/'-1' contents (a ring, as
+    cyclic.py checks): the largest sum of them with an odd number negated.
+    Each is read in block order, in integers off its context's table form,
+    the one the marginal index sums: a cell counts +1 where its two labels
+    agree and -1 where they differ, and the sum is taken over the common
+    denominator, so no Fraction is added."""
     terms = []
     for blk, (den, nums) in zip(system.blocks, system._tables):
         same = 0

@@ -218,6 +218,39 @@ def test_cyclic_no(tmp_path, capsys):
     assert out == "cyclic: no\n"
 
 
+def test_cyclic_detects_the_ring_once(tmp_path, capsys, monkeypatch):
+    # cbd cyclic hands the ring it prints to the criterion, which does not
+    # look for it again; both modules' names are spied on
+    import cbd.cyclic
+
+    calls = []
+    detect = cbd.cyclic.detect_cyclic
+
+    def spy(system):
+        calls.append(system)
+        return detect(system)
+
+    monkeypatch.setattr(cbd.cli, "detect_cyclic", spy)
+    monkeypatch.setattr(cbd.cyclic, "detect_cyclic", spy)
+    table = {("x", "x"): F(1, 2), ("y", "y"): F(1, 2)}
+    systems = {
+        "cnt = 1": uniform_mixture(liar_system(3), enumerate_variants(liar_system(3))),
+        "not applicable": validate_system(
+            {"q1": ("x", "y"), "q2": ("x", "y")},
+            [("c1", ("q1", "q2"), table), ("c2", ("q1", "q2"), dict(table))],
+        ),
+        "cyclic: no": validate_system(
+            pm_registry("q1", "q2"), [("c1", ("q1", "q2"), {(P, P): F(1, 2), (M, M): F(1, 2)})]
+        ),
+    }
+    for text, sys_ in systems.items():
+        path = write_file(tmp_path, sys_)
+        calls.clear()
+        code, out, _ = run_cli(capsys, "cyclic", path)
+        assert code == 0 and text in out
+        assert len(calls) == 1
+
+
 def test_liar_stdout(capsys):
     code, out, _ = run_cli(capsys, "liar", "3")
     assert code == 0

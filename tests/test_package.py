@@ -137,6 +137,26 @@ def test_plus_minus_one_refused_in_one_function():
     assert raisers == comparers == {"systems.py:check_plus_minus_one"}
 
 
+def test_ring_closed_form_in_cyclic_only():
+    # one ring closed form: s_odd is called in one function of cyclic.py,
+    # and coupling takes a ring's optimum from there, with neither s_odd nor
+    # a '+1'/'-1' refusal of its own
+    trees = dict(_package_trees())
+    callers = {
+        f"{name}:{scope}"
+        for name, tree in trees.items()
+        for scope in _calls_in_scope(tree, "s_odd")
+    }
+    assert callers == {"cyclic.py:_closed_form"}
+    imported = {
+        alias.name
+        for node in ast.walk(trees["coupling.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported.isdisjoint({"s_odd", "NotPlusMinusOne", "NotBinary"})
+
+
 def test_oracle_imports_nothing_from_the_package():
     # the basis-enumeration oracle referees the simplex, so it must share no
     # code with the package it checks
