@@ -9,9 +9,11 @@ one digit per context, and the mass row is (n, 1, 0).
 The optimum is exact, yet no pivot touches a Fraction: the costs are ints
 and systems.to_form scales the rhs to integers.  No m x n tableau is kept.
 For the basis B the solver holds E = d*B^-1 (m x m) with the rhs column
-beta = E.b, and in phase 2 the z-row [-pi | -c_B.beta] with the duals
-pi = c_B.E, all integers over one denominator d > 0.  Together they stand
-for the dense tableau E.A with z-row d*c - pi.A.  A pivot on (r, s) with
+beta = E.b, and the z-row [-pi | -c_B.beta] with the duals pi = c_B.E, all
+integers over one denominator d > 0.  Together they stand for the dense
+tableau E.A with z-row d*c - pi.A.  They start at the artificial basis,
+[I | b] and a zero z-row (the artificial columns cost nothing), and every
+pivot from the first updates all m + 1 rows alike.  A pivot on (r, s) with
 p = (E.A_s)[r] applies the integer-preserving update of Edmonds and Bareiss
 (Math. Comp. 22, 1968) to these rows alone, as in the revised simplex of
 Dantzig and Orchard-Hays (1954): row r stays, every other row turns into
@@ -28,7 +30,8 @@ There is one path: the caller's start basis, one column per row (so the rows
 must be independent), is pivoted in row by row, in order; it must be
 nonsingular in that order and its basic solution nonnegative.  The coupling
 LP's north-west-corner start has a unit lower-triangular basis, so every
-install pivot is a plain row subtraction.  Phase 2 runs from that basis.
+install pivot is a plain row subtraction.  The iterations run on from that
+basis, on the same rows.
 
 The caller may pass an exact lower bound on the optimum.  Before every
 pricing pass, right after install and after each pivot, the objective
@@ -125,26 +128,29 @@ def _radix(rows, n):
 
 
 class _Revised:
-    """[E | beta] by rows, the z-row [-pi | -c_B.beta] (kept last in rows
-    while present), the basis, the common denominator d and the radix."""
+    """[E | beta] by rows and then, from the artificial start on, the z-row
+    [-pi | -c_B.beta]; the basis, the common denominator d and the radix."""
 
     def __init__(self, digits, rhs, n):
         m = len(rhs)
         self.rows = [[int(i == k) for k in range(m)] + [b] for i, b in enumerate(rhs)]
+        self.rows.append([0] * (m + 1))
         self.basis = list(range(n, n + m))
         self.digits = digits
         self.d = 1
         self.pivots = 0
 
-    def column(self, s):
-        """E.A_s, over every row held: the sum of E's columns for the rows
-        whose cell column s is in."""
+    def column(self, s, costs):
+        """E.A_s followed by s's reduced cost d*c_s - pi.A_s: the sums of E's
+        columns and of -pi for the rows whose cell column s is in."""
         cover = [
             k
             for stride, count, cells in self.digits
             for k in cells[s // stride % count]
         ]
-        return [sum(map(row.__getitem__, cover)) for row in self.rows]
+        col = [sum(map(row.__getitem__, cover)) for row in self.rows]
+        col[-1] += self.d * costs[s]
+        return col
 
     def prices(self, costs):
         """The z-row over every column: d*c_j plus -pi summed over the rows
@@ -159,7 +165,7 @@ class _Revised:
 
     def pivot(self, r, s, col):
         """Make column s basic in row r, keeping every entry an integer; col
-        is E.A_s over the rows held, the z-row's entry included."""
+        is E.A_s followed by s's reduced cost, as column returns it."""
         rows = self.rows
         prow = rows[r]
         p = col[r]
@@ -189,17 +195,17 @@ class _Revised:
         if self.pivots > MAX_PIVOTS:
             raise SimplexError("pivot limit exceeded")
 
-    def install(self, start, n):
+    def install(self, start, costs):
         """Pivot start[i] in as row i's basic column, row by row."""
-        m = len(self.rows)
+        m = len(self.basis)
         if len(start) != m:
             raise SimplexError(f"start basis has {len(start)} columns for {m} rows")
         for i, j in enumerate(start):
-            col = self.column(j) if 0 <= j < n else None
+            col = self.column(j, costs) if 0 <= j < len(costs) else None
             if col is None or col[i] == 0:
                 raise SimplexError(f"start basis is singular at row {i}")
             self.pivot(i, j, col)
-        if any(row[-1] < 0 for row in self.rows):
+        if any(row[-1] < 0 for row in self.rows[:m]):
             raise SimplexError("start basis is infeasible")
 
     def iterate(self, costs, bound, scale):
@@ -209,7 +215,7 @@ class _Revised:
         pass, in integers; an objective below it raises."""
         rows = self.rows
         basis = self.basis
-        m = len(rows) - 1
+        m = len(basis)
         degenerate = 0
         if bound is not None:
             target, over = bound.numerator * scale, bound.denominator
@@ -232,8 +238,7 @@ class _Revised:
                 enter = next((j for j, zj in enumerate(z) if zj < 0), -1)
             if enter < 0:
                 return
-            col = self.column(enter)
-            col[-1] = z[enter]
+            col = self.column(enter, costs)
             # ratio test: beta[i] / col[i] over rows with a positive entry,
             # compared by cross-multiplication
             leave = -1
@@ -251,24 +256,6 @@ class _Revised:
                 raise SimplexError("unbounded objective")
             degenerate = degenerate + 1 if num == 0 else 0
             self.pivot(leave, enter, col)
-
-    def phase_two(self, costs, rhs_scale, bound):
-        """Minimize the int costs from the installed basis, stopping at the
-        lower bound if it is not None; return the optimum and the nonzero
-        basic values, by column, in ascending order."""
-        zrow = [0] * (len(self.basis) + 1)
-        for j, row in zip(self.basis, self.rows):
-            cb = costs[j]
-            if cb:
-                zrow = [z - cb * a for z, a in zip(zrow, row)]
-        self.rows.append(zrow)
-        self.iterate(costs, bound, rhs_scale)
-
-        den = self.d * rhs_scale
-        # zip stops at the last basis entry, before the z-row
-        values = sorted((j, row[-1]) for j, row in zip(self.basis, self.rows))
-        weights = {j: Fraction(v, den) for j, v in values if v}
-        return Fraction(-self.rows[-1][-1], den), weights
 
 
 def solve_min(costs, rows, rhs, start, bound):
@@ -305,5 +292,10 @@ def solve_min(costs, rows, rhs, start, bound):
         raise SimplexError(f"the bound must be an int, a Fraction or None, got {bound!r}")
     rhs_scale, int_rhs = to_form(rhs)
     tab = _Revised(digits, int_rhs, n)
-    tab.install(start, n)
-    return tab.phase_two(costs, rhs_scale, bound)
+    tab.install(start, costs)
+    tab.iterate(costs, bound, rhs_scale)
+    den = tab.d * rhs_scale
+    # zip stops at the last basis entry, before the z-row
+    values = sorted((j, row[-1]) for j, row in zip(tab.basis, tab.rows))
+    weights = {j: Fraction(v, den) for j, v in values if v}
+    return Fraction(-tab.rows[-1][-1], den), weights

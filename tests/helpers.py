@@ -94,26 +94,30 @@ def rank_n_cycle_weights(rng, n, biased):
     return contexts
 
 
-def kd_closed_form_cnt(contexts):
-    """Kujala-Dzhafarov degree of a binary cyclic system, from raw weights:
-    max(0, (s_odd(<R_i R_i+1>) - D - (n - 2)) / 2), with D the sum over
-    contents of |<R>_c - <R>_c'|."""
-    products = []
+def kd_mean(weights, f):
+    """The mean of f(x, y) under raw weights over pairs of outcomes."""
+    total = sum(weights.values())
+    return Fraction(sum(w * f(x, y) for (x, y), w in weights.items()), total)
+
+
+def kd_mean_gap(contexts):
+    """D of a binary cyclic system, from raw weights: the sum over contents
+    of |<R>_c - <R>_c'|."""
     means = {}
     for _, (a, b), weights in contexts:
-        total = sum(weights.values())
+        means.setdefault(a, []).append(kd_mean(weights, lambda x, y: SIGN[x]))
+        means.setdefault(b, []).append(kd_mean(weights, lambda x, y: SIGN[y]))
+    return sum(abs(u - v) for u, v in means.values())
 
-        def mean(f):
-            return Fraction(sum(w * f(x, y) for (x, y), w in weights.items()), total)
 
-        products.append(mean(lambda x, y: SIGN[x] * SIGN[y]))
-        means.setdefault(a, []).append(mean(lambda x, y: SIGN[x]))
-        means.setdefault(b, []).append(mean(lambda x, y: SIGN[y]))
-    gap = sum(abs(u - v) for u, v in means.values())
+def kd_closed_form_cnt(contexts):
+    """Kujala-Dzhafarov degree of a binary cyclic system, from raw weights:
+    max(0, (s_odd(<R_i R_i+1>) - D - (n - 2)) / 2), with D = kd_mean_gap."""
+    products = [kd_mean(w, lambda x, y: SIGN[x] * SIGN[y]) for _, _, w in contexts]
     s_odd = sum(abs(x) for x in products)
     if sum(x < 0 for x in products) % 2 == 0:
         s_odd -= 2 * min(abs(x) for x in products)
-    return max(Fraction(0), (s_odd - gap - (len(contexts) - 2)) / 2)
+    return max(Fraction(0), (s_odd - kd_mean_gap(contexts) - (len(contexts) - 2)) / 2)
 
 
 def cycle_system(n, contexts):

@@ -42,6 +42,8 @@ from helpers import (
     full_lp,
     is_feasible,
     is_solution,
+    kd_closed_form_cnt,
+    kd_mean_gap,
     lp_views,
     on_full_lp,
     order_effect_oracle_min,
@@ -833,8 +835,11 @@ def minus_first(sys_, contents):
 
 
 def test_bound_is_the_optimum_of_every_binary_ring():
-    # the closed form, delta_sum + cnt, against the LP solved to the end;
-    # stopped at the bound, the solve returns the same solution
+    # the bound against the LP solved to the end, and against the closed
+    # form read off the context tables by the tests' own Kujala-Dzhafarov
+    # formula: D/2 + cnt, D the summed mean gaps (D/2 is delta_sum on a
+    # '+1'/'-1' ring); stopped at the bound, the solve returns the same
+    # solution
     rings = [liar_ring(n) for n in range(2, 13)]
     edges = [(0, 1), (1, 2), (2, 0)]
     for contents in itertools.permutations(("q1", "q2", "q3")):
@@ -853,7 +858,8 @@ def test_bound_is_the_optimum_of_every_binary_ring():
         lp = build_coupling_lp(sys_, atom_cap=4 ** len(sys_.blocks))
         sol = solve_lp(without_bound(lp))
         assert lp.bound == sol.optimum
-        assert lp.bound == sum(d for *_, d in delta_pairs(sys_)) + cyclic_criterion(sys_).cnt
+        tables = [(blk.context, blk.contents, blk.table) for blk in sys_.blocks]
+        assert lp.bound == kd_mean_gap(tables) / 2 + kd_closed_form_cnt(tables)
         assert solve_lp(lp) == sol
 
 

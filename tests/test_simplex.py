@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cbd import simplex
+from cbd import analyze, liar_system, simplex
 from cbd.coupling import build_coupling_lp
 from cbd.oracle import enumerate_min
 from cbd.simplex import SimplexError, solve_min
@@ -472,3 +472,33 @@ def test_bound_must_be_exact():
         with pytest.raises(SimplexError, match="the bound must be"):
             solve_min(costs, rows, rhs, [1, 2, 3], bound)
 
+
+
+def test_the_z_row_is_held_from_the_first_pivot(monkeypatch):
+    # after every pivot, install pivots included, the tableau holds the m
+    # rows [E | beta] and last the z-row [-pi | -c_B.beta], which is minus
+    # the sum of c_B(i) * row i over the current basis (an artificial
+    # column costs 0), updated by the same step as every other row
+    from identity_corpus import corpus, mixture
+
+    pivot = simplex._Revised.pivot
+    lp = None
+    checked = []
+
+    def checking(tab, r, s, col):
+        pivot(tab, r, s, col)
+        assert len(tab.rows) == len(lp.start) + 1
+        *rows, z = tab.rows
+        cb = [lp.objective[j] if j < len(lp.objective) else 0 for j in tab.basis]
+        assert z == [-sum(c * row[k] for c, row in zip(cb, rows)) for k in range(len(z))]
+        checked.append(s)
+
+    monkeypatch.setattr(simplex._Revised, "pivot", checking)
+    systems = [mixture(liar_system(n)) for n in range(2, 11)]
+    for make in corpus().values():
+        systems += make()[:50]
+    assert len(systems) == 166
+    for sys_ in systems:
+        lp = build_coupling_lp(sys_)
+        analyze(sys_)
+    assert len(checked) > 1000
