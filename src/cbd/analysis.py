@@ -22,7 +22,7 @@ from fractions import Fraction
 from .coupling import CouplingWitness, delta_pairs, resolve_atom_cap, system_delta
 from .errors import InternalError, NotDeterministic
 from .systems import (
-    ZERO, Consistency, System, is_consistently_connected, isolated_deltas,
+    ZERO, Consistency, PairDelta, System, is_consistently_connected, isolated_deltas,
 )
 
 __all__ = [
@@ -32,14 +32,6 @@ __all__ = [
     "analyze",
     "analyze_deterministic",
 ]
-
-
-@dataclass(frozen=True)
-class PairDelta:
-    content: str
-    context_a: str
-    context_b: str
-    delta: Fraction
 
 
 @dataclass(frozen=True)
@@ -95,14 +87,13 @@ def _report(
     delta: Fraction,
     witness: CouplingWitness,
     deterministic: bool,
-    pairs: list[tuple[str, str, str, Fraction]],
+    pairs: list[PairDelta],
     delta0: Fraction,
     consistency: Consistency,
 ) -> AnalysisReport:
     """Assemble the report around an in-system minimum and its coupling,
-    the isolated delta of every pair in System.pairs() order, their sum
-    delta0 and the connections' consistency."""
-    pair_deltas = tuple(PairDelta(*pair) for pair in pairs)
+    the PairDelta of every pair in System.pairs() order (held as given),
+    their sum delta0 and the connections' consistency."""
     cnt = delta - delta0
     if cnt < 0:
         raise InternalError(
@@ -112,7 +103,7 @@ def _report(
         n_contents=len(system.content_ids),
         n_contexts=len(system.blocks),
         n_variables=len(system.variables),
-        pair_deltas=pair_deltas,
+        pair_deltas=tuple(pairs),
         delta_sum=delta0,
         system_delta=delta,
         cnt=cnt,
@@ -141,11 +132,11 @@ def analyze_deterministic(system: System) -> AnalysisReport:
     mismatches = 0
     for q, ca, cb in system.pairs():
         if values[(ca, q)] != values[(cb, q)]:
-            pairs.append((q, ca, cb, _ONE))
+            pairs.append(PairDelta(q, ca, cb, _ONE))
             per[q] = False
             mismatches += 1
         else:
-            pairs.append((q, ca, cb, ZERO))
+            pairs.append(PairDelta(q, ca, cb, ZERO))
     atom = tuple(values[v] for v in system.variables)
     witness = CouplingWitness(
         variables=system.variables, weights=((atom, _ONE),)

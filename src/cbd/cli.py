@@ -97,11 +97,11 @@ def cmd_delta(args) -> int:
     q = args.content
     if q not in system.content_ids:
         raise CbdError(f"content {q!r} does not appear in any context")
-    deltas = [(ca, cb, d) for p, ca, cb, d in delta_pairs(system) if p == q]
+    deltas = [pd for pd in delta_pairs(system) if pd.content == q]
     if not deltas:
         print(f"content {q}: single context, no pairs")
-    for ca, cb, d in deltas:
-        print(f"delta({ca}, {cb}) = {format_value(d)}")
+    for pd in deltas:
+        print(f"delta({pd.context_a}, {pd.context_b}) = {format_value(pd.delta)}")
     return EXIT_OK
 
 

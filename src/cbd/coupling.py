@@ -29,8 +29,8 @@ from . import simplex
 from .cyclic import ring_optimum
 from .errors import CapExceeded, DomainMismatch, InternalError, InvalidArgument
 from .systems import (
-    MINUS, PLUS, ZERO, Marginal, System, check_plus_minus_one, isolated_deltas,
-    to_form, total_variation,
+    MINUS, PLUS, ZERO, Marginal, PairDelta, System, check_plus_minus_one,
+    isolated_deltas, to_form, total_variation,
 )
 
 DEFAULT_ATOM_CAP = 2**20
@@ -474,13 +474,14 @@ def system_delta(
     return sol.optimum, witness
 
 
-def delta_pairs(system: System) -> list[tuple[str, str, str, Fraction]]:
+def delta_pairs(system: System) -> list[PairDelta]:
     """Isolated delta for every content-sharing pair.
 
-    Returns (content, context_a, context_b, delta) tuples in System.pairs()
-    order, the pair enumeration the LP objective uses, so summing gives the
-    in-isolation baseline.  Each delta is isolated_delta of the two
-    marginals, computed once per system from their integer forms in the
-    system's index (systems.isolated_deltas, which holds the sum too).
+    Returns one PairDelta per pair in System.pairs() order, the pair
+    enumeration the LP objective uses, so summing gives the in-isolation
+    baseline.  Each delta is isolated_delta of the two marginals, computed
+    once per system from their integer forms in the system's index; the
+    records are the index's own (systems.isolated_deltas, which holds the
+    sum too).
     """
     return list(isolated_deltas(system).pairs)

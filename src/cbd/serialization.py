@@ -23,10 +23,10 @@ import sys
 from fractions import Fraction
 from typing import IO, Iterator
 
-from .analysis import AnalysisReport, PairDelta
+from .analysis import AnalysisReport
 from .errors import CbdError, SystemFileError
 from .systems import (
-    P_GRAMMAR, System, build_system, context_block, int_text, outcome_set,
+    P_GRAMMAR, PairDelta, System, build_system, context_block, int_text, outcome_set,
 )
 
 
@@ -226,14 +226,19 @@ def _read_system(data) -> System:
     return build_system(registry, blocks)
 
 
+def _not_json(token: str):
+    """Refuse NaN, Infinity and -Infinity, which json.loads reads but JSON lacks."""
+    raise ValueError(f"{token} is not JSON")
+
+
 def parse_system_text(text: str, source: str = "<string>") -> System:
     try:
-        data = json.loads(text, parse_float=_Number)
+        data = json.loads(text, parse_float=_Number, parse_constant=_not_json)
     except json.JSONDecodeError as exc:
         raise SystemFileError(
             f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
-    except ValueError as exc:  # an integer literal beyond int's digit limit
+    except ValueError as exc:  # NaN or Infinity, or an int beyond the digit limit
         raise SystemFileError(f"{source}: {exc}")
     except RecursionError:  # the decoder recurses once per nesting level
         raise SystemFileError(f"{source}: JSON nested too deeply")

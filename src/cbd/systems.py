@@ -249,10 +249,10 @@ class System:
         of its two marginal forms, and their sum over one denominator."""
         forms = self._marginals
         pairs = tuple(
-            (q, ca, cb, total_variation(forms[(ca, q)], forms[(cb, q)]))
+            PairDelta(q, ca, cb, total_variation(forms[(ca, q)], forms[(cb, q)]))
             for q, ca, cb in self.pairs()
         )
-        den, nums = to_form(pair[3] for pair in pairs)
+        den, nums = to_form(pair.delta for pair in pairs)
         return IsolatedDeltas(pairs, Fraction(sum(nums), den))
 
     def block(self, context: str) -> ContextBlock:
@@ -438,12 +438,21 @@ class Connection:
     members: tuple[Marginal, ...]
 
 
-class IsolatedDeltas(NamedTuple):
-    """The isolated delta of every content-sharing pair, as (content,
-    context_a, context_b, delta) in System.pairs() order, and their sum, the
-    in-isolation baseline delta_sum."""
+class PairDelta(NamedTuple):
+    """One System.pairs() entry with its isolated delta, built once per pair
+    by System._isolated or analysis.analyze_deterministic."""
 
-    pairs: tuple[tuple[str, str, str, Fraction], ...]
+    content: str
+    context_a: str
+    context_b: str
+    delta: Fraction
+
+
+class IsolatedDeltas(NamedTuple):
+    """The PairDelta of every content-sharing pair, in System.pairs() order,
+    and their sum, the in-isolation baseline delta_sum."""
+
+    pairs: tuple[PairDelta, ...]
     total: Fraction
 
 

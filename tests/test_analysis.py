@@ -12,8 +12,10 @@ from cbd import (
     delta_pairs,
     is_consistently_connected,
     is_deterministic,
+    parse_system_text,
     validate_system,
 )
+from cbd.systems import PairDelta, isolated_deltas
 from helpers import (
     M,
     P,
@@ -27,6 +29,7 @@ from helpers import (
     relabel,
     relabel_outcomes,
 )
+from identity_corpus import corpus, first_inputs, random_systems
 
 F = Fraction
 
@@ -205,6 +208,34 @@ def test_deterministic_analyze_builds_no_marginal_index():
     sys_ = order_effect_system()
     analyze(sys_)
     assert "_marginals" in sys_.__dict__
+
+
+def test_report_carries_the_index_records():
+    # one pair record: the report and delta_pairs hold the PairDelta objects
+    # the marginal index built, which still compare equal to plain tuples
+    assert cbd.PairDelta is cbd.analysis.PairDelta is PairDelta
+    (chain,) = first_inputs("chain-det", 1)
+    systems = corpus()["liar"]() + random_systems()[:50] + [
+        four_cycle_name_system(), parse_system_text(chain.data.text)
+    ]
+    lp_systems = 0
+    for sys_ in systems:
+        report = analyze(sys_)
+        records = isolated_deltas(sys_).pairs
+        assert all(type(pd) is PairDelta for pd in report.pair_deltas)
+        if not report.deterministic:
+            lp_systems += 1
+            assert all(
+                a is b for a, b in zip(report.pair_deltas, records, strict=True)
+            )
+        plain = [
+            (q, ca, cb, pd.delta)
+            for (q, ca, cb), pd in zip(sys_.pairs(), records, strict=True)
+        ]
+        pairs = delta_pairs(sys_)
+        assert pairs == plain and pairs == list(report.pair_deltas)
+        assert all(a is b for a, b in zip(pairs, records))
+    assert 50 <= lp_systems <= len(systems) - 2
 
 
 def test_relabeling_preserves_cnt():

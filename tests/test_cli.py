@@ -467,6 +467,19 @@ def test_deeply_nested_file_is_one_error_line(tmp_path, capsys):
     assert err == f"error: {path}: JSON nested too deeply\n"
 
 
+def test_nan_probability_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"contents": [{"id": "q", "values": ["x"]}], "contexts": [{"id": "c",'
+        ' "contents": ["q"], "distribution": [{"outcomes": ["x"], "p": NaN}]}]}',
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: NaN is not JSON\n"
+
+
 def test_usage_errors(capsys):
     assert run_cli(capsys, )[0] == 2
     assert run_cli(capsys, "analyze")[0] == 2

@@ -83,6 +83,17 @@ def test_marginal_built_in_one_function():
     assert builders == {"systems.py:marginal"}
 
 
+def test_pair_delta_built_in_two_functions():
+    # one pair record: each PairDelta is built once, by the marginal index or
+    # by the deterministic path, and the report holds it as built
+    builders = {
+        f"{name}:{scope}"
+        for name, tree in _package_trees()
+        for scope in _calls_in_scope(tree, "PairDelta")
+    }
+    assert builders == {"systems.py:_isolated", "analysis.py:analyze_deterministic"}
+
+
 def test_report_built_in_one_function():
     # one report constructor: every path, the deterministic one included,
     # goes through analysis._report and its negative-cnt guard

@@ -334,6 +334,17 @@ def test_deeply_nested_json_is_a_file_error():
         parse_system_text("[" * 100_000, source="deep.json")
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("old", ['"1/4"', '"c2"'], ids=["p", "id"])
+def test_non_json_constants_are_file_errors(token, old):
+    # json.loads reads these tokens, but JSON has none of them; the file is
+    # refused when it is loaded, before any probability or id is read
+    text = ORDER_EFFECT_JSON.replace(old, token, 1)
+    assert text != ORDER_EFFECT_JSON
+    with pytest.raises(SystemFileError, match=f"^bad.json: {token} is not JSON$"):
+        parse_system_text(text, source="bad.json")
+
+
 def test_parse_system_missing_file(tmp_path):
     with pytest.raises(SystemFileError) as exc:
         parse_system(str(tmp_path / "nope.json"))
