@@ -18,13 +18,10 @@ from .analysis import (
 from .coupling import (
     DEFAULT_ATOM_CAP,
     CouplingWitness,
-    JointTable,
     LPInstance,
     LPSolution,
     build_coupling_lp,
     delta_pairs,
-    isolated_delta,
-    min_coupling_pair,
     solve_lp,
     system_delta,
     verify_solution,
@@ -40,7 +37,6 @@ from .epistemic import (
     uniform_mixture,
 )
 from .errors import (
-    AtomCapExceeded,
     CapExceeded,
     CbdError,
     DomainMismatch,
@@ -52,7 +48,6 @@ from .errors import (
     InternalError,
     InvalidArgument,
     InvalidProbability,
-    NotBinary,
     NotCyclic,
     NotDeterministic,
     NotPlusMinusOne,
@@ -71,17 +66,14 @@ from .serialization import (
 from .systems import (
     MINUS,
     PLUS,
-    Connection,
     Consistency,
     ContextBlock,
     Marginal,
     System,
-    connections,
-    expectation,
     is_consistently_connected,
     marginal,
     to_fraction,
     validate_system,
 )
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"

@@ -7,7 +7,8 @@ drive the analysis:
 
 * isolation: for one pair of marginals, how small can Pr[X' != Y'] get over
   all couplings of just that pair?  (Closed form: the total variation
-  distance; |u - v| for binary marginals.)
+  distance; |u - v| for binary marginals.  delta_pairs reads it off the
+  system's marginal index.)
 * in-system: over couplings of the entire system at once, how small can the
   *total* same-content mismatch get?  That is a linear program over the
   probabilities of global outcome assignments ("atoms").
@@ -27,11 +28,8 @@ from typing import Iterable, Sequence
 
 from . import simplex
 from .cyclic import ring_optimum
-from .errors import CapExceeded, DomainMismatch, InternalError, InvalidArgument
-from .systems import (
-    MINUS, PLUS, ZERO, Marginal, PairDelta, System, check_plus_minus_one,
-    isolated_deltas, to_form, total_variation,
-)
+from .errors import CapExceeded, InternalError, InvalidArgument
+from .systems import ZERO, PairDelta, System, isolated_deltas, to_form
 
 DEFAULT_ATOM_CAP = 2**20
 ATOM_CAP_ENV = "CBD_ATOM_CAP"
@@ -61,72 +59,6 @@ def check_atom_cap(sizes: Iterable[int], cap: int | None) -> None:
     required = math.prod(sizes)
     if required > cap:
         raise CapExceeded(required, cap)
-
-
-def _check_coupleable(m1: Marginal, m2: Marginal) -> None:
-    if m1.content != m2.content or m1.probs.keys() != m2.probs.keys():
-        raise DomainMismatch(
-            f"cannot couple {m1.content!r}@{m1.context!r} with "
-            f"{m2.content!r}@{m2.context!r}: different contents or outcome sets"
-        )
-
-
-def isolated_delta(m1: Marginal, m2: Marginal) -> Fraction:
-    """Smallest Pr[X' != Y'] over all couplings of the two marginals.
-
-    Equals the total variation distance (1/2) * sum_o |m1(o) - m2(o)|; for
-    binary marginals that is |u - v| with u, v the '+1' probabilities.  As
-    both marginals sum to 1, that is the mass m1 puts above m2.  Outcomes
-    are matched by key, in m1's key order.
-    """
-    _check_coupleable(m1, m2)
-    return total_variation(
-        to_form(m1.probs.values()), to_form(m2.probs[o] for o in m1.probs)
-    )
-
-
-@dataclass(frozen=True)
-class JointTable:
-    """Joint distribution of a coupled pair, rows from the first marginal."""
-
-    row_outcomes: tuple[str, ...]
-    col_outcomes: tuple[str, ...]
-    cells: dict[tuple[str, str], Fraction]
-
-    def row_margin(self) -> dict[str, Fraction]:
-        out = {o: ZERO for o in self.row_outcomes}
-        for (r, _), p in self.cells.items():
-            out[r] += p
-        return out
-
-    def col_margin(self) -> dict[str, Fraction]:
-        out = {o: ZERO for o in self.col_outcomes}
-        for (_, c), p in self.cells.items():
-            out[c] += p
-        return out
-
-    def discrepancy(self) -> Fraction:
-        """Pr[X' != Y'] under this table."""
-        return sum(p for (r, c), p in self.cells.items() if r != c)
-
-
-def min_coupling_pair(m1: Marginal, m2: Marginal) -> JointTable:
-    """The minimal coupling of a binary pair: diagonal cells as large as the
-    margins allow, so the off-diagonal mass is exactly |u - v|."""
-    _check_coupleable(m1, m2)
-    check_plus_minus_one(f"minimal coupling of {m1.content!r}", m1.probs)
-    u = m1.probs[PLUS]
-    v = m2.probs[PLUS]
-    lo = min(u, v)
-    cells = {
-        (PLUS, PLUS): lo,
-        (PLUS, MINUS): u - lo,
-        (MINUS, PLUS): v - lo,
-        (MINUS, MINUS): min(1 - u, 1 - v),
-    }
-    return JointTable(
-        row_outcomes=(PLUS, MINUS), col_outcomes=(PLUS, MINUS), cells=cells
-    )
 
 
 @dataclass(frozen=True)
@@ -479,9 +411,9 @@ def delta_pairs(system: System) -> list[PairDelta]:
 
     Returns one PairDelta per pair in System.pairs() order, the pair
     enumeration the LP objective uses, so summing gives the in-isolation
-    baseline.  Each delta is isolated_delta of the two marginals, computed
-    once per system from their integer forms in the system's index; the
-    records are the index's own (systems.isolated_deltas, which holds the
-    sum too).
+    baseline.  Each delta is the total variation distance of the two
+    marginals, computed once per system from their integer forms in the
+    system's index; the records are the index's own (systems.isolated_deltas,
+    which holds the sum too).
     """
     return list(isolated_deltas(system).pairs)

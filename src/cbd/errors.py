@@ -31,9 +31,9 @@ class UnknownContent(CbdError):
 
 
 class DomainMismatch(CbdError):
-    """Outcome data does not fit the declared outcome set: wrong tuple arity,
-    an outcome label outside the content's set, or two marginals over
-    different outcome sets."""
+    """Data does not fit its declared shape: a bad outcome tuple, outcome
+    set or context, or an epistemic constraint or mixture weights that do
+    not fit their variants."""
 
 
 class InvalidProbability(CbdError):
@@ -62,9 +62,6 @@ class NotPlusMinusOne(CbdError):
     """Operation requires the canonical binary outcome labels '+1'/'-1'."""
 
 
-NotBinary = NotPlusMinusOne  # earlier name of the same error
-
-
 class NotDeterministic(CbdError):
     """The system has at least one non-point-mass context distribution."""
 
@@ -89,9 +86,6 @@ class CapExceeded(CbdError):
             f"{int_text(required)} atoms needed, above the cap of {cap}; raise it "
             f"with the CBD_ATOM_CAP environment variable (or analyze --atom-cap)"
         )
-
-
-AtomCapExceeded = CapExceeded  # earlier name of the same error
 
 
 class InvalidArgument(CbdError, ValueError):

@@ -5,12 +5,13 @@ definition: every atom, a row for every context cell, zero cells included,
 and a cost per atom from its own pairing of the content-sharing variables.
 enumerate_min enumerates every basic solution of {x : A x = b, x >= 0} and
 takes the minimum objective over the feasible ones; for a bounded feasible
-set that is the LP optimum.  The column subsets are walked depth first in
-combinations order, each one's table its prefix's pivoted once more by
-rref's Gauss-Jordan step; a column left with no nonzero in an unpivoted row
-depends on the prefix, so that subset and its extensions are singular and
-skipped.  An independent oracle for the LP build and the simplex path: it
-imports nothing from the rest of the package.
+set that is the LP optimum.  It first drops each row of rhs 0 with no
+negative entry and the columns that row holds at 0.  The column subsets
+left are walked depth first in combinations order, each one's table its
+prefix's pivoted once more by rref's Gauss-Jordan step; a column left with
+no nonzero in an unpivoted row depends on the prefix, so that subset and
+its extensions are singular and skipped.  An independent oracle for the LP
+build and the simplex path: it imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
@@ -102,15 +103,25 @@ def exact_rank(matrix) -> int:
 def enumerate_min(costs, rows, rhs):
     """Minimum of costs . x over all basic feasible solutions of rows.x == rhs.
 
-    Returns (optimum, x, n_bases) with the first minimizing basic solution in
-    combinations order and the number comb(n_cols, rank) of column subsets.
-    Returns (None, None, n_bases) when no basis is feasible, and
-    (None, None, 0) when a row reduces to 0 = 1.  Raises TooManyBases when
-    comb(n_cols, rank) exceeds DEFAULT_BASIS_LIMIT.
+    A presolve comes first: with x >= 0, a row whose rhs is 0 and whose
+    entries are all nonnegative holds at 0 every column where it is
+    positive, so those columns and the row are dropped, and the bases of
+    the n' columns left are enumerated.  Returns (optimum, x, n_bases) with
+    x at full length, 0 in every dropped column, the first minimizing basic
+    solution in combinations order of the columns left, and n_bases the
+    number comb(n', rank) of their column subsets.  Returns
+    (None, None, n_bases) when no basis is feasible, and (None, None, 0)
+    when a row reduces to 0 = 1.  Raises TooManyBases when comb(n', rank)
+    exceeds DEFAULT_BASIS_LIMIT.
     """
-    n = len(costs)
+    fixing = [b == 0 and all(a >= 0 for a in row) for row, b in zip(rows, rhs)]
+    held = {j for row, f in zip(rows, fixing) if f for j, a in enumerate(row) if a > 0}
+    kept = [j for j in range(len(costs)) if j not in held]
+    n = len(kept)
     costs = [Fraction(c) for c in costs]
-    reduced, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    reduced, pivots = rref(
+        [[row[j] for j in kept] + [b] for row, b, f in zip(rows, rhs, fixing) if not f]
+    )
     if any(p == n for p in pivots):
         return None, None, 0  # a row reduced to 0 = 1: infeasible outright
     rank = len(pivots)
@@ -127,9 +138,9 @@ def enumerate_min(costs, rows, rhs):
         cols, table = stack.pop()
         k = len(cols)
         if k == rank:
-            x = [ZERO] * n
+            x = [ZERO] * len(costs)
             for c, row in zip(cols, table):
-                x[c] = row[-1]
+                x[kept[c]] = row[-1]
             value = sum(cv * xv for cv, xv in zip(costs, x))
             if all(v >= 0 for v in x) and (best is None or value < best):
                 best, best_x = value, x

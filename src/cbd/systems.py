@@ -52,9 +52,8 @@ from .errors import (
 )
 
 # Canonical binary outcome labels, required through check_plus_minus_one by
-# expectation() and the cyclic criterion, coupling.min_coupling_pair and the
-# epistemic 'equal'/'unequal' constraints.  Other outcome sets are fine
-# everywhere else.
+# the cyclic criterion and the epistemic 'equal'/'unequal' constraints.
+# Other outcome sets are fine everywhere else.
 PLUS = "+1"
 MINUS = "-1"
 
@@ -430,14 +429,6 @@ class Marginal:
     probs: dict[str, Fraction]
 
 
-@dataclass(frozen=True)
-class Connection:
-    """All variables measuring one content, ordered by context id."""
-
-    content: str
-    members: tuple[Marginal, ...]
-
-
 class PairDelta(NamedTuple):
     """One System.pairs() entry with its isolated delta, built once per pair
     by System._isolated or analysis.analyze_deterministic."""
@@ -490,17 +481,6 @@ def isolated_deltas(system: System) -> IsolatedDeltas:
     return system._isolated
 
 
-def connections(system: System) -> list[Connection]:
-    """One Connection per content that appears in at least one context."""
-    out = []
-    for q in system.content_ids:
-        members = tuple(
-            marginal(system, q, c) for c in system.contexts_of(q)
-        )
-        out.append(Connection(content=q, members=members))
-    return out
-
-
 def is_consistently_connected(system: System) -> Consistency:
     """Whether every content has identical marginals in all its contexts.
 
@@ -513,31 +493,6 @@ def is_consistently_connected(system: System) -> Consistency:
         first, *rest = (forms[(c, q)] for c in system.contexts_of(q))
         per[q] = all(form == first for form in rest)
     return Consistency(per_connection=per, overall=all(per.values()))
-
-
-def expectation(system: System, context: str, contents: Sequence[str]) -> Fraction:
-    """Expected product of the named variables inside one context.
-
-    Requires each involved content to use the canonical '+1'/'-1' outcome
-    labels.  A single content gives that variable's expectation.
-    """
-    blk = system.block(context)
-    positions = []
-    for q in contents:
-        if q not in blk.contents:
-            raise VariableNotInContext(
-                f"content {q!r} not in context {context!r}"
-            )
-        check_plus_minus_one(f"content {q!r}", system.outcomes[q])
-        positions.append(blk.contents.index(q))
-    total = ZERO
-    for cell, p in blk.table.items():
-        sign = 1
-        for pos in positions:
-            if cell[pos] == MINUS:
-                sign = -sign
-        total += sign * p
-    return total
 
 
 def s_odd(system: System) -> Fraction:

@@ -467,7 +467,7 @@ def on_full_lp(full, sup, sol):
 @functools.cache
 def order_effect_oracle_min():
     """The basis-enumeration optimum of order_effect_system()'s full coupling
-    LP.  Enumerating the 16-atom LP's bases takes seconds, so it runs once."""
+    LP, enumerated once."""
     full = full_lp(order_effect_system())
     best, _, _ = enumerate_min(full.objective, full.dense, full.rhs)
     return best

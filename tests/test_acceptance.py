@@ -19,12 +19,11 @@ from cbd import (
     analyze,
     build_coupling_lp,
     cyclic_criterion,
+    delta_pairs,
     enumerate_variants,
     is_consistently_connected,
-    isolated_delta,
     liar_system,
     marginal,
-    min_coupling_pair,
     solve_lp,
     system_delta,
     uniform_mixture,
@@ -204,16 +203,21 @@ def test_criterion_6_isolated_deltas():
                     ("c2", ("q",), {(P,): v, (M,): 1 - v}),
                 ],
             )
-            m1 = marginal(sys_, "q", "c1")
-            m2 = marginal(sys_, "q", "c2")
-            d = isolated_delta(m1, m2)
+            d = delta_pairs(sys_)[0].delta
             assert d == abs(u - v)
-            optimum, _ = system_delta(sys_)
+            optimum, witness = system_delta(sys_)
             assert optimum == d
-            table = min_coupling_pair(m1, m2)
-            assert table.row_margin() == m1.probs
-            assert table.col_margin() == m2.probs
-            assert table.discrepancy() == d
+            # a binary pair's optimal coupling is unique: the closed-form
+            # minimal table, its zero cells left out
+            lo = min(u, v)
+            cells = {(P, P): lo, (P, M): u - lo, (M, P): v - lo, (M, M): min(1 - u, 1 - v)}
+            table = dict(witness.weights)
+            assert table == {cell: p for cell, p in cells.items() if p}
+            for k, c in enumerate(("c1", "c2")):
+                probs = marginal(sys_, "q", c).probs
+                margin = {o: sum((p for x, p in table.items() if x[k] == o), F(0)) for o in probs}
+                assert margin == probs
+            assert sum(p for (x, y), p in table.items() if x != y) == d
 
 
 def test_criterion_7_random_systems_verified():

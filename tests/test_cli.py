@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,7 +59,7 @@ def write_file(tmp_path, system, name="system.json"):
 def test_version(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0
-    assert out.strip() == "cbd 1.0.0"
+    assert out.strip() == "cbd 2.0.0"
 
 
 def test_analyze_contextual_text(tmp_path, capsys):
@@ -324,9 +325,30 @@ def test_oracle_builds_its_own_lp(tmp_path, capsys, monkeypatch):
     assert out.splitlines()[-1] == "system_delta = 1/2 (0.5)"
 
 
+def test_oracle_answers_a_27_atom_connection_within_a_second(tmp_path, capsys):
+    # one content over a, b, c in three single-content contexts: the zero
+    # cells hold 19 of the 27 atoms at 0, which leaves 8 columns and 70 bases
+    half = F(1, 2)
+    sys_ = validate_system(
+        {"q": ("a", "b", "c")},
+        [
+            ("c1", ("q",), {("a",): half, ("b",): half}),
+            ("c2", ("q",), {("b",): half, ("c",): half}),
+            ("c3", ("q",), {("a",): half, ("c",): half}),
+        ],
+    )
+    path = write_file(tmp_path, sys_)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "oracle", path)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out.splitlines() == ["atoms: 27", "bases examined: 70", "system_delta = 2"]
+
+
 def test_oracle_refuses_large_systems(tmp_path, capsys):
-    spec = liar_system(4)
-    sys_ = uniform_mixture(spec, enumerate_variants(spec))
+    # a full-support rank-4 cycle: 256 atoms and no zero cell, so every
+    # column stays and comb(256, 13) candidate bases are counted
+    sys_ = cycle_system(4, rank_n_cycle_weights(random.Random(4), 4, biased=False))
     path = write_file(tmp_path, sys_)
     code, _, err = run_cli(capsys, "oracle", path)
     assert code == 1
@@ -505,7 +527,7 @@ def test_module_pipeline():
 def test_module_version():
     proc = run_module("--version")
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "cbd 1.0.0"
+    assert proc.stdout.strip() == "cbd 2.0.0"
 
 
 def test_long_exact_values_print_in_full(tmp_path, capsys):

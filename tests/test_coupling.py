@@ -9,21 +9,17 @@ import pytest
 import cbd.coupling
 import cbd.simplex
 from cbd import (
-    AtomCapExceeded,
+    CapExceeded,
     ContextConstraint,
-    DomainMismatch,
     EpistemicContext,
     EpistemicSpec,
-    Marginal,
-    NotBinary,
     analyze,
     build_coupling_lp,
     cyclic_criterion,
     delta_pairs,
     enumerate_variants,
-    isolated_delta,
     liar_system,
-    min_coupling_pair,
+    marginal,
     solve_lp,
     system_delta,
     uniform_mixture,
@@ -64,8 +60,9 @@ import referee_simplex
 F = Fraction
 
 
-def binary_marginal(u, context="c1", content="q1"):
-    return Marginal(content=content, context=context, probs={P: F(u), M: 1 - F(u)})
+def pm(u):
+    """A binary distribution with u on '+1'."""
+    return {P: F(u), M: 1 - F(u)}
 
 
 def pair_system(m1_probs, m2_probs, outcomes=(P, M)):
@@ -79,95 +76,106 @@ def pair_system(m1_probs, m2_probs, outcomes=(P, M)):
     )
 
 
+def pair_delta(sys_):
+    (pd,) = delta_pairs(sys_)
+    return pd.delta
+
+
+def witness_table(sys_):
+    """The system_delta witness of a pair system, as a joint table of the
+    d1 and d2 outcomes."""
+    _, witness = system_delta(sys_)
+    assert witness.variables == (("d1", "q1"), ("d2", "q1"))
+    return dict(witness.weights)
+
+
+def binary_min_table(u, v):
+    """The minimal coupling of two binary marginals in closed form, zero
+    cells left out: diagonal cells as large as the margins allow."""
+    lo = min(u, v)
+    cells = {(P, P): lo, (P, M): u - lo, (M, P): v - lo, (M, M): min(1 - u, 1 - v)}
+    return {cell: p for cell, p in cells.items() if p}
+
+
+def assert_margins(table, sys_):
+    """table's two margins are the marginals of q1 in d1 and d2."""
+    for k, context in enumerate(("d1", "d2")):
+        probs = marginal(sys_, "q1", context).probs
+        margin = {o: sum((p for c, p in table.items() if c[k] == o), F(0)) for o in probs}
+        assert margin == probs
+
+
+def discrepancy(table):
+    return sum(p for (x, y), p in table.items() if x != y)
+
+
 # ---------------------------------------------------------------------------
 # isolated deltas
 
 
 def test_isolated_delta_equal_marginals():
-    assert isolated_delta(binary_marginal(F(1, 3)), binary_marginal(F(1, 3), "c2")) == 0
+    assert pair_delta(pair_system(pm(F(1, 3)), pm(F(1, 3)))) == 0
 
 
 def test_isolated_delta_binary():
-    d = isolated_delta(binary_marginal(F(3, 4)), binary_marginal(F(1, 4), "c2"))
-    assert d == F(1, 2)
+    assert pair_delta(pair_system(pm(F(3, 4)), pm(F(1, 4)))) == F(1, 2)
 
 
 def test_isolated_delta_ternary_vs_lp():
     probs1 = {"a": F(1, 2), "b": F(1, 2), "c": F(0)}
     probs2 = {"a": F(1, 2), "b": F(0), "c": F(1, 2)}
-    m1 = Marginal("q1", "d1", probs1)
-    m2 = Marginal("q1", "d2", probs2)
-    assert isolated_delta(m1, m2) == F(1, 2)
+    sys_ = pair_system(probs1, probs2, ("a", "b", "c"))
+    assert pair_delta(sys_) == F(1, 2)
     # independent route: the two-context coupling LP over the same pair
-    delta, _ = system_delta(pair_system(probs1, probs2, ("a", "b", "c")))
+    delta, _ = system_delta(sys_)
     assert delta == F(1, 2)
-
-
-def test_isolated_delta_domain_mismatch():
-    m1 = Marginal("q1", "c1", {P: F(1), M: F(0)})
-    m2 = Marginal("q1", "c2", {"a": F(1), "b": F(0)})
-    with pytest.raises(DomainMismatch):
-        isolated_delta(m1, m2)
-    with pytest.raises(DomainMismatch):
-        isolated_delta(m1, Marginal("q2", "c2", {P: F(1), M: F(0)}))
 
 
 def test_isolated_delta_random_pairs_match_lp():
     rng = random.Random(7)
     for _ in range(25):
         u, v = rand_marginal_probs(rng), rand_marginal_probs(rng)
-        d = isolated_delta(Marginal("q1", "c1", u), Marginal("q1", "c2", v))
+        sys_ = pair_system(u, v)
+        d = pair_delta(sys_)
         assert d == abs(u[P] - v[P])
-        lp_delta, _ = system_delta(pair_system(u, v))
+        lp_delta, _ = system_delta(sys_)
         assert lp_delta == d
 
 
 # ---------------------------------------------------------------------------
-# minimal coupling tables
+# minimal coupling tables: a binary pair's optimal coupling is unique, so the
+# system_delta witness is the closed-form table
 
 
 def test_min_coupling_identical_fair():
-    t = min_coupling_pair(binary_marginal(F(1, 2)), binary_marginal(F(1, 2), "c2"))
-    assert t.cells == {
-        (P, P): F(1, 2), (P, M): F(0), (M, P): F(0), (M, M): F(1, 2)
-    }
-    assert t.discrepancy() == 0
+    t = witness_table(pair_system(pm(F(1, 2)), pm(F(1, 2))))
+    assert t == {(P, P): F(1, 2), (M, M): F(1, 2)}
+    assert discrepancy(t) == 0
 
 
 def test_min_coupling_disjoint_point_masses():
-    t = min_coupling_pair(binary_marginal(F(1)), binary_marginal(F(0), "c2"))
-    assert t.cells[(P, M)] == 1
-    assert t.discrepancy() == 1
+    t = witness_table(pair_system(pm(1), pm(0)))
+    assert t == {(P, M): 1}
+    assert discrepancy(t) == 1
 
 
 def test_min_coupling_table_and_margins():
-    m1 = binary_marginal(F(3, 4))
-    m2 = binary_marginal(F(1, 4), "c2")
-    t = min_coupling_pair(m1, m2)
-    assert t.cells == {
-        (P, P): F(1, 4), (P, M): F(1, 2), (M, P): F(0), (M, M): F(1, 4)
-    }
-    assert t.row_margin() == m1.probs
-    assert t.col_margin() == m2.probs
-    assert t.discrepancy() == isolated_delta(m1, m2)
-
-
-def test_min_coupling_requires_binary():
-    tern = Marginal("q1", "c1", {"a": F(1, 2), "b": F(1, 2), "c": F(0)})
-    with pytest.raises(NotBinary):
-        min_coupling_pair(tern, tern)
+    sys_ = pair_system(pm(F(3, 4)), pm(F(1, 4)))
+    t = witness_table(sys_)
+    assert t == {(P, P): F(1, 4), (P, M): F(1, 2), (M, M): F(1, 4)}
+    assert_margins(t, sys_)
+    assert discrepancy(t) == pair_delta(sys_)
 
 
 def test_min_coupling_random_pairs():
     rng = random.Random(13)
     for _ in range(25):
         u, v = rand_marginal_probs(rng), rand_marginal_probs(rng)
-        m1, m2 = Marginal("q1", "c1", u), Marginal("q1", "c2", v)
-        t = min_coupling_pair(m1, m2)
-        assert t.row_margin() == u
-        assert t.col_margin() == v
-        assert t.discrepancy() == isolated_delta(m1, m2)
-        assert all(p >= 0 for p in t.cells.values())
+        sys_ = pair_system(u, v)
+        t = witness_table(sys_)
+        assert t == binary_min_table(u[P], v[P])
+        assert_margins(t, sys_)
+        assert discrepancy(t) == pair_delta(sys_)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +222,7 @@ def test_build_lp_four_cycle_shape():
 
 
 def test_atom_cap_enforced():
-    with pytest.raises(AtomCapExceeded) as info:
+    with pytest.raises(CapExceeded) as info:
         build_coupling_lp(order_effect_system(), atom_cap=8)
     assert info.value.required == 16
     assert info.value.cap == 8
@@ -222,7 +230,7 @@ def test_atom_cap_enforced():
 
 def test_atom_cap_env_override(monkeypatch):
     monkeypatch.setenv("CBD_ATOM_CAP", "8")
-    with pytest.raises(AtomCapExceeded):
+    with pytest.raises(CapExceeded):
         build_coupling_lp(order_effect_system())
     monkeypatch.setenv("CBD_ATOM_CAP", "16")
     # the cap counts the full LP's 16 atoms; the support LP keeps 3 x 3
@@ -505,7 +513,7 @@ def test_support_lp_of_liar_7():
 
 
 def test_support_lp_checks_the_cap_on_every_atom():
-    with pytest.raises(AtomCapExceeded) as info:
+    with pytest.raises(CapExceeded) as info:
         build_coupling_lp(liar7(), atom_cap=128)
     assert info.value.required == 2**14
 

@@ -11,7 +11,6 @@ from cbd import (
     cyclic_criterion,
     delta_pairs,
     detect_cyclic,
-    expectation,
     enumerate_variants,
     liar_system,
     solve_lp,
@@ -22,10 +21,12 @@ from cbd import (
 from helpers import (
     M,
     P,
+    SIGN,
     c2_system,
     cycle_system,
     four_cycle_name_system,
     kd_closed_form_cnt,
+    kd_mean,
     lp_cnt,
     order_effect_system,
     pm_registry,
@@ -233,6 +234,9 @@ def test_cycles_match_closed_form(n, seed, count, contextual_range):
 def test_outcome_relabeling_keeps_the_criterion():
     # swapping '+1'/'-1' on one content flips the two products through it,
     # keeping the parity of negative products, and leaves every mean gap
+    def product(x, y):
+        return SIGN[x] * SIGN[y]
+
     rng = random.Random(71)
     for n in (3, 4):
         for k in range(10):
@@ -241,6 +245,6 @@ def test_outcome_relabeling_keeps_the_criterion():
             flipped = relabel_outcomes(sys_, q, {P: M, M: P})
             for c, a, b in detect_cyclic(sys_).cycle:
                 sign = -1 if q in (a, b) else 1
-                before = expectation(sys_, c, (a, b))
-                assert expectation(flipped, c, (a, b)) == sign * before
+                before = kd_mean(sys_.block(c).table, product)
+                assert kd_mean(flipped.block(c).table, product) == sign * before
             assert cyclic_criterion(flipped) == cyclic_criterion(sys_)

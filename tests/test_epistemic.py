@@ -19,7 +19,7 @@ from cbd import (
     EpistemicContext,
     EpistemicSpec,
     InvalidProbability,
-    NotBinary,
+    NotPlusMinusOne,
     UnknownContent,
     analyze,
     enumerate_variants,
@@ -199,7 +199,7 @@ def test_variants_refuse_equal_over_three_contents():
 
 def test_variants_refuse_unequal_over_other_outcomes():
     spec = _binary_spec(("yes", "no"), ("q1", "q2"), ContextConstraint.unequal())
-    with pytest.raises(NotBinary, match="'\\+1'/'-1'"):
+    with pytest.raises(NotPlusMinusOne, match="'\\+1'/'-1'"):
         enumerate_variants(spec)
 
 

@@ -4,6 +4,7 @@ Each law relates the report of a composed system to the reports of its parts,
 so it referees system_delta at sizes no second solver reaches.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -185,3 +186,38 @@ def test_point_mass_context_adds_its_pair_deltas(pairs):
         )
         before = added(r1, r2)
         assert numbers(after) == (before[0] + rise, before[1] + rise, before[2])
+
+
+def single_content_system(rng):
+    """A system whose contexts each measure one content.  Each connection is
+    binary, of one to six members, or has one or two members over three to
+    five outcomes; at most 4,096 atoms."""
+    while True:
+        members = []
+        for i in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                labels, count = rng.choice([("+1", "-1"), ("x", "y")]), rng.randint(1, 6)
+            else:
+                labels, count = tuple("abcde"[: rng.randint(3, 5)]), rng.randint(1, 2)
+            members += [(f"q{i}", labels)] * count
+        if math.prod(len(labels) for _, labels in members) <= 4096:
+            break
+    rng.shuffle(members)
+    return validate_system(
+        dict(members),
+        [
+            (f"c{k}", (q,), dict(zip([(o,) for o in labels], rand_weights(rng, len(labels)))))
+            for k, (q, labels) in enumerate(members)
+        ],
+    )
+
+
+def test_single_content_contexts_have_cnt_zero():
+    # with one variable per context, every coupling of the connections is a
+    # coupling of the system, and a binary or two-member connection has one
+    # coupling that reaches each pair's total variation at once
+    rng = random.Random(81)
+    for _ in range(240):
+        report = analyze(single_content_system(rng))
+        assert report.cnt == 0
+        assert report.delta_sum == report.system_delta

@@ -1,6 +1,7 @@
 """The basis-enumeration oracle's contract, independent of how it searches."""
 
 import inspect
+import random
 import sys
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 import cbd.oracle
 from cbd.oracle import TooManyBases, enumerate_min, exact_rank
+from helpers import full_lp, rand_system
 
 F = Fraction
 
@@ -64,3 +66,44 @@ def test_rank_above_the_recursion_limit():
     finally:
         sys.setrecursionlimit(saved)
     assert result == (sum(rhs), rhs, 1)
+
+
+def test_a_zero_row_holds_its_columns_at_zero():
+    # x0 + x1 = 0 holds x0 and x1 at 0: one column and one row are left
+    rows = [[F(1), F(1), F(0)], [F(1), F(1), F(1)]]
+    assert enumerate_min([F(1), F(1), F(5)], rows, [F(0), F(1)]) == (5, [0, 0, 1], 1)
+    # x0 - x1 = 0 holds nothing: its entries are not all nonnegative
+    rows = [[F(1), F(-1)], [F(1), F(1)]]
+    assert enumerate_min([F(1), F(1)], rows, [F(0), F(2)]) == (2, [1, 1], 1)
+
+
+def _without_presolve(rows, rhs):
+    """The same equations with each row of rhs 0 negated, so that no row of
+    rhs 0 has only nonnegative entries unless it is all zero."""
+    return [[-a for a in row] if b == 0 else row for row, b in zip(rows, rhs)]
+
+
+def test_presolve_keeps_the_optimum_of_seeded_lps():
+    rng = random.Random(83)
+    lps = []
+    for _ in range(30):
+        full = full_lp(rand_system(rng, ternary_share=0.3, max_atoms=16))
+        lps.append((full.objective, full.dense, full.rhs))
+    for _ in range(60):
+        n, m = rng.randint(2, 8), rng.randint(1, 4)
+        rows = [[F(rng.choice((-1, 0, 0, 1, 2))) for _ in range(n)] for _ in range(m)]
+        rhs = [F(rng.choice((0, 0, 1, 2))) for _ in range(m)]
+        lps.append(([F(rng.randint(-2, 3)) for _ in range(n)], rows, rhs))
+    held = 0
+    for costs, rows, rhs in lps:
+        optimum, x, n_bases = enumerate_min(costs, rows, rhs)
+        negated = _without_presolve(rows, rhs)
+        if negated != rows:  # else the presolve holds no column
+            plain, _, all_bases = enumerate_min(costs, negated, rhs)
+            assert optimum == plain
+            held += n_bases < all_bases
+        if x is not None:
+            assert len(x) == len(costs) and min(x) >= 0
+            assert all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(rows, rhs))
+            assert sum(c * v for c, v in zip(costs, x)) == optimum
+    assert held >= 15

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import types
 from pathlib import Path
 
 import cbd
@@ -9,6 +10,53 @@ import cbd
 def _package_trees():
     for path in sorted(Path(cbd.__file__).parent.glob("*.py")):
         yield path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+# The public API: every name cbd exports, its submodules aside.
+EXPORTS = {
+    "AnalysisReport", "CapExceeded", "CbdError", "Consistency", "ContextBlock",
+    "ContextConstraint", "CouplingWitness", "CyclicCriterion", "CyclicStructure",
+    "DEFAULT_ATOM_CAP", "DeterministicVariant", "DomainMismatch", "DuplicateCell",
+    "DuplicateContentInContext", "DuplicateContext", "EmptySystem",
+    "EmptyVariantSet", "EpistemicContext", "EpistemicSpec", "InternalError",
+    "InvalidArgument", "InvalidProbability", "LPInstance", "LPSolution", "MINUS",
+    "Marginal", "NotCyclic", "NotDeterministic", "NotPlusMinusOne", "PLUS",
+    "PairDelta", "ProbabilitySumMismatch", "System", "SystemFileError",
+    "UnknownContent", "VariableNotInContext", "analyze", "analyze_deterministic",
+    "build_coupling_lp", "cyclic_criterion", "delta_pairs", "detect_cyclic",
+    "enumerate_variants", "is_consistently_connected", "is_deterministic",
+    "liar_system", "marginal", "parse_system", "parse_system_data",
+    "parse_system_text", "solve_lp", "system_delta", "system_to_dict",
+    "to_fraction", "uniform_mixture", "validate_system", "verify_solution",
+    "write_system",
+}
+
+
+def test_exports_are_the_listed_names():
+    # a name added to or dropped from cbd's exports takes an edit of EXPORTS
+    exported = {
+        name
+        for name, value in vars(cbd).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == EXPORTS
+
+
+def test_retired_helpers_are_defined_nowhere():
+    # 2.0.0 removed these; delta_pairs, the system_delta witness, marginal,
+    # System.block, NotPlusMinusOne and CapExceeded replace them
+    retired = {
+        "isolated_delta", "min_coupling_pair", "JointTable", "expectation",
+        "connections", "Connection", "NotBinary", "AtomCapExceeded",
+    }
+    defined = set()
+    for _, tree in _package_trees():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    assert "System" in defined and defined.isdisjoint(retired)
 
 
 def test_no_assert_statements_in_package():
@@ -35,7 +83,7 @@ def test_cap_refused_in_one_function():
                     for node in ast.walk(func)
                     if isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Name)
-                    and node.func.id in ("CapExceeded", "AtomCapExceeded")
+                    and node.func.id == "CapExceeded"
                 )
     assert raisers == {"coupling.py:check_atom_cap"}
 
@@ -127,8 +175,8 @@ def test_common_denominators_in_systems_only():
 
 
 def test_plus_minus_one_refused_in_one_function():
-    # one '+1'/'-1' rule: its error (NotBinary is another name for it) is
-    # built, and an outcome set compared with {PLUS, MINUS}, in one function
+    # one '+1'/'-1' rule: its error is built, and an outcome set compared
+    # with {PLUS, MINUS}, in one function
     def is_plus_minus_set(node):
         names = {getattr(elt, "id", None) for elt in getattr(node, "elts", ())}
         return isinstance(node, ast.Set) and names == {"PLUS", "MINUS"}
@@ -137,8 +185,7 @@ def test_plus_minus_one_refused_in_one_function():
     raisers = {
         f"{name}:{scope}"
         for name, tree in trees
-        for error in ("NotPlusMinusOne", "NotBinary")
-        for scope in _calls_in_scope(tree, error)
+        for scope in _calls_in_scope(tree, "NotPlusMinusOne")
     }
     comparers = {
         f"{name}:{scope}"
@@ -165,7 +212,7 @@ def test_ring_closed_form_in_cyclic_only():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    assert imported.isdisjoint({"s_odd", "NotPlusMinusOne", "NotBinary"})
+    assert imported.isdisjoint({"s_odd", "NotPlusMinusOne"})
 
 
 def test_oracle_imports_nothing_from_the_package():

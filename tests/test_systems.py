@@ -12,13 +12,10 @@ from cbd import (
     DuplicateContext,
     EmptySystem,
     InvalidProbability,
-    NotPlusMinusOne,
     ProbabilitySumMismatch,
     UnknownContent,
     VariableNotInContext,
     analyze,
-    connections,
-    expectation,
     is_consistently_connected,
     marginal,
     to_fraction,
@@ -320,10 +317,10 @@ def test_marginal_stable_under_content_permutation():
 
 
 def test_connections_pair_system():
-    conns = connections(order_effect_system())
-    assert [c.content for c in conns] == ["q1", "q2"]
-    assert all(len(c.members) == 2 for c in conns)
-    assert [m.context for m in conns[0].members] == ["c1", "c2"]
+    sys_ = order_effect_system()
+    assert sys_.content_ids == ("q1", "q2")
+    assert all(len(sys_.contexts_of(q)) == 2 for q in sys_.content_ids)
+    assert sys_.contexts_of("q1") == ("c1", "c2")
 
 
 def test_connections_singleton():
@@ -334,16 +331,15 @@ def test_connections_singleton():
             ("c2", ("q1", "q3"), {(P, P): F(1, 2), (M, M): F(1, 2)}),
         ],
     )
-    by_content = {c.content: c for c in connections(sys_)}
-    assert len(by_content["q1"].members) == 2
-    assert len(by_content["q2"].members) == 1
-    assert len(by_content["q3"].members) == 1
+    assert len(sys_.contexts_of("q1")) == 2
+    assert len(sys_.contexts_of("q2")) == 1
+    assert len(sys_.contexts_of("q3")) == 1
 
 
 def test_connections_four_cycle():
-    conns = connections(four_cycle_name_system())
-    assert len(conns) == 4
-    assert all(len(c.members) == 2 for c in conns)
+    sys_ = four_cycle_name_system()
+    assert len(sys_.content_ids) == 4
+    assert all(len(sys_.contexts_of(q)) == 2 for q in sys_.content_ids)
 
 
 def test_consistency_order_effect():
@@ -373,53 +369,6 @@ def test_consistency_name_system_inconsistent():
     res = is_consistently_connected(four_cycle_name_system())
     assert not res.overall
     assert not any(res.per_connection.values())
-
-
-def test_expectation_order_effect():
-    sys_ = order_effect_system()
-    assert expectation(sys_, "c1", ("q1", "q2")) == F(1, 2)
-    assert expectation(sys_, "c2", ("q1", "q2")) == F(-1, 2)
-    assert expectation(sys_, "c1", ("q1",)) == F(-1, 2)
-    assert expectation(sys_, "c1", ("q2",)) == F(0)
-
-
-def test_expectation_independent_fair_product():
-    quarter = F(1, 4)
-    sys_ = validate_system(
-        pm_registry("q1", "q2"),
-        [("c1", ("q1", "q2"),
-          {(P, P): quarter, (P, M): quarter, (M, P): quarter, (M, M): quarter})],
-    )
-    assert expectation(sys_, "c1", ("q1", "q2")) == 0
-
-
-def test_expectation_anticorrelated():
-    sys_ = validate_system(
-        pm_registry("q1", "q4"),
-        [("c4", ("q4", "q1"), {(P, M): F(1, 2), (M, P): F(1, 2)})],
-    )
-    assert expectation(sys_, "c4", ("q4", "q1")) == -1
-
-
-def test_expectation_errors():
-    sys_ = order_effect_system()
-    with pytest.raises(VariableNotInContext):
-        expectation(sys_, "c1", ("q9",))
-    tern = validate_system(
-        {"q1": ("a", "b", "c")},
-        [("c1", ("q1",), {("a",): F(1, 2), ("b",): F(1, 2)})],
-    )
-    with pytest.raises(NotPlusMinusOne):
-        expectation(tern, "c1", ("q1",))
-
-
-def test_expectation_bounds_random():
-    rng = random.Random(11)
-    for _ in range(20):
-        sys_ = rand_system(rng, ternary_share=0.0)
-        for blk in sys_.blocks:
-            val = expectation(sys_, blk.context, blk.contents)
-            assert -1 <= val <= 1
 
 
 def nested_pairs(system):
