@@ -145,17 +145,18 @@ def cmd_oracle(args) -> int:
     size = {q: len(outs) for q, outs in system.outcomes.items()}
     sizes = [size[q] for _, q in system.variables]
     check_atom_cap(sizes, None)
-    # the full LP's atoms, and its rows: one per context cell, plus mass
     n = math.prod(sizes)
-    n_rows = 1 + sum(math.prod(size[q] for q in blk.contents) for blk in system.blocks)
+    # The oracle's presolve drops every atom a zero cell covers.  The n'
+    # left are the product over the contexts of their positive cells, and
+    # on that product the positive cells' rows, mass included, have rank
+    # 1 + sum(cells - 1), so the oracle counts comb(n', rank) bases: refuse
+    # before building the LP when that count is over the limit.
+    positive = [len(blk.table) for blk in system.blocks]
+    n_bases = math.comb(math.prod(positive), 1 + sum(positive) - len(positive))
     try:
-        # Every context has >= 2 cells, whose rows are disjoint and nonempty,
-        # so 2 <= rank <= n_rows.  With n_rows <= n - 2 that gives
-        # comb(n, rank) >= comb(n, 2) bases, so refuse before building the LP.
-        if n_rows <= n - 2 and math.comb(n, 2) > DEFAULT_BASIS_LIMIT:
+        if n_bases > DEFAULT_BASIS_LIMIT:
             raise TooManyBases(
-                f"at least {math.comb(n, 2)} candidate bases exceed the "
-                f"limit of {DEFAULT_BASIS_LIMIT}"
+                f"{n_bases} candidate bases exceed the limit of {DEFAULT_BASIS_LIMIT}"
             )
         _, rows, rhs, costs = coupling_lp(
             system.outcomes,

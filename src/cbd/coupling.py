@@ -22,9 +22,8 @@ from __future__ import annotations
 import math
 import operator
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import simplex
 from .cyclic import ring_optimum
@@ -61,8 +60,7 @@ def check_atom_cap(sizes: Iterable[int], cap: int | None) -> None:
         raise CapExceeded(required, cap)
 
 
-@dataclass(frozen=True)
-class LPInstance:
+class LPInstance(NamedTuple):
     """The support coupling LP, recorded by its contexts' positive cells.
 
     The full coupling LP has one nonnegative unknown per atom (an outcome
@@ -125,8 +123,7 @@ class LPInstance:
         return out
 
 
-@dataclass(frozen=True)
-class LPSolution:
+class LPSolution(NamedTuple):
     """Solver result: exact optimum and the nonzero atom weights."""
 
     optimum: Fraction
@@ -379,8 +376,7 @@ def verify_solution(lp: LPInstance, sol: LPSolution) -> bool:
     return value == sol.optimum
 
 
-@dataclass(frozen=True)
-class CouplingWitness:
+class CouplingWitness(NamedTuple):
     """An optimal coupling: nonzero atom weights in canonical variable order."""
 
     variables: tuple[tuple[str, str], ...]

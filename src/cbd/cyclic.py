@@ -17,7 +17,6 @@ s_odd(a, b) = |a - b|, so the system is contextual exactly when
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -25,8 +24,7 @@ from .errors import NotCyclic, NotPlusMinusOne
 from .systems import System, check_plus_minus_one, isolated_deltas, s_odd
 
 
-@dataclass(frozen=True)
-class CyclicStructure:
+class CyclicStructure(NamedTuple):
     """The detected ring: rank and one canonical traversal.
 
     cycle holds (context, content_in, content_out) triples: the context
@@ -110,11 +108,15 @@ def _closed_form(system: System, ring: CyclicStructure | None) -> tuple[Fraction
     """The ring's s_odd, delta_sum and coupling LP optimum, delta_sum + cnt =
     max(delta_sum, (s_odd - (n - 2)) / 2), compared in integers so that only
     the one returned is built.  NotPlusMinusOne names the first content, in
-    cycle order (each is some triple's content_in), not over '+1'/'-1'."""
+    cycle order (each is some triple's content_in), not over '+1'/'-1'; each
+    distinct outcome tuple is checked once, under its first content."""
     if ring is None:
         raise NotCyclic("the closed-form criterion needs a cyclic system")
+    first: dict[tuple[str, ...], str] = {}
     for _, q, _ in ring.cycle:
-        check_plus_minus_one(f"content {q!r}", system.outcomes[q])
+        first.setdefault(system.outcomes[q], q)
+    for outcomes, q in first.items():
+        check_plus_minus_one(f"content {q!r}", outcomes)
     lhs = s_odd(system)
     delta_sum = isolated_deltas(system).total
     num, den = lhs.numerator - (ring.rank - 2) * lhs.denominator, 2 * lhs.denominator

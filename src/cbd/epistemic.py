@@ -26,8 +26,8 @@ import itertools
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coupling import check_atom_cap
 from .errors import DomainMismatch, EmptyVariantSet, InvalidArgument
@@ -41,8 +41,7 @@ UNEQUAL = "unequal"
 ALLOWED = "allowed"
 
 
-@dataclass(frozen=True)
-class ContextConstraint:
+class ContextConstraint(NamedTuple):
     """Admissibility rule for one context's joint outcomes.
 
     kind 'equal'/'unequal' applies to two binary '+1'/'-1' variables; kind
@@ -67,23 +66,20 @@ class ContextConstraint:
         )
 
 
-@dataclass(frozen=True)
-class EpistemicContext:
+class EpistemicContext(NamedTuple):
     context: str
     contents: tuple[str, ...]
     constraint: ContextConstraint
 
 
-@dataclass(frozen=True)
-class EpistemicSpec:
+class EpistemicSpec(NamedTuple):
     """Contents registry plus constrained contexts; validated on build."""
 
     outcomes: dict[str, tuple[str, ...]]
     contexts: tuple[EpistemicContext, ...]
 
 
-@dataclass(frozen=True)
-class DeterministicVariant:
+class DeterministicVariant(NamedTuple):
     """One admissible outcome per (content, context) variable."""
 
     assignment: dict[tuple[str, str], str]

@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
@@ -166,8 +165,7 @@ def to_fraction(value) -> Fraction:
     return frac
 
 
-@dataclass(frozen=True)
-class ContextBlock:
+class ContextBlock(NamedTuple):
     """One context: an ordered tuple of contents and the joint table over them.
 
     The table maps outcome tuples (components in `contents` order) to exact
@@ -183,8 +181,12 @@ class ContextBlock:
         return self.table.get(cell, ZERO)
 
 
-@dataclass(frozen=True)
-class System:
+class _SystemFields(NamedTuple):
+    outcomes: dict[str, tuple[str, ...]]
+    blocks: tuple[ContextBlock, ...]
+
+
+class System(_SystemFields):
     """A validated content-context system.
 
     outcomes: registry mapping each content id to its outcome label tuple.
@@ -193,12 +195,9 @@ class System:
     atoms, connections) is ordered lexicographically for reproducibility.
     """
 
-    outcomes: dict[str, tuple[str, ...]]
-    blocks: tuple[ContextBlock, ...]
-
     # The index below is built on first use and cached in the instance
-    # dict; cached properties are not dataclass fields, so equality, repr
-    # and serialization see only outcomes and blocks.
+    # dict, which this subclass of the named tuple has (it declares no
+    # __slots__); equality, repr and serialization see only the fields.
 
     @cached_property
     def _by_context(self) -> dict[str, ContextBlock]:
@@ -413,8 +412,7 @@ def validate_system(
     ])
 
 
-@dataclass(frozen=True)
-class Marginal:
+class Marginal(NamedTuple):
     """Distribution of one variable: a content observed in one context.
 
     probs covers the full outcome set, zeros included, so two marginals of

@@ -6,7 +6,6 @@ probabilities are exact Fractions built from integer weights.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import random
@@ -406,7 +405,7 @@ def without_bound(lp):
     """The support LP lp with no lower bound, so that solve_lp runs phase 2
     to the end: a closed form compared with its optimum is then not also
     the bound that stopped the solve."""
-    return dataclasses.replace(lp, bound=None)
+    return lp._replace(bound=None)
 
 
 def lp_cnt(system):

@@ -1,6 +1,6 @@
-import dataclasses
 import io
 import json
+import math
 import random
 import subprocess
 import sys
@@ -23,6 +23,7 @@ from helpers import (
     long_denominator_system,
     order_effect_system,
     pm_registry,
+    rand_deterministic,
     rand_system,
     rank_n_cycle_weights,
 )
@@ -59,7 +60,7 @@ def write_file(tmp_path, system, name="system.json"):
 def test_version(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0
-    assert out.strip() == "cbd 2.0.0"
+    assert out.strip() == "cbd 3.0.0"
 
 
 def test_analyze_contextual_text(tmp_path, capsys):
@@ -314,7 +315,7 @@ def test_oracle_builds_its_own_lp(tmp_path, capsys, monkeypatch):
         lp = build(*args, **kwargs)
         objective = list(lp.objective)
         objective[next(i for i in range(lp.n_atoms) if lp.atom(i) == raised)] += 1
-        return dataclasses.replace(lp, objective=tuple(objective))
+        return lp._replace(objective=tuple(objective))
 
     for module in (cbd, cbd.coupling, cbd.cli):
         monkeypatch.setattr(module, "build_coupling_lp", faulty, raising=False)
@@ -356,8 +357,8 @@ def test_oracle_refuses_large_systems(tmp_path, capsys):
 
 
 def test_oracle_refuses_before_densifying(tmp_path, capsys, monkeypatch):
-    # 12 binary variables: 4,096 atoms and 25 rows, so at least
-    # comb(4096, 2) > 2,000,000 candidate bases whatever the rank
+    # 12 binary variables: 4,096 atoms, of which the Liar 6 mixture's zero
+    # cells leave 2**6 = 64 columns of rank 7, so comb(64, 7) bases
     spec = liar_system(6)
     path = write_file(tmp_path, uniform_mixture(spec, enumerate_variants(spec)))
 
@@ -368,11 +369,12 @@ def test_oracle_refuses_before_densifying(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "oracle", path)
     assert code == 1
     assert "too large" in err
+    assert f"{math.comb(64, 7)} candidate bases exceed the limit of 2000000" in err
 
 
 def test_oracle_refuses_before_building_the_lp(tmp_path, capsys, monkeypatch):
-    # a full-support rank-6 cycle: 4,096 atoms, so comb(4096, 2), about 8.4
-    # million, candidate bases at least
+    # a full-support rank-6 cycle: 4,096 atoms, no zero cell and rank 19, so
+    # comb(4096, 19) candidate bases
     sys_ = cycle_system(6, rank_n_cycle_weights(random.Random(6), 6, biased=False))
     path = write_file(tmp_path, sys_)
     calls = []
@@ -387,6 +389,71 @@ def test_oracle_refuses_before_building_the_lp(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert "too large for the brute-force oracle" in err
     assert calls == []
+
+
+def test_oracle_answers_seven_point_mass_contexts_with_one_basis(tmp_path, capsys):
+    # one content over a, b, c in seven point-mass contexts: a zero cell
+    # covers all but one of the 2,187 atoms, so the presolve leaves 1 column
+    # and 1 basis, and the guard before the build counts that 1
+    sys_ = validate_system(
+        {"q": ("a", "b", "c")},
+        [(f"c{k}", ("q",), {("abc"[k % 3],): 1}) for k in range(7)],
+    )
+    code, out, err = run_cli(capsys, "oracle", write_file(tmp_path, sys_))
+    assert (code, err) == (0, "")
+    # 21 pairs, of which a, b, c fixed 3, 2 and 2 times agree on 3 + 1 + 1
+    assert out.splitlines() == ["atoms: 2187", "bases examined: 1", "system_delta = 16"]
+
+
+def _oracle_systems():
+    half = F(1, 2)
+    yield order_effect_system()
+    yield validate_system(
+        {"q": ("a", "b", "c")},
+        [
+            ("c1", ("q",), {("a",): half, ("b",): half}),
+            ("c2", ("q",), {("b",): half, ("c",): half}),
+            ("c3", ("q",), {("a",): half, ("c",): half}),
+        ],
+    )
+    for n in (2, 3):
+        spec = liar_system(n)
+        yield uniform_mixture(spec, enumerate_variants(spec))
+    rng = random.Random(97)
+    for _ in range(4):
+        yield rand_system(rng, max_contents=3, max_contexts=3, ternary_share=0.3, max_atoms=64)
+        yield rand_deterministic(rng, max_contents=3, max_contexts=4)
+
+
+def test_oracle_guard_counts_the_bases_the_oracle_examines(tmp_path, capsys, monkeypatch):
+    # the guard's comb(n', rank) is the oracle's own count: at that limit the
+    # oracle runs, and one below it the CLI refuses before the build and
+    # prints the count
+    limit = cbd.cli.DEFAULT_BASIS_LIMIT
+    calls = []
+    build = cbd.cli.coupling_lp
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cbd.cli, "coupling_lp", spy)
+    for k, sys_ in enumerate(_oracle_systems()):
+        path = write_file(tmp_path, sys_, name=f"sys{k}.json")
+        monkeypatch.setattr(cbd.cli, "DEFAULT_BASIS_LIMIT", limit)
+        code, out, _ = run_cli(capsys, "oracle", path)
+        assert code == 0
+        n_bases = int(out.splitlines()[1].removeprefix("bases examined: "))
+        monkeypatch.setattr(cbd.cli, "DEFAULT_BASIS_LIMIT", n_bases)
+        assert run_cli(capsys, "oracle", path)[:2] == (0, out)
+        monkeypatch.setattr(cbd.cli, "DEFAULT_BASIS_LIMIT", n_bases - 1)
+        calls.clear()
+        code, out, err = run_cli(capsys, "oracle", path)
+        assert (code, out, calls) == (1, "", [])
+        assert err == (
+            f"error: system too large for the brute-force oracle: {n_bases} "
+            f"candidate bases exceed the limit of {n_bases - 1}\n"
+        )
 
 
 def test_oracle_without_a_feasible_basis_is_an_internal_error(
@@ -527,7 +594,7 @@ def test_module_pipeline():
 def test_module_version():
     proc = run_module("--version")
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "cbd 2.0.0"
+    assert proc.stdout.strip() == "cbd 3.0.0"
 
 
 def test_long_exact_values_print_in_full(tmp_path, capsys):

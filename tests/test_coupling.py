@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -309,11 +308,11 @@ def test_solve_lp_refuses_a_zero_cell_and_an_empty_start():
     # a zero-rhs row may force atoms to 0, but the solve holds only the
     # start's rows, so those atoms could enter the basis
     sup = build_coupling_lp(order_effect_system())
-    zero = dataclasses.replace(sup, rhs=sup.rhs[:2] + (F(0),) + sup.rhs[3:])
+    zero = sup._replace(rhs=sup.rhs[:2] + (F(0),) + sup.rhs[3:])
     with pytest.raises(ValueError, match="support LP.*row 2 has rhs 0"):
         solve_lp(zero)
     with pytest.raises(ValueError, match="start basis"):
-        solve_lp(dataclasses.replace(sup, start=()))
+        solve_lp(sup._replace(start=()))
 
 
 def test_system_delta_product_coupling_zero():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import cbd.cyclic
 from cbd import (
     NotCyclic,
     NotPlusMinusOne,
@@ -164,6 +165,44 @@ def test_criterion_needs_plus_minus_one():
         ],
     )
     with pytest.raises(NotPlusMinusOne):
+        cyclic_criterion(sys_)
+
+
+def _ring_over(labels):
+    """A point-mass ring c1 = (q1, q2), ..., cn = (qn, q1), content q_i over
+    labels[i - 1]."""
+    n = len(labels)
+    outcomes = {f"q{i + 1}": outs for i, outs in enumerate(labels)}
+    blocks = []
+    for i in range(n):
+        a, b = f"q{i + 1}", f"q{(i + 1) % n + 1}"
+        blocks.append((f"c{i + 1}", (a, b), {(outcomes[a][0], outcomes[b][0]): 1}))
+    return validate_system(outcomes, blocks)
+
+
+def test_criterion_checks_each_outcome_tuple_once(monkeypatch):
+    # five contents share one '+1'/'-1' tuple: it is checked once
+    calls = []
+    real = cbd.cyclic.check_plus_minus_one
+
+    def counted(what, outcomes):
+        calls.append(what)
+        real(what, outcomes)
+
+    monkeypatch.setattr(cbd.cyclic, "check_plus_minus_one", counted)
+    cyclic_criterion(_ring_over([(P, M)] * 5))
+    assert len(calls) == 1
+
+
+def test_criterion_names_the_first_content_off_plus_minus_one():
+    # q2 and q4 share a tuple other than '+1'/'-1', and q3 has another: the
+    # refusal names whichever bad content the canonical cycle meets first
+    xy, uv = ("x", "y"), ("u", "v")
+    sys_ = _ring_over([(P, M), xy, uv, xy, (M, P)])
+    cycle = [q for _, q, _ in detect_cyclic(sys_).cycle]
+    first_bad = next(q for q in cycle if set(sys_.outcomes[q]) != {P, M})
+    assert first_bad in ("q2", "q3", "q4")
+    with pytest.raises(NotPlusMinusOne, match=f"^content '{first_bad}' needs"):
         cyclic_criterion(sys_)
 
 

@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -332,3 +334,56 @@ def test_simplex_keeps_no_dense_tableau():
         if isinstance(node, (ast.ClassDef, ast.FunctionDef))
     }
     assert [name for name in names if "tableau" in name.lower()] == []
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or "")
+
+
+def test_records_are_named_tuples_without_dataclasses():
+    # every record is a typing.NamedTuple: no module imports dataclasses,
+    # whose import and per-class code generation once took half of cbd's
+    # start-up
+    found = [
+        f"{name}: {module}"
+        for name, tree in _package_trees()
+        for module in _imported_modules(tree)
+        if module.split(".")[0] == "dataclasses"
+    ]
+    assert found == []
+
+
+def test_imports_stay_at_module_level():
+    # start-up is cut by removing work, not by deferring an import into a
+    # function; errors.py's two are there because systems imports errors
+    deferred = [
+        f"{name}:{func.name}: {module}"
+        for name, tree in _package_trees()
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for module in _imported_modules(func)
+    ]
+    assert deferred == ["errors.py:__init__: .systems"] * 2
+
+
+# Run by a fresh `python -I`: the modules that importing cbd and cbd.cli adds
+# to those the interpreter (and any site hook) loaded before it.
+_ADDED_MODULES = (
+    "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+    "import cbd, cbd.cli; print(*sorted(set(sys.modules) - before))"
+)
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    src = str(Path(cbd.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", _ADDED_MODULES, src],
+        capture_output=True, text=True, check=True,
+    )
+    added = set(proc.stdout.split())
+    assert {"cbd", "cbd.cli"} <= added
+    assert added.isdisjoint({"dataclasses", "inspect"})
