@@ -18,7 +18,7 @@ from .coupling import check_atom_cap, delta_pairs
 from .cyclic import detect_cyclic, ring_criterion
 from .epistemic import enumerate_variants, liar_system, uniform_mixture
 from .errors import CbdError, InternalError, NotPlusMinusOne
-from .oracle import DEFAULT_BASIS_LIMIT, TooManyBases, coupling_lp, enumerate_min
+from .oracle import LPTooLarge, TooManyBases, check_size, coupling_lp, enumerate_min
 from .serialization import (
     dumps_indented,
     format_report_text,
@@ -146,24 +146,19 @@ def cmd_oracle(args) -> int:
     sizes = [size[q] for _, q in system.variables]
     check_atom_cap(sizes, None)
     n = math.prod(sizes)
-    # The oracle's presolve drops every atom a zero cell covers.  The n'
-    # left are the product over the contexts of their positive cells, and
-    # on that product the positive cells' rows, mass included, have rank
-    # 1 + sum(cells - 1), so the oracle counts comb(n', rank) bases: refuse
-    # before building the LP when that count is over the limit.
-    positive = [len(blk.table) for blk in system.blocks]
-    n_bases = math.comb(math.prod(positive), 1 + sum(positive) - len(positive))
     try:
-        if n_bases > DEFAULT_BASIS_LIMIT:
-            raise TooManyBases(
-                f"{n_bases} candidate bases exceed the limit of {DEFAULT_BASIS_LIMIT}"
-            )
+        # a validated table holds only its positive cells
+        check_size(
+            n,
+            [math.prod(size[q] for q in blk.contents) for blk in system.blocks],
+            [len(blk.table) for blk in system.blocks],
+        )
         _, rows, rhs, costs = coupling_lp(
             system.outcomes,
             [(blk.context, blk.contents, blk.table) for blk in system.blocks],
         )
         best, _, n_bases = enumerate_min(costs, rows, rhs)
-    except TooManyBases as exc:
+    except (LPTooLarge, TooManyBases) as exc:
         raise CbdError(f"system too large for the brute-force oracle: {exc}")
     if best is None:
         # a validated system's full LP holds the product coupling

@@ -426,34 +426,62 @@ def _oracle_systems():
 
 
 def test_oracle_guard_counts_the_bases_the_oracle_examines(tmp_path, capsys, monkeypatch):
-    # the guard's comb(n', rank) is the oracle's own count: at that limit the
+    # the guard's comb(n', rank) is the oracle's own count, and its entry
+    # count is the size of coupling_lp's dense rows: at either limit the
     # oracle runs, and one below it the CLI refuses before the build and
     # prints the count
-    limit = cbd.cli.DEFAULT_BASIS_LIMIT
     calls = []
     build = cbd.cli.coupling_lp
 
     def spy(*args, **kwargs):
-        calls.append(args)
-        return build(*args, **kwargs)
+        lp = build(*args, **kwargs)
+        calls.append(len(lp[1]) * len(lp[0]))  # rows x atoms
+        return lp
 
     monkeypatch.setattr(cbd.cli, "coupling_lp", spy)
     for k, sys_ in enumerate(_oracle_systems()):
         path = write_file(tmp_path, sys_, name=f"sys{k}.json")
-        monkeypatch.setattr(cbd.cli, "DEFAULT_BASIS_LIMIT", limit)
+        calls.clear()
         code, out, _ = run_cli(capsys, "oracle", path)
         assert code == 0
+        entries = calls[0]
         n_bases = int(out.splitlines()[1].removeprefix("bases examined: "))
-        monkeypatch.setattr(cbd.cli, "DEFAULT_BASIS_LIMIT", n_bases)
-        assert run_cli(capsys, "oracle", path)[:2] == (0, out)
-        monkeypatch.setattr(cbd.cli, "DEFAULT_BASIS_LIMIT", n_bases - 1)
-        calls.clear()
-        code, out, err = run_cli(capsys, "oracle", path)
-        assert (code, out, calls) == (1, "", [])
-        assert err == (
-            f"error: system too large for the brute-force oracle: {n_bases} "
-            f"candidate bases exceed the limit of {n_bases - 1}\n"
-        )
+        for name, count, message in (
+            ("DEFAULT_BASIS_LIMIT", n_bases, f"{n_bases} candidate bases exceed"),
+            ("DEFAULT_ENTRY_LIMIT", entries, f"a dense LP of {entries} entries exceeds"),
+        ):
+            saved = getattr(cbd.oracle, name)
+            monkeypatch.setattr(cbd.oracle, name, count)
+            assert run_cli(capsys, "oracle", path)[:2] == (0, out)
+            monkeypatch.setattr(cbd.oracle, name, count - 1)
+            calls.clear()
+            code, out_below, err = run_cli(capsys, "oracle", path)
+            assert (code, out_below, calls) == (1, "", [])
+            assert err == (
+                "error: system too large for the brute-force oracle: "
+                f"{message} the limit of {count - 1}\n"
+            )
+            monkeypatch.setattr(cbd.oracle, name, saved)
+
+
+def test_oracle_refuses_a_dense_lp_before_building_it(tmp_path, capsys, monkeypatch):
+    # one content over 1,024 outcomes in two point-mass contexts: 2**20
+    # atoms, within the atom cap, and 1 basis, but 2,049 dense rows over
+    # them, about 2**31 entries, so the CLI refuses before coupling_lp
+    outs = tuple(f"o{i}" for i in range(1024))
+    sys_ = validate_system(
+        {"q": outs},
+        [("c1", ("q",), {("o0",): 1}), ("c2", ("q",), {("o1",): 1})],
+    )
+    path = write_file(tmp_path, sys_)
+    calls = []
+    monkeypatch.setattr(cbd.cli, "coupling_lp", lambda *args: calls.append(args))
+    code, out, err = run_cli(capsys, "oracle", path)
+    assert (code, out, calls) == (1, "", [])
+    assert err == (
+        "error: system too large for the brute-force oracle: a dense LP of "
+        f"{2049 * 2**20} entries exceeds the limit of 4000000\n"
+    )
 
 
 def test_oracle_without_a_feasible_basis_is_an_internal_error(
