@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from .analysis import analyze
-from .coupling import check_atom_cap, delta_pairs
+from .coupling import delta_pairs
 from .cyclic import detect_cyclic, ring_criterion
 from .epistemic import enumerate_variants, liar_system, uniform_mixture
 from .errors import CbdError, InternalError, NotPlusMinusOne
@@ -27,6 +27,7 @@ from .serialization import (
     report_to_dict,
     write_system,
 )
+from .systems import int_text
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -143,9 +144,7 @@ def cmd_liar(args) -> int:
 def cmd_oracle(args) -> int:
     system = parse_system(args.file)
     size = {q: len(outs) for q, outs in system.outcomes.items()}
-    sizes = [size[q] for _, q in system.variables]
-    check_atom_cap(sizes, None)
-    n = math.prod(sizes)
+    n = math.prod(size[q] for _, q in system.variables)
     try:
         # a validated table holds only its positive cells
         check_size(
@@ -158,7 +157,12 @@ def cmd_oracle(args) -> int:
             [(blk.context, blk.contents, blk.table) for blk in system.blocks],
         )
         best, _, n_bases = enumerate_min(costs, rows, rhs)
-    except (LPTooLarge, TooManyBases) as exc:
+    except LPTooLarge as exc:
+        raise CbdError(
+            "system too large for the brute-force oracle: a dense LP of "
+            f"{int_text(exc.args[0])} entries exceeds the limit of {exc.args[1]}"
+        )
+    except TooManyBases as exc:
         raise CbdError(f"system too large for the brute-force oracle: {exc}")
     if best is None:
         # a validated system's full LP holds the product coupling

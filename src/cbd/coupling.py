@@ -23,7 +23,7 @@ import math
 import operator
 import os
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import simplex
 from .cyclic import ring_optimum
@@ -52,10 +52,9 @@ def resolve_atom_cap(cap: int | None) -> int:
     return cap
 
 
-def check_atom_cap(sizes: Iterable[int], cap: int | None) -> None:
-    """Refuse work over prod(sizes) atoms above the cap, before allocating."""
+def check_atom_cap(required: int, cap: int | None) -> None:
+    """Refuse work over required atoms above the cap, before allocating."""
     cap = resolve_atom_cap(cap)
-    required = math.prod(sizes)
     if required > cap:
         raise CapExceeded(required, cap)
 
@@ -138,11 +137,11 @@ def build_coupling_lp(system: System, atom_cap: int | None = None) -> LPInstance
     over the atoms.  Only the cells, rows' cells and costs are built, with
     the north-west-corner start (see _north_west_corner), each context's
     cells walked in the direction _walk_directions gives it.  Raises
-    CapExceeded before materializing anything larger than the cap; the cap
-    is checked against the full LP's atom count, zero cells included.
+    CapExceeded when the atoms it would allocate, the product of the
+    contexts' positive-cell counts, are more than the cap: after the cells
+    are read, before the objective, the layout or the start is built.
     """
     variables = system.variables
-    check_atom_cap([len(system.outcomes[q]) for (_, q) in variables], atom_cap)
 
     # Contexts share no variable, so an atom is one cell per context and the
     # atoms are the product of the contexts' cell lists.  variables sorts the
@@ -177,10 +176,11 @@ def build_coupling_lp(system: System, atom_cap: int | None = None) -> LPInstance
         # a content can run downward only if its last index is below its first
         falls = falls or any(map(operator.gt, keys[0], keys[-1]))
     rhs.append(Fraction(1))
+    n = math.prod(map(len, cells))
+    check_atom_cap(n, atom_cap)
 
     # One row per cell, in list order: the atoms whose cell in a context sits
     # at list position d are the j with (j // stride) % count == d.
-    n = math.prod(map(len, cells))
     layout: list[tuple[int, int, int]] = []
     strides = []
     stride = n

@@ -29,7 +29,6 @@ from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
-from .coupling import check_atom_cap
 from .errors import DomainMismatch, EmptyVariantSet, InvalidArgument
 from .systems import (
     MINUS, PLUS, System, check_cell, check_context, check_plus_minus_one,
@@ -86,7 +85,8 @@ class DeterministicVariant(NamedTuple):
 
 
 def _admissible(spec: EpistemicSpec, ctx: EpistemicContext):
-    """Admissible outcome tuples of one context, in canonical product order."""
+    """Admissible outcome tuples of one context, in canonical product order;
+    an 'allowed' list is read as listed, not filtered from the product."""
     domains = [spec.outcomes[q] for q in ctx.contents]
     kind = ctx.constraint.kind
     if kind in (EQUAL, UNEQUAL):
@@ -98,19 +98,15 @@ def _admissible(spec: EpistemicSpec, ctx: EpistemicContext):
             check_plus_minus_one(
                 f"context {ctx.context!r}: '{kind}' on content {q!r}", spec.outcomes[q]
             )
-        if kind == EQUAL:
-            keep = lambda t: t[0] == t[1]
-        else:
-            keep = lambda t: t[0] != t[1]
-    elif kind == ALLOWED:
-        allowed = ctx.constraint.allowed or ()
-        for t in allowed:
-            check_cell(ctx.context, ctx.contents, t, spec.outcomes)
-        allowed_set = set(allowed)
-        keep = lambda t: t in allowed_set
-    else:
+        keep = operator.eq if kind == EQUAL else operator.ne
+        return tuple(t for t in itertools.product(*domains) if keep(*t))
+    if kind != ALLOWED:
         raise DomainMismatch(f"unknown constraint kind {kind!r}")
-    return tuple(t for t in itertools.product(*domains) if keep(t))
+    keys = set()
+    for t in ctx.constraint.allowed or ():
+        check_cell(ctx.context, ctx.contents, t, spec.outcomes)
+        keys.add(tuple(d.index(o) for d, o in zip(domains, t)))
+    return tuple(tuple(d[i] for d, i in zip(domains, k)) for k in sorted(keys))
 
 
 class VariantProduct(Sequence):
@@ -149,21 +145,18 @@ class VariantProduct(Sequence):
         return DeterministicVariant(assignment=assignment)
 
 
-def enumerate_variants(
-    spec: EpistemicSpec, cap: int | None = None
-) -> Sequence[DeterministicVariant]:
+def enumerate_variants(spec: EpistemicSpec) -> Sequence[DeterministicVariant]:
     """All deterministic variants satisfying every context's constraint.
 
     A context that breaks a rule of systems.check_context (an id that is not
     a non-empty string or is defined twice; contents that are empty, one
     bare string, list a content twice or name one missing from
     spec.outcomes) is refused first, with the error validate_system raises.
-    The assignment space (product of all variables' outcome set sizes) must
-    stay within the cap; raises CapExceeded otherwise and EmptyVariantSet
-    when some context admits no tuple at all.  Contexts are independent
-    (variables are per-context), so the variants are exactly the product of
-    the per-context admissible tuples.  The result is a read-only sequence
-    over that product (a VariantProduct): its length is the product of the
+    Raises EmptyVariantSet when some context admits no tuple at all.
+    Contexts are independent (variables are per-context), so the variants
+    are exactly the product of the per-context admissible tuples, and only
+    those tuples are built.  The result is a read-only sequence over that
+    product (a VariantProduct): its length is the product of the
     per-context tuple counts, and indexing or iterating builds each variant
     on demand, in canonical order (itertools.product over the contexts
     sorted by id).
@@ -171,8 +164,6 @@ def enumerate_variants(
     seen: set[str] = set()
     for ctx in spec.contexts:
         check_context(ctx.context, ctx.contents, spec.outcomes, seen)
-    sizes = [len(spec.outcomes[q]) for ctx in spec.contexts for q in ctx.contents]
-    check_atom_cap(sizes, cap)
 
     contexts = []
     for ctx in sorted(spec.contexts, key=lambda c: c.context):
@@ -201,27 +192,29 @@ def uniform_mixture(
     All of a spec's variants (enumerate_variants of an equal spec) mixed
     uniformly give each context the uniform table over its own k admissible
     tuples, 1/k each; that table is built directly, without visiting a
-    variant.
+    variant.  A VariantProduct of another spec, or with a weight count not
+    its own count, is refused before any variant is decoded.
     """
-    if not variants:
+    if isinstance(variants, VariantProduct):
+        if variants.spec != spec:
+            raise DomainMismatch("the variants enumerate another spec")
+        if weights is None:
+            blocks = [
+                (ctx.context, ctx.contents, dict.fromkeys(cells, Fraction(1, len(cells))))
+                for ctx, cells in variants.contexts
+            ]
+            return validate_system(spec.outcomes, blocks)
+        count = variants._len  # len() refuses a count past sys.maxsize
+    else:
+        variants = list(variants)  # any iterable of variants
+        count = len(variants)
+    if not count:
         raise EmptyVariantSet("cannot mix an empty variant list")
-    if (
-        weights is None
-        and isinstance(variants, VariantProduct)
-        and variants.spec == spec
-    ):
-        blocks = [
-            (ctx.context, ctx.contents, dict.fromkeys(cells, Fraction(1, len(cells))))
-            for ctx, cells in variants.contexts
-        ]
-        return validate_system(spec.outcomes, blocks)
-    # a view decodes its variants on every walk; walk them once
-    variants = list(variants)
     if weights is None:
-        weights = [Fraction(1, len(variants))] * len(variants)
+        weights = [Fraction(1, count)] * count
     else:
         weights = [exact_number(x) for x in weights]
-        if len(weights) != len(variants):
+        if len(weights) != count:
             raise DomainMismatch("one weight per variant required")
         if any(x < 0 for x in weights):
             raise DomainMismatch("weights must be nonnegative")
@@ -231,6 +224,8 @@ def uniform_mixture(
         total = exact_text(Fraction(sum(nums), den))
         raise DomainMismatch(f"weights sum to {total}, expected 1")
 
+    # a view decodes its variants on every walk; walk them once
+    variants = list(variants)
     needed = {
         (q, ctx.context) for ctx in spec.contexts for q in ctx.contents
     }

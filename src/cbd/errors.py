@@ -73,8 +73,8 @@ class NotCyclic(CbdError):
 class CapExceeded(CbdError):
     """Work would need more atoms than the configured cap.
 
-    Raised for the coupling LP's atoms and for the epistemic assignment
-    space; both are the product of every variable's outcome-set size.
+    Raised by build_coupling_lp only: required counts the support LP's
+    atoms, the product of the contexts' positive-cell counts.
     """
 
     def __init__(self, required: int, cap: int):

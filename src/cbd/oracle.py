@@ -35,7 +35,8 @@ class TooManyBases(ValueError):
 
 
 class LPTooLarge(ValueError):
-    """The dense LP coupling_lp would build exceeds the configured limit."""
+    """The dense LP coupling_lp would build exceeds the configured limit.
+    args: its entry count, which can be too long for str(), and the limit."""
 
 
 def check_size(n_atoms, cells, positive):
@@ -46,6 +47,7 @@ def check_size(n_atoms, cells, positive):
     positive probability, all plain ints.  coupling_lp builds a dense row
     over every atom for each cell and for the mass: raises LPTooLarge when
     those (1 + sum(cells)) * n_atoms entries exceed DEFAULT_ENTRY_LIMIT.
+    This is the oracle's one size rule: no atom cap applies to it.
     enumerate_min's presolve then drops every atom a zero cell covers; the
     n' atoms left are the product over the contexts of their positive cells,
     and on that product the positive cells' rows, mass included, have rank
@@ -54,9 +56,7 @@ def check_size(n_atoms, cells, positive):
     """
     entries = (1 + sum(cells)) * n_atoms
     if entries > DEFAULT_ENTRY_LIMIT:
-        raise LPTooLarge(
-            f"a dense LP of {entries} entries exceeds the limit of {DEFAULT_ENTRY_LIMIT}"
-        )
+        raise LPTooLarge(entries, DEFAULT_ENTRY_LIMIT)
     n_bases = math.comb(math.prod(positive), 1 + sum(positive) - len(positive))
     if n_bases > DEFAULT_BASIS_LIMIT:
         raise TooManyBases(

@@ -18,6 +18,7 @@ from helpers import (
     P,
     c2_system,
     cycle_system,
+    fold_digits,
     fold_exact,
     four_cycle_name_system,
     long_denominator_system,
@@ -60,7 +61,7 @@ def write_file(tmp_path, system, name="system.json"):
 def test_version(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0
-    assert out.strip() == "cbd 3.0.0"
+    assert out.strip() == "cbd 4.0.0"
 
 
 def test_analyze_contextual_text(tmp_path, capsys):
@@ -114,7 +115,9 @@ def test_analyze_atom_cap_flag(tmp_path, capsys):
     code, out, err = run_cli(capsys, "analyze", path, "--atom-cap", "8")
     assert code == 1
     assert err.startswith("error:")
-    assert "16" in err and "8" in err
+    # the support LP's 3 x 3 atoms, not the 16 outcome assignments
+    assert "9 atoms needed, above the cap of 8" in err
+    assert run_cli(capsys, "analyze", path, "--atom-cap", "9")[0] == 3
 
 
 def test_analyze_atom_cap_env(tmp_path, capsys, monkeypatch):
@@ -484,6 +487,21 @@ def test_oracle_refuses_a_dense_lp_before_building_it(tmp_path, capsys, monkeypa
     )
 
 
+def test_oracle_prints_a_dense_lp_count_beyond_the_digit_limit(tmp_path, capsys):
+    # no atom cap stands before the oracle's size rule: Liar 7200's full LP
+    # has (1 + 4 * 7200) * 4^7200 dense entries, a count of 4,340 digits
+    path = str(tmp_path / "liar7200.json")
+    assert run_cli(capsys, "liar", "7200", "-o", path) == (0, "", "")
+    code, out, err = run_cli(capsys, "oracle", path)
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    head = "error: system too large for the brute-force oracle: a dense LP of "
+    digits, _, tail = line.removeprefix(head).partition(" ")
+    assert line.startswith(head) and len(digits) == 4340
+    assert fold_digits(digits) == (1 + 4 * 7200) * 4**7200
+    assert tail == "entries exceeds the limit of 4000000"
+
+
 def test_oracle_without_a_feasible_basis_is_an_internal_error(
     tmp_path, capsys, monkeypatch
 ):
@@ -498,22 +516,51 @@ def test_oracle_without_a_feasible_basis_is_an_internal_error(
     assert "a bug" in err
 
 
-def test_liar_count_beyond_the_digit_limit_names_the_cap(capsys, monkeypatch):
+def test_liar_count_beyond_the_digit_limit_names_the_cap(tmp_path, capsys, monkeypatch):
+    # cbd liar writes the 15,000 contexts; analyze needs 2^15000 support
+    # atoms, a count of 4,516 digits, more than str() converts by default
     monkeypatch.delenv("CBD_ATOM_CAP", raising=False)
-    code, out, err = run_cli(capsys, "liar", "8000")
-    assert code == 1
-    assert out == ""
+    path = str(tmp_path / "liar15000.json")
+    assert run_cli(capsys, "liar", "15000", "-o", path) == (0, "", "")
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert (code, out) == (1, "")
     (line,) = err.splitlines()
-    assert line.startswith("error: ") and "above the cap of 1048576" in line
+    digits, _, tail = line.removeprefix("error: ").partition(" ")
+    assert line.startswith("error: ") and len(digits) == 4516
+    assert fold_digits(digits) == 2**15000
+    assert tail.startswith("atoms needed, above the cap of 1048576")
 
 
-def test_liar_over_the_cap_names_the_override(capsys, monkeypatch):
+def test_liar_over_the_cap_names_the_override(tmp_path, capsys, monkeypatch):
+    # Liar 21's support LP has 2^21 atoms, above 2^20; its file is written
+    # at any rank
     monkeypatch.delenv("CBD_ATOM_CAP", raising=False)
-    # 11 contexts x 2 binary variables = 4^11 = 2^22 points, above 2^20
-    code, out, err = run_cli(capsys, "liar", "11")
-    assert code == 1
-    assert out == ""
-    assert "CBD_ATOM_CAP" in err
+    path = str(tmp_path / "liar21.json")
+    assert run_cli(capsys, "liar", "21", "-o", path) == (0, "", "")
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error: 2097152 atoms needed, above the cap of 1048576")
+    assert "CBD_ATOM_CAP" in line
+
+
+def test_liar_20_is_analyzed_at_the_default_cap(tmp_path, capsys, monkeypatch):
+    # 2^20 support atoms, exactly the default cap
+    monkeypatch.delenv("CBD_ATOM_CAP", raising=False)
+    path = str(tmp_path / "liar20.json")
+    assert run_cli(capsys, "liar", "20", "-o", path) == (0, "", "")
+    code, out, _ = run_cli(capsys, "analyze", path, "--json")
+    assert code == 3
+    assert json.loads(out)["cnt"]["exact"] == "1"
+
+
+def test_liar_70_is_written_and_decided_in_closed_form(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CBD_ATOM_CAP", raising=False)
+    path = str(tmp_path / "liar70.json")
+    assert run_cli(capsys, "liar", "70", "-o", path) == (0, "", "")
+    code, out, _ = run_cli(capsys, "cyclic", path)
+    assert code == 0
+    assert out.splitlines()[-1] == "cnt = 1"
 
 
 def test_internal_error_exits_1(tmp_path, capsys, monkeypatch):
@@ -622,7 +669,7 @@ def test_module_pipeline():
 def test_module_version():
     proc = run_module("--version")
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "cbd 3.0.0"
+    assert proc.stdout.strip() == "cbd 4.0.0"
 
 
 def test_long_exact_values_print_in_full(tmp_path, capsys):

@@ -221,18 +221,21 @@ def test_build_lp_four_cycle_shape():
 
 
 def test_atom_cap_enforced():
+    # the cap counts the support LP's atoms: 3 x 3 positive cells, not the
+    # full LP's 16 outcome assignments
     with pytest.raises(CapExceeded) as info:
         build_coupling_lp(order_effect_system(), atom_cap=8)
-    assert info.value.required == 16
+    assert info.value.required == 9
     assert info.value.cap == 8
+    assert build_coupling_lp(order_effect_system(), atom_cap=9).n_atoms == 9
 
 
 def test_atom_cap_env_override(monkeypatch):
     monkeypatch.setenv("CBD_ATOM_CAP", "8")
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as info:
         build_coupling_lp(order_effect_system())
-    monkeypatch.setenv("CBD_ATOM_CAP", "16")
-    # the cap counts the full LP's 16 atoms; the support LP keeps 3 x 3
+    assert (info.value.required, info.value.cap) == (9, 8)
+    monkeypatch.setenv("CBD_ATOM_CAP", "9")
     assert build_coupling_lp(order_effect_system()).n_atoms == 9
 
 
@@ -393,7 +396,7 @@ def alive_atoms(full):
 
 def liar_ring(n):
     spec = liar_system(n)
-    return uniform_mixture(spec, enumerate_variants(spec, cap=4**n))
+    return uniform_mixture(spec, enumerate_variants(spec))
 
 
 def liar7():
@@ -512,9 +515,24 @@ def test_support_lp_of_liar_7():
 
 
 def test_support_lp_checks_the_cap_on_every_atom():
+    # Liar 7's support LP has 2**7 atoms, though its full LP has 2**14
     with pytest.raises(CapExceeded) as info:
-        build_coupling_lp(liar7(), atom_cap=128)
-    assert info.value.required == 2**14
+        build_coupling_lp(liar7(), atom_cap=127)
+    assert info.value.required == 2**7
+    assert build_coupling_lp(liar7(), atom_cap=128).n_atoms == 2**7
+
+
+def test_the_cap_refuses_before_the_objective_is_built(monkeypatch):
+    # Liar 21's support LP has 2**21 atoms, one over twice the default cap
+    monkeypatch.delenv("CBD_ATOM_CAP", raising=False)
+    sys_ = liar_ring(21)
+    monkeypatch.setattr(sys_, "pairs", lambda: pytest.fail("the objective was built"))
+    monkeypatch.setattr(
+        cbd.coupling, "_lower_bound", lambda system: pytest.fail("the bound was read")
+    )
+    with pytest.raises(CapExceeded) as info:
+        build_coupling_lp(sys_)
+    assert (info.value.required, info.value.cap) == (2**21, 2**20)
 
 
 def test_analyze_builds_only_the_support_lp(monkeypatch):
@@ -862,7 +880,7 @@ def test_bound_is_the_optimum_of_every_binary_ring():
         rings.append(minus_first(ring, chosen))
     assert 30 < flipped < 100
     for sys_ in rings:
-        lp = build_coupling_lp(sys_, atom_cap=4 ** len(sys_.blocks))
+        lp = build_coupling_lp(sys_)
         sol = solve_lp(without_bound(lp))
         assert lp.bound == sol.optimum
         tables = [(blk.context, blk.contents, blk.table) for blk in sys_.blocks]

@@ -2,6 +2,7 @@ import decimal
 import io
 import itertools
 import random
+import time
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ import pytest
 from cbd import (
     MINUS,
     PLUS,
-    CapExceeded,
     ContextConstraint,
     DomainMismatch,
     DuplicateContentInContext,
@@ -126,19 +126,29 @@ def test_empty_variant_set():
         enumerate_variants(spec)
 
 
-def test_variant_cap():
-    with pytest.raises(CapExceeded):
+def test_variant_cap(monkeypatch):
+    # no cap applies to the variants: only each context's admissible tuples
+    # are built, so Liar 12's 4^12 assignments, over the default atom cap,
+    # are never counted, and the cap keyword is gone
+    monkeypatch.delenv("CBD_ATOM_CAP", raising=False)
+    with pytest.raises(TypeError):
         enumerate_variants(liar_system(2), cap=1)
-    # 12 contexts x 2 binary variables = 4^12 assignments, over the default cap
-    with pytest.raises(CapExceeded):
-        enumerate_variants(liar_system(12))
+    view = enumerate_variants(liar_system(12))
+    assert len(view) == 2**12
+    assert [len(tuples) for _, tuples in view.contexts] == [2] * 12
 
 
-def test_variant_cap_refuses_a_count_beyond_the_digit_limit():
-    # 4^8000 has 4,817 digits, more than str() converts by default
-    with pytest.raises(CapExceeded, match="above the cap of") as info:
-        enumerate_variants(liar_system(8000))
-    assert info.value.required == 4**8000
+def test_variant_cap_refuses_a_count_beyond_the_digit_limit(monkeypatch):
+    # 2^15000 variants, a count of 4,516 digits: no cap refuses them, each of
+    # the 15,000 contexts holds its 2 tuples, and any variant decodes
+    monkeypatch.delenv("CBD_ATOM_CAP", raising=False)
+    view = enumerate_variants(liar_system(15000))
+    assert [len(tuples) for _, tuples in view.contexts] == [2] * 15000
+    last = view[2**15000 - 1].assignment
+    assert view[-1].assignment == last
+    assert last[("q1", "c1")] == MINUS and last[("q1", "c15000")] == PLUS
+    with pytest.raises(IndexError):
+        view[2**15000]
 
 
 def _spec(*contexts):
@@ -210,10 +220,50 @@ def test_variants_refuse_an_unknown_constraint_kind():
 
 
 def test_variants_refuse_malformed_specs_before_the_cap():
-    # the spec is refused as malformed even where the cap would refuse it too
-    spec = _spec(("c1", ("q1", "q1"), [(PLUS, PLUS)]))
+    # every context's structure is checked before any allowed tuple is read:
+    # c2's repeated content is refused, not c1's outcome outside its set
+    spec = _spec(("c1", ("q1", "q2"), [(PLUS, "0")]), ("c2", ("q1", "q1"), [(PLUS, PLUS)]))
     with pytest.raises(DuplicateContentInContext):
-        enumerate_variants(spec, cap=1)
+        enumerate_variants(spec)
+
+
+def test_allowed_tuples_are_read_not_filtered_from_the_product():
+    # one context of 40 binary contents admits one tuple: its 2**40 outcome
+    # product is never walked
+    contents = tuple(f"q{i}" for i in range(40))
+    spec = EpistemicSpec(
+        outcomes=dict.fromkeys(contents, (PLUS, MINUS)),
+        contexts=(
+            EpistemicContext("c1", contents, ContextConstraint.explicit([(MINUS,) * 40])),
+        ),
+    )
+    start = time.perf_counter()
+    view = enumerate_variants(spec)
+    assert time.perf_counter() - start < 0.5
+    assert len(view) == 1
+    assert set(view[0].assignment.values()) == {MINUS}
+
+
+def test_allowed_tuples_keep_the_product_order():
+    # unordered and repeated allowed lists give the variants, in the order,
+    # that filtering each context's outcome product gives
+    rng = random.Random(43)
+    repeated = 0
+    for _ in range(200):
+        spec = random_spec(rng)
+        contexts = []
+        for ctx in spec.contexts:
+            allowed = list(ctx.constraint.allowed or ())
+            if allowed and rng.random() < 0.5:
+                allowed += rng.choices(allowed, k=rng.randint(1, 3))
+                rng.shuffle(allowed)
+                repeated += 1
+                ctx = ctx._replace(constraint=ContextConstraint.explicit(allowed))
+            contexts.append(ctx)
+        spec = spec._replace(contexts=tuple(contexts))
+        variants = [v.assignment for v in enumerate_variants(spec)]
+        assert variants == enumerate_by_assignment(spec)
+    assert repeated > 50
 
 
 def test_mixture_tables_pair():
@@ -474,23 +524,32 @@ def test_view_mixed_under_another_spec():
 
 
 def test_uniform_mixture_of_a_view_visits_no_variant(monkeypatch):
-    spec = liar_system(16)
-    view = enumerate_variants(spec, cap=2**32)
-    assert len(view) == 2**16
+    # Liar 70 has 2**70 variants, past sys.maxsize, so len() of its view
+    # overflows: the mixture, a view of another spec and a weight count that
+    # does not match are all answered from the view's contexts
+    views = {n: enumerate_variants(liar_system(n)) for n in (16, 70)}
+    assert len(views[16]) == 2**16
 
     def refuse(*args):
         pytest.fail("a variant was decoded")
 
-    monkeypatch.setattr(type(view), "__iter__", refuse)
-    monkeypatch.setattr(type(view), "__getitem__", refuse)
-    mixture = uniform_mixture(spec, view)
+    monkeypatch.setattr(type(views[16]), "__iter__", refuse)
+    monkeypatch.setattr(type(views[16]), "__getitem__", refuse)
     half = F(1, 2)
-    for ctx in spec.contexts[:-1]:
-        assert mixture.block(ctx.context).table == {
-            (PLUS, PLUS): half,
-            (MINUS, MINUS): half,
+    for n, view in views.items():
+        spec = liar_system(n)
+        mixture = uniform_mixture(spec, view)
+        assert len(mixture.blocks) == n
+        for ctx in spec.contexts[:-1]:
+            assert mixture.block(ctx.context).table == {
+                (PLUS, PLUS): half,
+                (MINUS, MINUS): half,
+            }
+        assert mixture.block(spec.contexts[-1].context).table == {
+            (PLUS, MINUS): half,
+            (MINUS, PLUS): half,
         }
-    assert mixture.block(spec.contexts[-1].context).table == {
-        (PLUS, MINUS): half,
-        (MINUS, PLUS): half,
-    }
+        with pytest.raises(DomainMismatch, match="another spec"):
+            uniform_mixture(liar_system(n - 1), view)
+        with pytest.raises(DomainMismatch, match="one weight per variant"):
+            uniform_mixture(spec, view, weights=[1])

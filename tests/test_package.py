@@ -90,6 +90,33 @@ def test_cap_refused_in_one_function():
     assert raisers == {"coupling.py:check_atom_cap"}
 
 
+def test_cap_checked_in_one_place():
+    # the cap counts what is built, and only the support LP is built by
+    # count: build_coupling_lp is the one caller of check_atom_cap, the
+    # variants are not capped (epistemic takes nothing from coupling) and
+    # enumerate_variants takes the spec alone
+    trees = dict(_package_trees())
+    callers = {
+        f"{name}:{scope}"
+        for name, tree in trees.items()
+        for scope in _calls_in_scope(tree, "check_atom_cap")
+    }
+    assert callers == {"coupling.py:build_coupling_lp"}
+    assert not [
+        node
+        for node in ast.walk(trees["epistemic.py"])
+        if isinstance(node, ast.ImportFrom) and node.module in ("coupling", "cbd.coupling")
+    ]
+    func = next(
+        node
+        for node in trees["epistemic.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "enumerate_variants"
+    )
+    assert [arg.arg for arg in func.args.args] == ["spec"]
+    assert func.args.kwonlyargs == [] and func.args.defaults == []
+    assert func.args.vararg is None and func.args.kwarg is None
+
+
 def _scopes_of(tree, match, scope="<module>"):
     """The innermost enclosing function of every node that match accepts."""
     if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -301,9 +328,9 @@ def test_build_coupling_lp_takes_only_the_system_and_the_cap():
 
 
 def test_oracle_gets_no_lp_from_coupling():
-    # cbd oracle builds the full LP itself (oracle.coupling_lp), so the CLI
-    # takes only the cap check and the isolated deltas from coupling, and no
-    # module keeps a dense form of coupling's rows
+    # cbd oracle builds the full LP itself (oracle.coupling_lp) and sizes it
+    # by oracle.check_size alone, so the CLI takes only the isolated deltas
+    # from coupling, and no module keeps a dense form of coupling's rows
     trees = dict(_package_trees())
     imported = [
         alias.name
@@ -311,7 +338,7 @@ def test_oracle_gets_no_lp_from_coupling():
         if isinstance(node, ast.ImportFrom) and node.module == "coupling"
         for alias in node.names
     ]
-    assert sorted(imported) == ["check_atom_cap", "delta_pairs"]
+    assert sorted(imported) == ["delta_pairs"]
     defined = [
         f"{name}:{node.name}"
         for name, tree in trees.items()
