@@ -76,4 +76,4 @@ from .systems import (
     validate_system,
 )
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"

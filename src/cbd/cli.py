@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 from . import __version__
@@ -143,19 +142,10 @@ def cmd_liar(args) -> int:
 
 def cmd_oracle(args) -> int:
     system = parse_system(args.file)
-    size = {q: len(outs) for q, outs in system.outcomes.items()}
-    n = math.prod(size[q] for _, q in system.variables)
+    contexts = [(blk.context, blk.contents, blk.table) for blk in system.blocks]
     try:
-        # a validated table holds only its positive cells
-        check_size(
-            n,
-            [math.prod(size[q] for q in blk.contents) for blk in system.blocks],
-            [len(blk.table) for blk in system.blocks],
-        )
-        _, rows, rhs, costs = coupling_lp(
-            system.outcomes,
-            [(blk.context, blk.contents, blk.table) for blk in system.blocks],
-        )
+        check_size(system.outcomes, contexts)
+        atoms, rows, rhs, costs = coupling_lp(system.outcomes, contexts)
         best, _, n_bases = enumerate_min(costs, rows, rhs)
     except LPTooLarge as exc:
         raise CbdError(
@@ -167,7 +157,7 @@ def cmd_oracle(args) -> int:
     if best is None:
         # a validated system's full LP holds the product coupling
         raise InternalError("no feasible basis found for a valid system: a bug")
-    print(f"atoms: {n}")
+    print(f"atoms: {len(atoms)}")
     print(f"bases examined: {n_bases}")
     print(f"system_delta = {format_value(best)}")
     return EXIT_OK

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -31,23 +30,14 @@ from .errors import CapExceeded, InternalError, InvalidArgument
 from .systems import ZERO, PairDelta, System, isolated_deltas, to_form
 
 DEFAULT_ATOM_CAP = 2**20
-ATOM_CAP_ENV = "CBD_ATOM_CAP"
 
 
 def resolve_atom_cap(cap: int | None) -> int:
-    """The atom cap in force: cap when given, else CBD_ATOM_CAP when set,
-    else DEFAULT_ATOM_CAP.  Either source must be a positive integer."""
+    """The atom cap in force: cap when given, else DEFAULT_ATOM_CAP.  A
+    given cap must be a positive integer."""
     if cap is None:
-        raw = os.environ.get(ATOM_CAP_ENV)
-        if raw is None:
-            return DEFAULT_ATOM_CAP
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise InvalidArgument(f"{ATOM_CAP_ENV} must be an integer, got {raw!r}")
-        if cap < 1:
-            raise InvalidArgument(f"{ATOM_CAP_ENV} must be positive, got {cap}")
-    elif not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+        return DEFAULT_ATOM_CAP
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
         raise InvalidArgument(f"the atom cap must be a positive integer, got {cap!r}")
     return cap
 
@@ -157,7 +147,6 @@ def build_coupling_lp(system: System, atom_cap: int | None = None) -> LPInstance
     positive: list[list[tuple[int, Fraction, int]]] = []
     place: dict[tuple[str, str], tuple[int, int]] = {}
     indices: list[tuple[tuple[int, ...], ...]] = []
-    falls = False
     for i, blk in enumerate(system.blocks):
         contents = sorted(blk.contents)
         domains = [system.outcomes[q] for q in contents]
@@ -173,8 +162,6 @@ def build_coupling_lp(system: System, atom_cap: int | None = None) -> LPInstance
         rhs += probs
         place.update(((blk.context, q), (i, k)) for k, q in enumerate(contents))
         indices.append(keys)
-        # a content can run downward only if its last index is below its first
-        falls = falls or any(map(operator.gt, keys[0], keys[-1]))
     rhs.append(Fraction(1))
     n = math.prod(map(len, cells))
     check_atom_cap(n, atom_cap)
@@ -208,11 +195,9 @@ def build_coupling_lp(system: System, atom_cap: int | None = None) -> LPInstance
         objective = list(map(operator.add, objective, split * (n // len(split))))
 
     # Each context's positive cells are walked forward unless the pair graph
-    # reverses them, which only a content that runs downward can make it do.
-    walks = positive
-    if falls:
-        ways = _walk_directions(pairs, place, indices)
-        walks = [spots[::-1] if way < 0 else spots for spots, way in zip(positive, ways)]
+    # reverses them.
+    ways = _walk_directions(pairs, place, indices)
+    walks = [spots[::-1] if way < 0 else spots for spots, way in zip(positive, ways)]
     return LPInstance(
         variables=variables,
         cells=tuple(cells),

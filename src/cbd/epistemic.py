@@ -32,7 +32,7 @@ from typing import NamedTuple
 from .errors import DomainMismatch, EmptyVariantSet, InvalidArgument
 from .systems import (
     MINUS, PLUS, System, check_cell, check_context, check_plus_minus_one,
-    exact_number, exact_text, to_form, validate_system,
+    exact_number, format_exact, to_form, validate_system,
 )
 
 EQUAL = "equal"
@@ -115,7 +115,8 @@ class VariantProduct(Sequence):
     `contexts` pairs each context of `spec` with its admissible tuples,
     sorted by context id.  Variant k is read off the mixed-radix digits of k
     over the contexts in that order, the last context varying fastest: the
-    order of itertools.product.
+    order of itertools.product.  As for range, len() raises OverflowError
+    once the count passes sys.maxsize; indexing, iteration and bool() do not.
     """
 
     def __init__(self, spec: EpistemicSpec, contexts: tuple[tuple, ...]):
@@ -125,6 +126,10 @@ class VariantProduct(Sequence):
 
     def __len__(self) -> int:
         return self._len
+
+    def __bool__(self) -> bool:
+        # enumerate_variants refuses a context with no tuple: never empty
+        return True
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -221,7 +226,7 @@ def uniform_mixture(
     # over one common denominator, the tables are sums of int numerators
     den, nums = to_form(weights)
     if sum(nums) != den:
-        total = exact_text(Fraction(sum(nums), den))
+        total = format_exact(Fraction(sum(nums), den))
         raise DomainMismatch(f"weights sum to {total}, expected 1")
 
     # a view decodes its variants on every walk; walk them once

@@ -44,12 +44,12 @@ class ProbabilitySumMismatch(CbdError):
     """A context distribution does not sum to exactly 1."""
 
     def __init__(self, context: str, total: Fraction):
-        from .systems import exact_text  # systems imports this module
+        from .systems import format_exact  # systems imports this module
 
         self.context = context
         self.total = total
         super().__init__(
-            f"distribution of context {context!r} sums to {exact_text(total)}, "
+            f"distribution of context {context!r} sums to {format_exact(total)}, "
             f"expected 1"
         )
 
@@ -84,7 +84,7 @@ class CapExceeded(CbdError):
         self.cap = cap
         super().__init__(
             f"{int_text(required)} atoms needed, above the cap of {cap}; raise it "
-            f"with the CBD_ATOM_CAP environment variable (or analyze --atom-cap)"
+            f"with analyze --atom-cap or the atom_cap keyword"
         )
 
 

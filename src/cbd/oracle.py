@@ -39,24 +39,25 @@ class LPTooLarge(ValueError):
     args: its entry count, which can be too long for str(), and the limit."""
 
 
-def check_size(n_atoms, cells, positive):
+def check_size(outcomes, contexts):
     """Refuse, before coupling_lp builds it, an LP too large for the oracle.
 
-    n_atoms is the full LP's atom count, cells[k] the number of cells of
-    context k's outcome product, and positive[k] the number of those with
-    positive probability, all plain ints.  coupling_lp builds a dense row
-    over every atom for each cell and for the mass: raises LPTooLarge when
-    those (1 + sum(cells)) * n_atoms entries exceed DEFAULT_ENTRY_LIMIT.
-    This is the oracle's one size rule: no atom cap applies to it.
-    enumerate_min's presolve then drops every atom a zero cell covers; the
-    n' atoms left are the product over the contexts of their positive cells,
-    and on that product the positive cells' rows, mass included, have rank
-    1 + sum(positive - 1).  Raises TooManyBases when the comb(n', rank)
-    bases it would count exceed DEFAULT_BASIS_LIMIT.
+    outcomes and contexts are coupling_lp's arguments.  coupling_lp builds a
+    dense row over every atom, the product of every variable's outcome
+    count, for each cell of each context's outcome product and for the
+    mass: raises LPTooLarge when those (1 + total cells) * atoms entries
+    exceed DEFAULT_ENTRY_LIMIT.  This is the oracle's one size rule: no atom
+    cap applies to it.  enumerate_min's presolve then drops every atom a
+    zero cell covers; the n' atoms left are the product over the contexts
+    of their positive cells, and on that product the positive cells' rows,
+    mass included, have rank 1 + sum(positive - 1).  Raises TooManyBases
+    when the comb(n', rank) bases it would count exceed DEFAULT_BASIS_LIMIT.
     """
-    entries = (1 + sum(cells)) * n_atoms
+    cells = [math.prod(len(outcomes[q]) for q in contents) for _, contents, _ in contexts]
+    entries = (1 + sum(cells)) * math.prod(cells)
     if entries > DEFAULT_ENTRY_LIMIT:
         raise LPTooLarge(entries, DEFAULT_ENTRY_LIMIT)
+    positive = [sum(p > 0 for p in table.values()) for _, _, table in contexts]
     n_bases = math.comb(math.prod(positive), 1 + sum(positive) - len(positive))
     if n_bases > DEFAULT_BASIS_LIMIT:
         raise TooManyBases(

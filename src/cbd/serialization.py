@@ -26,17 +26,8 @@ from typing import IO, Iterator
 from .analysis import AnalysisReport
 from .errors import CbdError, SystemFileError
 from .systems import (
-    P_GRAMMAR, PairDelta, System, build_system, context_block, int_text, outcome_set,
+    P_GRAMMAR, PairDelta, System, build_system, context_block, format_exact, outcome_set,
 )
-
-
-def format_exact(x: Fraction) -> str:
-    """str(x), its digits printed in full however many there are."""
-    try:
-        return str(x)
-    except ValueError:  # more than MAX_DIGITS digits: str() refuses them
-        num = int_text(x.numerator)
-        return num if x.denominator == 1 else f"{num}/{int_text(x.denominator)}"
 
 
 def format_value(x: Fraction) -> str:

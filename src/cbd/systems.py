@@ -84,6 +84,15 @@ def int_text(n: int) -> str:
     return "-" * (n < 0) + str(head) + "".join(reversed(chunks))
 
 
+def format_exact(x: Fraction) -> str:
+    """str(x), its digits printed in full however many there are."""
+    try:
+        return str(x)
+    except ValueError:  # more than MAX_DIGITS digits: str() refuses them
+        num = int_text(x.numerator)
+        return num if x.denominator == 1 else f"{num}/{int_text(x.denominator)}"
+
+
 # Exact rationals as integers: (den, nums), value i == nums[i] / den.  A
 # marginal's form lists its content's registry outcomes in order, and is
 # reduced: gcd(den, *nums) == 1.
@@ -149,12 +158,6 @@ def exact_number(value) -> Fraction:
             f"or denominator"
         )
     return frac
-
-
-def exact_text(x: Fraction) -> str:
-    """str(x), or a note of its size where str() would refuse the digits."""
-    long = abs(x.numerator) >= _DIGIT_BOUND or x.denominator >= _DIGIT_BOUND
-    return f"a rational with more than {MAX_DIGITS} digits" if long else str(x)
 
 
 def to_fraction(value) -> Fraction:

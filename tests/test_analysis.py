@@ -266,16 +266,11 @@ def test_outcome_relabeling_preserves_the_report():
         assert a.consistent == b.consistent
 
 
-def test_analyze_validates_the_cap_on_every_path(monkeypatch):
-    monkeypatch.delenv("CBD_ATOM_CAP", raising=False)
+def test_analyze_validates_the_cap_on_every_path():
     for sys_ in (four_cycle_name_system(), order_effect_system()):
         for cap in (0, -5):
             with pytest.raises(ValueError, match="positive"):
                 analyze(sys_, atom_cap=cap)
-        monkeypatch.setenv("CBD_ATOM_CAP", "0")
-        with pytest.raises(ValueError, match="CBD_ATOM_CAP"):
-            analyze(sys_)
-        monkeypatch.delenv("CBD_ATOM_CAP")
     assert analyze(four_cycle_name_system(), atom_cap=1).cnt == 0
 
 

@@ -61,7 +61,7 @@ def write_file(tmp_path, system, name="system.json"):
 def test_version(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0
-    assert out.strip() == "cbd 4.0.0"
+    assert out.strip() == "cbd 5.0.0"
 
 
 def test_analyze_contextual_text(tmp_path, capsys):
@@ -120,28 +120,29 @@ def test_analyze_atom_cap_flag(tmp_path, capsys):
     assert run_cli(capsys, "analyze", path, "--atom-cap", "9")[0] == 3
 
 
-def test_analyze_atom_cap_env(tmp_path, capsys, monkeypatch):
-    path = write_file(tmp_path, order_effect_system())
-    monkeypatch.setenv("CBD_ATOM_CAP", "8")
-    code, _, err = run_cli(capsys, "analyze", path)
-    assert code == 1
-    assert err.startswith("error:")
-
-
-def test_analyze_atom_cap_must_be_positive(tmp_path, capsys, monkeypatch):
+def test_analyze_atom_cap_must_be_positive(tmp_path, capsys):
     # the deterministic fast path builds no LP, yet the cap is still checked
-    monkeypatch.delenv("CBD_ATOM_CAP", raising=False)
     for system in (four_cycle_name_system(), order_effect_system()):
         path = write_file(tmp_path, system)
         for cap in ("-5", "0"):
             code, out, err = run_cli(capsys, "analyze", path, "--atom-cap", cap)
             assert (code, out) == (1, "")
             assert "positive" in err
-        monkeypatch.setenv("CBD_ATOM_CAP", "0")
-        code, out, err = run_cli(capsys, "analyze", path)
-        assert (code, out) == (1, "")
-        assert "CBD_ATOM_CAP must be positive" in err
-        monkeypatch.delenv("CBD_ATOM_CAP")
+
+
+def test_the_environment_sets_no_cap(tmp_path, capsys, monkeypatch):
+    # the cap comes from --atom-cap and atom_cap= only: a CBD_ATOM_CAP in the
+    # caller's shell, which earlier versions read, changes nothing
+    sys_ = order_effect_system()
+    path = write_file(tmp_path, sys_)
+    monkeypatch.delenv("CBD_ATOM_CAP", raising=False)
+    report = cbd.analyze(sys_)
+    printed = run_cli(capsys, "analyze", path, "--json", "--witness")
+    assert printed[0] == 3
+    for raw in ("1", "junk"):
+        monkeypatch.setenv("CBD_ATOM_CAP", raw)
+        assert cbd.analyze(sys_) == report
+        assert run_cli(capsys, "analyze", path, "--json", "--witness") == printed
 
 
 def test_delta_output(tmp_path, capsys):
@@ -327,6 +328,31 @@ def test_oracle_builds_its_own_lp(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "oracle", write_file(tmp_path, sys_))
     assert code == 0
     assert out.splitlines()[-1] == "system_delta = 1/2 (0.5)"
+
+
+def test_oracle_sizes_the_lp_it_builds(tmp_path, capsys, monkeypatch):
+    # check_size counts the LP from coupling_lp's own arguments, so the two
+    # cannot drift apart: cmd_oracle hands both the same outcomes and contexts
+    calls = {}
+
+    def spy(name):
+        real = getattr(cbd.cli, name)
+
+        def record(*args):
+            calls[name] = args
+            return real(*args)
+
+        return record
+
+    for name in ("check_size", "coupling_lp"):
+        monkeypatch.setattr(cbd.cli, name, spy(name))
+    sys_ = order_effect_system()
+    code, out, _ = run_cli(capsys, "oracle", write_file(tmp_path, sys_))
+    assert code == 0 and out.splitlines()[0] == "atoms: 16"
+    (outcomes, contexts), built = calls["check_size"], calls["coupling_lp"]
+    assert built[0] is outcomes and built[1] is contexts
+    assert outcomes == sys_.outcomes
+    assert contexts == [(b.context, b.contents, b.table) for b in sys_.blocks]
 
 
 def test_oracle_answers_a_27_atom_connection_within_a_second(tmp_path, capsys):
@@ -516,10 +542,9 @@ def test_oracle_without_a_feasible_basis_is_an_internal_error(
     assert "a bug" in err
 
 
-def test_liar_count_beyond_the_digit_limit_names_the_cap(tmp_path, capsys, monkeypatch):
+def test_liar_count_beyond_the_digit_limit_names_the_cap(tmp_path, capsys):
     # cbd liar writes the 15,000 contexts; analyze needs 2^15000 support
     # atoms, a count of 4,516 digits, more than str() converts by default
-    monkeypatch.delenv("CBD_ATOM_CAP", raising=False)
     path = str(tmp_path / "liar15000.json")
     assert run_cli(capsys, "liar", "15000", "-o", path) == (0, "", "")
     code, out, err = run_cli(capsys, "analyze", path)
@@ -531,22 +556,20 @@ def test_liar_count_beyond_the_digit_limit_names_the_cap(tmp_path, capsys, monke
     assert tail.startswith("atoms needed, above the cap of 1048576")
 
 
-def test_liar_over_the_cap_names_the_override(tmp_path, capsys, monkeypatch):
+def test_liar_over_the_cap_names_the_override(tmp_path, capsys):
     # Liar 21's support LP has 2^21 atoms, above 2^20; its file is written
     # at any rank
-    monkeypatch.delenv("CBD_ATOM_CAP", raising=False)
     path = str(tmp_path / "liar21.json")
     assert run_cli(capsys, "liar", "21", "-o", path) == (0, "", "")
     code, out, err = run_cli(capsys, "analyze", path)
     assert (code, out) == (1, "")
     (line,) = err.splitlines()
     assert line.startswith("error: 2097152 atoms needed, above the cap of 1048576")
-    assert "CBD_ATOM_CAP" in line
+    assert "--atom-cap" in line
 
 
-def test_liar_20_is_analyzed_at_the_default_cap(tmp_path, capsys, monkeypatch):
+def test_liar_20_is_analyzed_at_the_default_cap(tmp_path, capsys):
     # 2^20 support atoms, exactly the default cap
-    monkeypatch.delenv("CBD_ATOM_CAP", raising=False)
     path = str(tmp_path / "liar20.json")
     assert run_cli(capsys, "liar", "20", "-o", path) == (0, "", "")
     code, out, _ = run_cli(capsys, "analyze", path, "--json")
@@ -554,8 +577,7 @@ def test_liar_20_is_analyzed_at_the_default_cap(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["cnt"]["exact"] == "1"
 
 
-def test_liar_70_is_written_and_decided_in_closed_form(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("CBD_ATOM_CAP", raising=False)
+def test_liar_70_is_written_and_decided_in_closed_form(tmp_path, capsys):
     path = str(tmp_path / "liar70.json")
     assert run_cli(capsys, "liar", "70", "-o", path) == (0, "", "")
     code, out, _ = run_cli(capsys, "cyclic", path)
@@ -669,7 +691,7 @@ def test_module_pipeline():
 def test_module_version():
     proc = run_module("--version")
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "cbd 4.0.0"
+    assert proc.stdout.strip() == "cbd 5.0.0"
 
 
 def test_long_exact_values_print_in_full(tmp_path, capsys):

@@ -230,24 +230,10 @@ def test_atom_cap_enforced():
     assert build_coupling_lp(order_effect_system(), atom_cap=9).n_atoms == 9
 
 
-def test_atom_cap_env_override(monkeypatch):
-    monkeypatch.setenv("CBD_ATOM_CAP", "8")
-    with pytest.raises(CapExceeded) as info:
-        build_coupling_lp(order_effect_system())
-    assert (info.value.required, info.value.cap) == (9, 8)
-    monkeypatch.setenv("CBD_ATOM_CAP", "9")
-    assert build_coupling_lp(order_effect_system()).n_atoms == 9
-
-
-def test_atom_cap_must_be_positive(monkeypatch):
-    monkeypatch.delenv("CBD_ATOM_CAP", raising=False)
+def test_atom_cap_must_be_positive():
     for cap in (0, -5, True, False):
         with pytest.raises(ValueError, match="positive"):
             build_coupling_lp(order_effect_system(), atom_cap=cap)
-    for raw in ("0", "-5", "x"):
-        monkeypatch.setenv("CBD_ATOM_CAP", raw)
-        with pytest.raises(ValueError, match="CBD_ATOM_CAP"):
-            build_coupling_lp(order_effect_system())
 
 
 def test_solve_lp_matches_enumeration_on_pair_system():
@@ -524,7 +510,6 @@ def test_support_lp_checks_the_cap_on_every_atom():
 
 def test_the_cap_refuses_before_the_objective_is_built(monkeypatch):
     # Liar 21's support LP has 2**21 atoms, one over twice the default cap
-    monkeypatch.delenv("CBD_ATOM_CAP", raising=False)
     sys_ = liar_ring(21)
     monkeypatch.setattr(sys_, "pairs", lambda: pytest.fail("the objective was built"))
     monkeypatch.setattr(

@@ -30,7 +30,7 @@ from cbd import (
     write_system,
 )
 from cbd.oracle import enumerate_min
-from helpers import full_lp
+from helpers import fold_exact, full_lp
 
 F = Fraction
 
@@ -126,11 +126,10 @@ def test_empty_variant_set():
         enumerate_variants(spec)
 
 
-def test_variant_cap(monkeypatch):
+def test_variant_cap():
     # no cap applies to the variants: only each context's admissible tuples
     # are built, so Liar 12's 4^12 assignments, over the default atom cap,
     # are never counted, and the cap keyword is gone
-    monkeypatch.delenv("CBD_ATOM_CAP", raising=False)
     with pytest.raises(TypeError):
         enumerate_variants(liar_system(2), cap=1)
     view = enumerate_variants(liar_system(12))
@@ -138,10 +137,9 @@ def test_variant_cap(monkeypatch):
     assert [len(tuples) for _, tuples in view.contexts] == [2] * 12
 
 
-def test_variant_cap_refuses_a_count_beyond_the_digit_limit(monkeypatch):
+def test_variant_cap_refuses_a_count_beyond_the_digit_limit():
     # 2^15000 variants, a count of 4,516 digits: no cap refuses them, each of
     # the 15,000 contexts holds its 2 tuples, and any variant decodes
-    monkeypatch.delenv("CBD_ATOM_CAP", raising=False)
     view = enumerate_variants(liar_system(15000))
     assert [len(tuples) for _, tuples in view.contexts] == [2] * 15000
     last = view[2**15000 - 1].assignment
@@ -149,6 +147,18 @@ def test_variant_cap_refuses_a_count_beyond_the_digit_limit(monkeypatch):
     assert last[("q1", "c1")] == MINUS and last[("q1", "c15000")] == PLUS
     with pytest.raises(IndexError):
         view[2**15000]
+
+
+def test_a_variant_product_past_maxsize_is_true_but_has_no_len():
+    # 2^63 and 2^70 variants: as for range, len() stops at sys.maxsize, but
+    # a product is never empty, so bool() answers without it
+    for n in (63, 70):
+        view = enumerate_variants(liar_system(n))
+        assert bool(view) is True
+        assert view[-1].assignment == view[2**n - 1].assignment
+        assert view[-1].assignment[("q1", "c1")] == MINUS
+        with pytest.raises(OverflowError):
+            len(view)
 
 
 def _spec(*contexts):
@@ -363,8 +373,12 @@ def test_explicit_weight_validation():
 def test_weight_sum_mismatch_with_too_many_digits_to_print():
     spec = liar_system(2)
     weights = [F(1, 2**14000), F(1, 3**8800), 0, 0]
-    with pytest.raises(DomainMismatch, match="weights sum to a rational with more"):
+    with pytest.raises(DomainMismatch) as info:
         uniform_mixture(spec, enumerate_variants(spec), weights=weights)
+    # printed in full, as the count in CapExceeded's message is
+    total, _, tail = str(info.value).removeprefix("weights sum to ").partition(", ")
+    assert tail == "expected 1"
+    assert fold_exact(total) == sum(weights)
 
 
 def test_mixture_requires_variants():

@@ -297,6 +297,24 @@ def test_indented_json_written_in_one_function():
     assert callers == set()
 
 
+def test_no_module_reads_the_environment():
+    # a verdict or a refusal depends on the system and the caller's
+    # arguments only: no module imports os or reads os.environ or os.getenv
+    found = []
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                modules = []
+            found += [f"{name}:import {m}" for m in modules if m.split(".")[0] == "os"]
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                found.append(f"{name}:{node.attr}")
+    assert found == []
+
+
 def test_solve_min_requires_a_start():
     # one solver path: solve_min always installs its caller's start, and
     # phase 1 lives in the tests' two-phase referee only; the lower bound
