@@ -138,15 +138,13 @@ def build_coupling_lp(system: System, atom_cap: int | None = None) -> LPInstance
     # contents within each context, so each list is in sorted-content product
     # order, the order of its cells' outcome indices in the registry.  keys,
     # kept, probs: a context's positive cells in that order, read from its
-    # table, as their outcome indices, outcomes and probabilities.  positive:
-    # each context's cells as (list position, probability, row index).  place:
+    # table, as their outcome indices, outcomes and probabilities.  place:
     # each variable's context and its index in that context's cells.
-    # indices: each context's keys.
+    # directions: each variable's _direction over its context's keys.
     cells: list[tuple[tuple[str, ...], ...]] = []
     rhs: list[Fraction] = []
-    positive: list[list[tuple[int, Fraction, int]]] = []
     place: dict[tuple[str, str], tuple[int, int]] = {}
-    indices: list[tuple[tuple[int, ...], ...]] = []
+    directions: list[list[int]] = []
     for i, blk in enumerate(system.blocks):
         contents = sorted(blk.contents)
         domains = [system.outcomes[q] for q in contents]
@@ -157,11 +155,10 @@ def build_coupling_lp(system: System, atom_cap: int | None = None) -> LPInstance
         keys, kept, probs = zip(*sorted(
             [(tuple(map(tuple.index, domains, cell)), cell, p) for cell, p in items]
         ))
-        positive.append([(k, p, len(rhs) + k) for k, p in enumerate(probs)])
         cells.append(kept)
         rhs += probs
         place.update(((blk.context, q), (i, k)) for k, q in enumerate(contents))
-        indices.append(keys)
+        directions.append([_direction(column) for column in zip(*keys)])
     rhs.append(Fraction(1))
     n = math.prod(map(len, cells))
     check_atom_cap(n, atom_cap)
@@ -179,13 +176,15 @@ def build_coupling_lp(system: System, atom_cap: int | None = None) -> LPInstance
 
     # The objective counts, per atom, the pairs whose two outcomes differ.  A
     # pair's mismatch depends only on its two contexts' cells a (context i)
-    # and b (context j > i): over the atoms it is the a-by-b table, each
-    # entry repeated for the run of b's stride, each row tiled over the run
-    # of a's stride, and the whole tiled over the contexts before i.
+    # and b (context j > i, as System.pairs() lists a pair's contexts in
+    # block order): over the atoms it is the a-by-b table, each entry
+    # repeated for the run of b's stride, each row tiled over the run of a's
+    # stride, and the whole tiled over the contexts before i.  The same pair
+    # is an edge of the pair graph that orients the start (_walk_directions).
     objective = [0] * n
-    pairs = system.pairs()
-    for q, ca, cb in pairs:
-        (i, k), (j, m) = sorted((place[(ca, q)], place[(cb, q)]))
+    links: list[list[tuple[int, int]]] = [[] for _ in cells]
+    for q, ca, cb in system.pairs():
+        (i, k), (j, m) = place[(ca, q)], place[(cb, q)]
         split = []
         for a in cells[i]:
             row = []
@@ -193,17 +192,16 @@ def build_coupling_lp(system: System, atom_cap: int | None = None) -> LPInstance
                 row += [a[k] != b[m]] * strides[j]
             split += row * (strides[i] // len(row))
         objective = list(map(operator.add, objective, split * (n // len(split))))
+        same = directions[i][k] * directions[j][m]  # 1 same way, -1 opposite, 0 not monotone
+        links[i].append((j, same))
+        links[j].append((i, same))
 
-    # Each context's positive cells are walked forward unless the pair graph
-    # reverses them.
-    ways = _walk_directions(pairs, place, indices)
-    walks = [spots[::-1] if way < 0 else spots for spots, way in zip(positive, ways)]
     return LPInstance(
         variables=variables,
         cells=tuple(cells),
         rhs=tuple(rhs),
         objective=tuple(objective),
-        start=_north_west_corner(walks, strides, len(rhs) - 1),
+        start=_north_west_corner(_walk_directions(links), cells, rhs, strides),
         layout=tuple(layout),
         bound=_lower_bound(system),
     )
@@ -229,33 +227,22 @@ def _direction(indices: Sequence[int]) -> int:
     return 0 if any(map(operator.gt, indices[1:], indices)) else -1
 
 
-def _walk_directions(
-    pairs: Sequence[tuple[str, str, str]],
-    place: dict[tuple[str, str], tuple[int, int]],
-    indices: Sequence[Sequence[tuple[int, ...]]],
-) -> list[int]:
+def _walk_directions(links: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
     """Each context's walk direction for the north-west corner: 1 forward
     over its positive cells, -1 backward.
 
-    indices[i] lists context i's positive cells in list order, each as its
-    outcome indices in sorted-content order; place gives each variable's
-    context and content position.  A breadth-first spanning forest of the
-    pair graph (contexts in block order, an edge per System.pairs() entry in
-    pairs, taken in that order) reverses a context exactly when the content
-    joining it to its parent runs monotonically in opposite directions (see
-    _direction) in the two walks.  The north-west corner couples every two
-    contexts comonotonically along their walks, so each binary pair whose
-    content runs the same way in both gets its maximal coupling.
+    links[i] lists context i's edges in the pair graph, one per
+    System.pairs() entry that holds it, in that order, as (other context,
+    same): same is 1, -1 or 0 as the shared content runs the same way in
+    both contexts, opposite ways, or not monotonically in one (_direction).
+    A breadth-first spanning forest (roots in block order) reverses a
+    context exactly when the content joining it to its parent runs opposite
+    to the parent's walk.  The north-west corner couples every two contexts
+    comonotonically along their walks, so each binary pair whose content
+    runs the same way in both gets its maximal coupling.
     """
-    directions = [[_direction(column) for column in zip(*keys)] for keys in indices]
-    links: list[list[tuple[int, int]]] = [[] for _ in indices]
-    for q, ca, cb in pairs:
-        (i, k), (j, m) = place[(ca, q)], place[(cb, q)]
-        same = directions[i][k] * directions[j][m]  # 1 same way, -1 opposite, 0 not monotone
-        links[i].append((j, same))
-        links[j].append((i, same))
-    ways = [0] * len(indices)  # 0 until reached
-    for root in range(len(indices)):
+    ways = [0] * len(links)  # 0 until reached
+    for root in range(len(links)):
         if ways[root]:
             continue
         ways[root] = 1
@@ -270,45 +257,47 @@ def _walk_directions(
 
 
 def _north_west_corner(
-    walks: Sequence[Sequence[tuple[int, Fraction, int]]],
+    ways: Sequence[int],
+    cells: Sequence[Sequence[tuple[str, ...]]],
+    rhs: Sequence[Fraction],
     strides: Sequence[int],
-    mass_row: int,
 ) -> tuple[tuple[int, int], ...]:
     """A basic feasible solution of the coupling LP by the north-west-corner
     rule of the transportation problem (Dantzig, Linear Programming and
     Extensions, 1963), as (row index, atom index) pairs.
 
-    walks[i] lists context i's positive cells as (list position, probability,
-    row index) in the order the rule walks them: atom-list order, or its
-    reverse for a context that _walk_directions reverses.  An atom's index is
-    the sum of its cells' list positions times strides.  The rule starts at
-    the atom of every context's first cell walked and moves one context at a
-    time to its next cell, at the cumulative mass where its current cell is
-    used up: the moves are those masses merged in increasing order, ties to
-    the lower context, so tied contexts move over zero-weight atoms.  Each
-    move pairs the used-up cell's row with the atom it leaves, and the last
-    atom takes the mass row.  That is 1 + sum(c_i - 1) atoms, one row per
-    positive cell except the last cell each context walks, which the mass
-    row and the context's other cells imply.  A row's cell is in no later
-    atom, so the basis matrix, in this order, is unit lower-triangular.
+    Context i's positive cells are walked in list order, or backward where
+    ways[i] is -1; a cell's row is the number of cells before its context
+    plus its list position, and an atom's index the sum of its cells' list
+    positions times strides.  The rule starts at the atom of every context's
+    first cell walked and moves one context at a time to its next cell, at
+    the cumulative mass where its current cell is used up: the moves are
+    those masses merged in increasing order, ties to the lower context (a
+    context's masses rise, its cells being positive), so tied contexts move
+    over zero-weight atoms.  Each move pairs the used-up cell's row with the
+    atom it leaves, and the last atom takes the mass row, rhs's last.  That
+    is 1 + sum(c_i - 1) atoms, one row per positive cell except the last
+    cell each context walks, which the mass row and the context's other
+    cells imply.  A row's cell is in no later atom, so the basis matrix, in
+    this order, is unit lower-triangular.
     """
-    _, nums = to_form(p for spots in walks for _, p, _ in spots)
+    _, nums = to_form(rhs[:-1])
     moves = []
-    k = 0
-    for i, spots in enumerate(walks):
+    atom = offset = 0
+    for i, (way, kept, stride) in enumerate(zip(ways, cells, strides)):
+        walk = range(len(kept))[::way]
+        atom += walk[0] * stride
         used = 0
-        for j in range(len(spots) - 1):
-            used += nums[k + j]
-            moves.append((used, i, j))
-        k += len(spots)
+        for d, e in zip(walk, walk[1:]):
+            used += nums[offset + d]
+            moves.append((used, i, offset + d, (e - d) * stride))
+        offset += len(kept)
     moves.sort()
-    atom = sum(spots[0][0] * s for spots, s in zip(walks, strides))
     start = []
-    for _, i, j in moves:
-        here, after = walks[i][j], walks[i][j + 1]
-        start.append((here[2], atom))
-        atom += (after[0] - here[0]) * strides[i]
-    start.append((mass_row, atom))
+    for _, _, row, step in moves:
+        start.append((row, atom))
+        atom += step
+    start.append((len(rhs) - 1, atom))
     return tuple(start)
 
 

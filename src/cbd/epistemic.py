@@ -116,7 +116,8 @@ class VariantProduct(Sequence):
     sorted by context id.  Variant k is read off the mixed-radix digits of k
     over the contexts in that order, the last context varying fastest: the
     order of itertools.product.  As for range, len() raises OverflowError
-    once the count passes sys.maxsize; indexing, iteration and bool() do not.
+    once the count passes sys.maxsize; indexing, iteration, reversed() and
+    bool() do not.
     """
 
     def __init__(self, spec: EpistemicSpec, contexts: tuple[tuple, ...]):
@@ -130,6 +131,11 @@ class VariantProduct(Sequence):
     def __bool__(self) -> bool:
         # enumerate_variants refuses a context with no tuple: never empty
         return True
+
+    def __reversed__(self):
+        # Sequence.__reversed__ calls len(), which stops at sys.maxsize
+        for k in range(self._len - 1, -1, -1):
+            yield self[k]
 
     def __getitem__(self, index):
         if isinstance(index, slice):

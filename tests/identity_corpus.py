@@ -16,7 +16,9 @@ This module imports no pytest, so any interpreter can check the corpus:
     python tests/identity_corpus.py --check
 
 prints each group's result and exits 1 naming every group and digest that
-differs.  A change meant to alter any of these regenerates the file with
+differs.  It compares digests, not asserts, so it checks the same under
+python -O, which strips asserts.  A change meant to alter any of these
+regenerates the file with
 
     python tests/identity_corpus.py --write
 

@@ -151,10 +151,12 @@ def test_variant_cap_refuses_a_count_beyond_the_digit_limit():
 
 def test_a_variant_product_past_maxsize_is_true_but_has_no_len():
     # 2^63 and 2^70 variants: as for range, len() stops at sys.maxsize, but
-    # a product is never empty, so bool() answers without it
+    # a product is never empty, so bool() answers without it, and reversed()
+    # decodes from the last index down
     for n in (63, 70):
         view = enumerate_variants(liar_system(n))
         assert bool(view) is True
+        assert next(reversed(view)) == view[-1]
         assert view[-1].assignment == view[2**n - 1].assignment
         assert view[-1].assignment[("q1", "c1")] == MINUS
         with pytest.raises(OverflowError):
@@ -523,6 +525,7 @@ def test_view_is_a_sequence():
         assert view[i - len(items)] == items[i]
     assert view[3:11:2] == items[3:11:2]
     assert view[::-1] == items[::-1]
+    assert list(reversed(view)) == items[::-1]
     assert view[100:] == []
     for bad in (16, 17, -17):
         with pytest.raises(IndexError):
