@@ -8,7 +8,8 @@ positive for every system, and the verdict is exact because every quantity is
 a rational computed without rounding.
 
 A deterministic system (every context a point mass) is reported from its
-fixed values alone: their joint assignment is its only coupling, so each
+fixed values alone, held as one map per context from each of its contents
+to its fixed outcome: their joint assignment is its only coupling, so each
 pair's isolated delta is 1 where its two fixed values differ and 0
 otherwise, a connection is consistent when all its fixed values agree, and
 the marginal index is never built.
@@ -64,20 +65,6 @@ def is_deterministic(system: System) -> bool:
     return all(len(blk.table) == 1 for blk in system.blocks)
 
 
-def _fixed_values(system: System) -> dict[tuple[str, str], str]:
-    """The fixed outcome of every variable of a deterministic system."""
-    values: dict[tuple[str, str], str] = {}
-    for blk in system.blocks:
-        if len(blk.table) != 1:
-            raise NotDeterministic(
-                f"context {blk.context!r} is not a point mass"
-            )
-        (cell,) = blk.table
-        for q, o in zip(blk.contents, cell):
-            values[(blk.context, q)] = o
-    return values
-
-
 _ONE = Fraction(1)
 
 
@@ -122,21 +109,28 @@ def analyze_deterministic(system: System) -> AnalysisReport:
     values differ and 0 otherwise, a connection is consistent when all its
     fixed values agree, and system_delta is the number of mismatched pairs.
     So system_delta == delta_sum and cnt == 0: a deterministic system is
-    never contextual.  The whole report comes from the fixed values; no
-    marginal is computed.
+    never contextual.  The whole report comes from the fixed values, read
+    in one pass over the blocks into a map per context, content -> fixed
+    outcome, which each pair and the witness atom then index; no marginal
+    is computed.
     """
-    values = _fixed_values(system)
+    fixed: dict[str, dict[str, str]] = {}  # context -> content -> fixed outcome
+    for blk in system.blocks:
+        if len(blk.table) != 1:
+            raise NotDeterministic(f"context {blk.context!r} is not a point mass")
+        (cell,) = blk.table
+        fixed[blk.context] = dict(zip(blk.contents, cell))
     per = dict.fromkeys(system.content_ids, True)
     pairs = []
     mismatches = 0
     for q, ca, cb in system.pairs():
-        if values[(ca, q)] != values[(cb, q)]:
+        if fixed[ca][q] != fixed[cb][q]:
             pairs.append(PairDelta(q, ca, cb, _ONE))
             per[q] = False
             mismatches += 1
         else:
             pairs.append(PairDelta(q, ca, cb, ZERO))
-    atom = tuple(values[v] for v in system.variables)
+    atom = tuple([fixed[c][q] for c, q in system.variables])
     witness = CouplingWitness(
         variables=system.variables, weights=((atom, _ONE),)
     )

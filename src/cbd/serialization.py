@@ -9,7 +9,7 @@ outcome tuples have probability zero.  parse_system_data reads the decoded
 JSON in one pass; the rules a schema cannot state (sums and the exact [0, 1]
 range, ids and cells listed twice, unknown contents, outcomes outside their
 set, arity, the MAX_DIGITS limits) it checks through the systems.py
-functions that validate_system calls.
+functions that validate_system calls, each distinct outcome label list once.
 
 Reports render as plain text or as JSON carrying every rational twice: the
 exact "num/den" string (lossless round-trip) and a float for reading.
@@ -40,7 +40,8 @@ def format_value(x: Fraction) -> str:
 
 
 def rational_json(x: Fraction) -> dict:
-    return {"exact": format_exact(x), "decimal": float(x)}
+    n, d = x.as_integer_ratio()  # n / d is float(x), without its indirection
+    return {"exact": format_exact(x), "decimal": n / d}
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +165,7 @@ _STR = frozenset({str})
 
 def _strings(value) -> bool:
     """Whether value is a JSON array of JSON strings (a _Number is not one)."""
-    return isinstance(value, list) and set(map(type, value)) <= _STR
+    return isinstance(value, list) and _STR.issuperset(map(type, value))
 
 
 def parse_system_data(data, source: str = "<data>") -> System:
@@ -186,6 +187,7 @@ def _read_system(data) -> System:
     ):
         raise _shape_error(data, SYSTEM_KEYS, "top level")
     registry: dict[str, tuple[str, ...]] = {}
+    label_sets: dict[tuple[str, ...], tuple[str, ...]] = {}  # each list checked once
     for i, entry in enumerate(data["contents"]):
         if not isinstance(entry, dict) or entry.keys() != CONTENT_KEYS.keys() or (
             type(entry["id"]) is not str or not _strings(entry["values"])
@@ -194,7 +196,10 @@ def _read_system(data) -> System:
         q = entry["id"]
         if q in registry:
             raise SystemFileError(f"content {q!r} declared twice")
-        registry[q] = outcome_set(q, entry["values"])
+        key = tuple(entry["values"])
+        if not q or (outcomes := label_sets.get(key)) is None:
+            outcomes = label_sets[key] = outcome_set(q, entry["values"])
+        registry[q] = outcomes
     seen, parsed, blocks = set(), {}, []
     for i, entry in enumerate(data["contexts"]):
         if not isinstance(entry, dict) or entry.keys() != CONTEXT_KEYS.keys() or (

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 from functools import cached_property
@@ -313,7 +314,8 @@ def outcome_set(content, values) -> tuple[str, ...]:
 def check_context(context, contents, registry: Mapping, seen: set) -> tuple[str, ...]:
     """A context's contents as a tuple, by the label rule: the context id is
     a non-empty string not yet in seen (then it is added), and contents is a
-    non-empty sequence, never one bare string, of distinct registry ids."""
+    non-empty sequence, never one bare string, of distinct registry ids.
+    Clean contents pass in one test; otherwise the first fault is named."""
     if not (isinstance(context, str) and context):
         raise DomainMismatch(f"context id {context!r} is not a non-empty string")
     if isinstance(contents, str):
@@ -324,6 +326,13 @@ def check_context(context, contents, registry: Mapping, seen: set) -> tuple[str,
     if context in seen:
         raise DuplicateContext(f"context {context!r} defined twice")
     seen.add(context)
+    try:  # a clean context passes in one test; any fault is named below
+        if len(set(contents)) == len(contents) and all(
+            map(registry.__contains__, contents)
+        ):
+            return contents
+    except TypeError:  # an unhashable content
+        pass
     for q in contents:
         if contents.count(q) > 1:
             raise DuplicateContentInContext(
@@ -344,7 +353,12 @@ def check_context(context, contents, registry: Mapping, seen: set) -> tuple[str,
 
 def check_cell(context: str, contents: tuple, cell: tuple, registry: Mapping) -> None:
     """Refuse an outcome tuple whose arity is not the context's, or with an
-    outcome outside its content's outcome set."""
+    outcome outside its content's outcome set.  A clean cell passes in one
+    test; otherwise the first fault is named."""
+    if len(cell) == len(contents) and all(
+        map(operator.contains, map(registry.__getitem__, contents), cell)
+    ):
+        return
     if len(cell) != len(contents):
         raise DomainMismatch(
             f"context {context!r}: outcome tuple {cell} has arity "

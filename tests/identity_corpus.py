@@ -1,4 +1,4 @@
-"""The identity corpus: 607 seeded systems whose reports, pivots and support
+"""The identity corpus: 615 seeded systems whose reports, pivots and support
 LPs a refactor must leave byte for byte as they are.
 
 For each group of systems, tests/identity.json holds sha256 digests of
@@ -79,6 +79,10 @@ def corpus():
         ],
         "cyclic-dense": lambda: [
             parse_system_text(inp.data.text) for inp in first_inputs("cyclic-dense")
+        ],
+        # 1,000-context point-mass chains: the deterministic path's reports
+        "chain-det": lambda: [
+            parse_system_text(inp.data.text) for inp in first_inputs("chain-det", 8)
         ],
     }
 

@@ -22,12 +22,14 @@ from cbd import (
     CbdError,
     DomainMismatch,
     DuplicateCell,
+    DuplicateContentInContext,
     DuplicateContext,
     InvalidProbability,
     ProbabilitySumMismatch,
     SystemFileError,
     UnknownContent,
     parse_system_text,
+    validate_system,
     write_system,
 )
 from cbd.serialization import CELL_KEYS, CONTENT_KEYS, CONTEXT_KEYS, SYSTEM_KEYS
@@ -279,3 +281,72 @@ def test_parser_keys_and_grammar_are_the_schema_text():
     p = objects["cell"][0]["properties"]["p"]["oneOf"]
     assert [branch["type"] for branch in p] == ["string", "number"]
     assert p[0]["pattern"] == P_PATTERN
+
+
+# Which fault a refusal names first, when a file holds two: each case is a
+# file, the class of its refusal and the refusal's whole message.
+PM = ["+1", "-1"]
+REGISTRY = [{"id": "q", "values": PM}, {"id": "r", "values": PM}]
+
+
+def _file(contents, context_id, context_contents, cells):
+    context = {"id": context_id, "contents": context_contents, "distribution": cells}
+    return json.dumps({"contents": contents, "contexts": [context]})
+
+
+FIRST_FAULT = {
+    # the label list was already checked for "q"; the empty id is still refused,
+    # and the message prints the list as the file wrote it
+    "empty content id with a label list used before": (
+        _file([{"id": "q", "values": PM}, {"id": "", "values": PM}],
+              "c", ["q"], [{"outcomes": ["+1"], "p": "1"}]),
+        DomainMismatch,
+        "content '': outcome set ['+1', '-1']: ids and labels must be non-empty "
+        "strings, and an outcome set a sequence of them",
+    ),
+    "duplicate content before an unknown one": (
+        _file(REGISTRY, "c", ["q", "q", "z"], [{"outcomes": ["+1"] * 3, "p": "1"}]),
+        DuplicateContentInContext,
+        "content 'q' appears twice in context 'c'",
+    ),
+    "unknown content before a duplicate one": (
+        _file(REGISTRY, "c", ["z", "q", "q"], [{"outcomes": ["+1"] * 3, "p": "1"}]),
+        UnknownContent,
+        "context 'c' references unknown content 'z'",
+    ),
+    # every cell's shape is read before the context's rules run
+    "bad context id and a malformed second cell": (
+        _file(REGISTRY, "", ["q"],
+              [{"outcomes": ["+1"], "p": "1/2"}, {"outcomes": ["-1"]}]),
+        SystemFileError,
+        "context '' distribution[1] lacks key 'p'",
+    ),
+    "outcome outside its set in cell 1, arity fault in cell 2": (
+        _file(REGISTRY, "c", ["q", "r"],
+              [{"outcomes": ["+1", "0"], "p": "1/2"}, {"outcomes": ["-1"], "p": "1/2"}]),
+        DomainMismatch,
+        "context 'c': outcome '0' not in the outcome set of content 'r'",
+    ),
+    "arity fault in cell 1, outcome outside its set in cell 2": (
+        _file(REGISTRY, "c", ["q", "r"],
+              [{"outcomes": ["+1"], "p": "1/2"}, {"outcomes": ["-1", "0"], "p": "1/2"}]),
+        DomainMismatch,
+        "context 'c': outcome tuple ('+1',) has arity 1, expected 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FIRST_FAULT))
+def test_a_refusal_names_the_first_fault(case):
+    text, cls, message = FIRST_FAULT[case]
+    with pytest.raises(CbdError) as info:
+        parse_system_text(text, source="f.json")
+    assert type(info.value) is cls
+    assert str(info.value) == f"f.json: {message}"
+
+
+def test_validate_system_refuses_a_list_among_a_contexts_contents():
+    with pytest.raises(CbdError) as info:
+        validate_system({"q": PM}, [("c", ["q", ["q"]], {("+1", "+1"): 1})])
+    assert type(info.value) is DomainMismatch
+    assert str(info.value) == "context 'c': content ['q'] is not a string"

@@ -497,7 +497,7 @@ def test_the_z_row_is_held_from_the_first_pivot(monkeypatch):
     systems = [mixture(liar_system(n)) for n in range(2, 11)]
     for make in corpus().values():
         systems += make()[:50]
-    assert len(systems) == 166
+    assert len(systems) == 174
     for sys_ in systems:
         lp = build_coupling_lp(sys_)
         analyze(sys_)
